@@ -18,6 +18,12 @@
 //! connection timing — the same determinism contract as the batch
 //! engines, minus arrival-time control (which the `time` field gives
 //! back to the client).
+//!
+//! One client cannot stop the daemon. A line that is not UTF-8 gets an
+//! `{"ok":false,"error":…}` reply like any other malformed request, and
+//! a read or write failure (a reset, a broken pipe) ends only its own
+//! connection: it is logged to stderr and the accept loop goes on. A
+//! `shutdown` whose reply cannot be delivered still stops the daemon.
 
 use crate::shard::ShardedPool;
 use crate::wire::{parse_request, Request};
@@ -326,10 +332,11 @@ impl Daemon {
         &self.addr
     }
 
-    /// Serve connections sequentially until a `shutdown` request.
+    /// Serve connections sequentially until a `shutdown` request. A
+    /// connection's read or write failure ends that connection only.
     ///
     /// # Errors
-    /// Propagates socket accept/read/write failures.
+    /// Propagates socket accept failures.
     pub fn run(&self, core: &mut ServeCore) -> std::io::Result<()> {
         // Audited wall-clock use (see the module docs): a startup
         // stamp on stderr for the operator. Simulation time starts at
@@ -342,19 +349,22 @@ impl Daemon {
             self.addr
         );
         loop {
-            let done = match &self.listener {
-                Listener::Tcp(l) => {
-                    let (stream, _) = l.accept()?;
-                    serve_connection(stream, core)?
-                }
+            let served = match &self.listener {
+                Listener::Tcp(l) => serve_connection(l.accept()?.0, core),
                 #[cfg(unix)]
-                Listener::Unix(l) => {
-                    let (stream, _) = l.accept()?;
-                    serve_connection(stream, core)?
-                }
+                Listener::Unix(l) => serve_connection(l.accept()?.0, core),
             };
-            if done {
-                return Ok(());
+            match served {
+                Ok(true) => return Ok(()),
+                Ok(false) => {}
+                Err(e) => {
+                    eprintln!("cws-serve: connection dropped: {e}");
+                    // A shutdown whose reply could not be delivered
+                    // has still settled the pool: stop all the same.
+                    if core.finished {
+                        return Ok(());
+                    }
+                }
             }
         }
     }
@@ -363,16 +373,18 @@ impl Daemon {
 /// Serve one connection line by line; `Ok(true)` after a shutdown.
 fn serve_connection<S: Read + Write>(stream: S, core: &mut ServeCore) -> std::io::Result<bool> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut bytes = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        bytes.clear();
+        if reader.read_until(b'\n', &mut bytes)? == 0 {
             return Ok(false); // client hung up
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (reply, done) = match parse_request(line.trim()) {
+        let parsed = match std::str::from_utf8(&bytes) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_request(line.trim()),
+            Err(_) => Err("request line is not valid UTF-8".to_string()),
+        };
+        let (reply, done) = match parsed {
             Ok(req) => core.handle(&req),
             Err(e) => (
                 format!("{{\"ok\":false,\"error\":{}}}", json_str(&e)),

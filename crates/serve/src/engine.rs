@@ -1,34 +1,50 @@
-//! The sharded streaming engine: lazy arrivals → pipelined preparation
-//! → sequential in-order commits against the [`ShardedPool`].
+//! The sharded streaming engine: lazy arrivals → chunked two-stage
+//! pipeline → sequential in-order commits against the [`ShardedPool`].
 //!
 //! # Pipeline shape
 //!
-//! Per submission the expensive work is *preparation* — materializing
-//! the workflow from its ticket seed and scheduling the cold one-shot
-//! reference — neither of which touches the pool. The commit step
-//! (warm snapshot → pooled schedule → pool mutation) is cheap but
-//! order-sensitive. So the engine splits them:
+//! Per submission the work splits in two. *Preparation* materializes
+//! the workflow from its ticket seed and schedules the cold one-shot
+//! reference; it never touches the pool. The *commit* (reclaim, warm
+//! snapshot, pooled schedule, pool mutation, report fold) is
+//! order-sensitive. Both cost about the same, so with `threads = T`
+//! the calling thread commits while `T - 1` worker lanes prepare:
 //!
 //! ```text
-//! TicketStream ──► job channel ──► workers: realize + cold reference
-//!      ▲                                   │ (both under obs::quiet)
-//!      │ one new ticket per commit         ▼
-//!      └──────── committer ◄─── reorder buffer ◄─── result channel
-//!                 (this thread, strict arrival order)
+//!                 chunk k ──► lane k mod L: realize + cold reference
+//! TicketStream ──►                          (under obs::quiet)
+//!   (chunks of C)                                │ prepared chunk k
+//!        ▲                                       ▼
+//!        └── refill lane ◄── committer ◄─ lanes in round-robin order
+//!                           (this thread, strict arrival order)
+//!                                │ committed chunk k
+//!                                └──► back to lane k mod L, dropped there
 //! ```
 //!
-//! The committer holds a credit window of `epoch` tickets in flight and
-//! commits strictly in arrival order through a reorder buffer, so the
-//! pool sees the identical operation sequence at any thread count —
-//! and, because preparation is muted with [`cws_obs::quiet`] exactly
+//! Chunk *k* of `C` contiguous tickets goes to lane *k mod L* and the
+//! committer takes results from the lanes in the same round-robin
+//! order, so they arrive in arrival order and need no reorder buffer.
+//! While chunk *k* commits, the lanes prepare the next `L` chunks. A
+//! committed chunk returns to the lane that allocated it to be freed
+//! there: freeing on the committer sends every allocation through
+//! the allocator's cross-thread path, which doubled the CPU time of a
+//! two-thread run.
+//!
+//! The pool therefore sees the identical operation sequence at any
+//! thread count. Because preparation is muted with [`cws_obs::quiet`],
 //! like the legacy engine's cold reference, the trace byte stream is
 //! identical too. With `threads <= 1` the same sequence runs inline on
-//! one thread, no channels involved.
+//! one thread, no channels involved; it is the reference.
 //!
-//! Memory is bounded by the credit window plus the live pool: tickets
-//! are ~40 bytes, workflows exist only between preparation and their
-//! commit, and terminated machines fold into the running
-//! [`ReportAccumulator`] (rental order) and are dropped.
+//! Memory is bounded by the credit window plus the live pool. Tickets
+//! are ~40 bytes. Workflows exist only from preparation until their
+//! lane drops them after the commit. At most `epoch.max(threads)` of
+//! them wait for their commit at once: each lane holds one chunk and
+//! the committer one more, and `C` is sized so that `L + 1` chunks
+//! fit. With one lane that is all that is alive; with more, each lane
+//! may also hold one committed chunk it has yet to drop. Terminated
+//! machines fold into the running [`ReportAccumulator`] (rental order)
+//! and are dropped.
 
 use crate::shard::ShardedPool;
 use cws_core::pooled::pooled_static;
@@ -40,7 +56,8 @@ use cws_service::{
     ArrivalTicket, ReportAccumulator, ServiceConfig, ServiceReport, ServiceSummary, TicketStream,
     WorkflowRecord, WorkloadKind,
 };
-use std::collections::BTreeMap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::{self, ScopedJoinHandle};
 
 /// Gauge reporting the shard count of the last sharded run.
 pub const SERVICE_SHARDS: &str = "service.shards";
@@ -54,10 +71,11 @@ pub struct ShardedConfig {
     pub service: ServiceConfig,
     /// Warm-pool shard count.
     pub shards: usize,
-    /// Preparation worker threads; `<= 1` runs fully inline.
+    /// Threads, the committer included: `threads - 1` preparation
+    /// lanes feed the committing thread. `<= 1` runs fully inline.
     pub threads: usize,
-    /// Credit window: tickets in flight per event-epoch. Bounds the
-    /// reorder buffer and the number of live workflows.
+    /// Credit window: at most `epoch.max(threads)` workflows are alive
+    /// between preparation and commit.
     pub epoch: usize,
 }
 
@@ -153,6 +171,130 @@ fn commit_one(
     pool.commit(now, p.tenant, &pooled, &slot_map, platform);
 }
 
+/// A message to a preparation lane.
+enum Job<T, P> {
+    /// Prepare these items and send the results back.
+    Prepare(Vec<T>),
+    /// Drop these committed results. They were allocated on this lane,
+    /// and freeing them here keeps the allocator off its cross-thread
+    /// path (see the module docs).
+    Retire(Vec<P>),
+}
+
+/// One preparation lane of [`ordered_pipeline`]: its worker's job
+/// inbox, its result outbox, and its join handle, kept so a worker's
+/// panic can be re-raised with its own payload.
+struct Lane<'scope, T, P> {
+    jobs: SyncSender<Job<T, P>>,
+    results: Receiver<Vec<P>>,
+    worker: ScopedJoinHandle<'scope, ()>,
+}
+
+impl<T, P> Lane<'_, T, P> {
+    /// Re-raise the panic that ended this lane's worker.
+    fn rethrow(self) -> ! {
+        drop((self.jobs, self.results));
+        match self.worker.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            // A worker only exits cleanly once its job inbox closes,
+            // and the committer holds that inbox open while it waits.
+            Ok(()) => unreachable!("pipeline worker exited with work in flight"),
+        }
+    }
+}
+
+/// Send `job` to lane `at`, or re-raise the panic that closed its inbox.
+fn send_job<T, P>(lanes: &mut Vec<Lane<'_, T, P>>, at: usize, job: Job<T, P>) {
+    if lanes[at].jobs.send(job).is_err() {
+        lanes.swap_remove(at).rethrow();
+    }
+}
+
+/// Run `prepare` over `items` on `lanes` worker threads and `commit`
+/// on the calling thread, strictly in item order.
+///
+/// Items travel in contiguous chunks of `chunk`. Chunk *k* goes to
+/// lane *k mod lanes*, and results are taken back from the lanes in
+/// the same round-robin order, so they arrive in item order with no
+/// reorder buffer. While the caller commits chunk *k*, the lanes
+/// prepare chunks *k + 1 ..= k + lanes*: a lane holds at most one
+/// chunk and the committer one more, so no more than
+/// `(lanes + 1) × chunk` prepared values wait for their commit.
+///
+/// A committed chunk goes back to its lane to be dropped. The lane
+/// drops it before its next chunk when `lanes == 1`, so then at most
+/// `2 × chunk` values are alive at all. With more lanes the drop may
+/// wait behind the lane's current chunk, adding one chunk per lane.
+///
+/// A panic in `prepare` is re-raised on the calling thread with its
+/// original payload. A panic in `commit` closes every channel on its
+/// way out, so the workers exit instead of blocking the scope's join.
+fn ordered_pipeline<T: Send, P: Send>(
+    mut items: impl Iterator<Item = T>,
+    chunk: usize,
+    lanes: usize,
+    prepare: impl Fn(T) -> P + Sync,
+    mut commit: impl FnMut(&P),
+) {
+    let chunk = chunk.max(1);
+    let mut next_chunk = move || {
+        let c: Vec<T> = items.by_ref().take(chunk).collect();
+        (!c.is_empty()).then_some(c)
+    };
+    let prepare = &prepare;
+    thread::scope(|scope| {
+        let mut lanes: Vec<Lane<'_, T, P>> = (0..lanes.max(1))
+            .map(|_| {
+                // Two inbox slots hold a lane's pending `Retire` and its
+                // next `Prepare`; the outbox holds its one prepared chunk.
+                let (jobs, job_rx) = sync_channel::<Job<T, P>>(2);
+                let (result_tx, results) = sync_channel::<Vec<P>>(1);
+                let worker = scope.spawn(move || {
+                    for job in job_rx {
+                        match job {
+                            Job::Prepare(items) => {
+                                let prepared = items.into_iter().map(prepare).collect();
+                                if result_tx.send(prepared).is_err() {
+                                    return; // the committer is unwinding
+                                }
+                            }
+                            Job::Retire(spent) => drop(spent),
+                        }
+                    }
+                });
+                Lane {
+                    jobs,
+                    results,
+                    worker,
+                }
+            })
+            .collect();
+
+        let mut in_flight = 0usize;
+        for at in 0..lanes.len() {
+            let Some(c) = next_chunk() else { break };
+            send_job(&mut lanes, at, Job::Prepare(c));
+            in_flight += 1;
+        }
+        let mut at = 0usize;
+        while in_flight > 0 {
+            let Ok(prepared) = lanes[at].results.recv() else {
+                lanes.swap_remove(at).rethrow();
+            };
+            in_flight -= 1;
+            // Refill this lane before committing, so the next chunk's
+            // preparation overlaps this chunk's commit.
+            if let Some(c) = next_chunk() {
+                send_job(&mut lanes, at, Job::Prepare(c));
+                in_flight += 1;
+            }
+            prepared.iter().for_each(&mut commit);
+            send_job(&mut lanes, at, Job::Retire(prepared));
+            at = (at + 1) % lanes.len();
+        }
+    });
+}
+
 /// Run the sharded engine and fold the whole run into an accumulator.
 fn drive(platform: &Platform, cfg: &ShardedConfig) -> ReportAccumulator {
     let svc = &cfg.service;
@@ -162,7 +304,7 @@ fn drive(platform: &Platform, cfg: &ShardedConfig) -> ReportAccumulator {
 
     let mut pool = ShardedPool::new(svc.reclaim, cfg.shards.max(1));
     let mut acc = ReportAccumulator::new(svc.tenants.len());
-    let mut tickets = TicketStream::new(&svc.tenants, &svc.model, svc.seed);
+    let tickets = TicketStream::new(&svc.tenants, &svc.model, svc.seed);
 
     if cfg.threads <= 1 {
         for ticket in tickets {
@@ -170,80 +312,22 @@ fn drive(platform: &Platform, cfg: &ShardedConfig) -> ReportAccumulator {
             commit_one(&platform, alloc, itype, &mut pool, &mut acc, &p);
         }
     } else {
-        let window = cfg.epoch.max(cfg.threads).max(1);
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, ArrivalTicket)>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Prepared)>();
-        let platform_ref = &platform;
-        let kinds_ref = &kinds;
-        let pool_ref = &mut pool;
-        let acc_ref = &mut acc;
-        crossbeam::thread::scope(move |scope| {
-            for _ in 0..cfg.threads {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                scope.spawn(move |_| {
-                    while let Ok((idx, ticket)) = job_rx.recv() {
-                        let p = Prepared::prepare(&ticket, kinds_ref, platform_ref, alloc, itype);
-                        // A send can only fail if the committer died;
-                        // its panic is the one worth reporting.
-                        let _ = res_tx.send((idx, p));
-                    }
-                });
-            }
-            drop(job_rx);
-            drop(res_tx);
-
-            // Credit window: keep `window` tickets in flight, refill
-            // one per commit. The reorder buffer therefore never holds
-            // more than `window` prepared workflows.
-            let mut job_tx = Some(job_tx);
-            let mut sent = 0usize;
-            let mut send_next = |tx: &mut Option<crossbeam::channel::Sender<_>>| {
-                if let Some(sender) = tx {
-                    if let Some(t) = tickets.next() {
-                        // Invariant: every worker holds the receiver until
-                        // this sender disconnects; a send can only fail if
-                        // a worker panicked, which already aborts the run.
-                        // cws-lint: allow(unwrap-in-kernel)
-                        sender.send((sent, t)).expect("workers outlive the stream");
-                        sent += 1;
-                        return true;
-                    }
-                    *tx = None; // stream dry: disconnect so workers exit
-                }
-                false
-            };
-            let mut inflight = 0usize;
-            for _ in 0..window {
-                if !send_next(&mut job_tx) {
-                    break;
-                }
-                inflight += 1;
-            }
-
-            let mut buffer: BTreeMap<usize, Prepared> = BTreeMap::new();
-            let mut next_commit = 0usize;
-            while inflight > 0 {
-                // Invariant: `inflight > 0` means some worker still owns a
-                // job and the result sender; recv fails only after a worker
-                // panic, which must abort rather than deadlock.
-                // cws-lint: allow(unwrap-in-kernel)
-                let (idx, p) = res_rx.recv().expect("a worker died with jobs in flight");
-                buffer.insert(idx, p);
-                while let Some(p) = buffer.remove(&next_commit) {
-                    commit_one(platform_ref, alloc, itype, pool_ref, acc_ref, &p);
-                    next_commit += 1;
-                    inflight -= 1;
-                    if send_next(&mut job_tx) {
-                        inflight += 1;
-                    }
-                }
-            }
-        })
-        // Invariant: scoped-thread join returns Err only on a panic in
-        // the pipeline closure; propagating it is the correct abort.
-        // cws-lint: allow(unwrap-in-kernel)
-        .expect("sharded pipeline thread panicked");
+        // The committer is a thread too, so `threads` buys `threads - 1`
+        // preparation lanes. A lane holds at most one chunk of prepared
+        // workflows and the committer one more, so `lanes + 1` chunks
+        // fill the credit window. On a two-core machine one lane with
+        // 32-ticket chunks beat two lanes with 21-ticket ones, and
+        // smaller chunks were no faster.
+        let window = cfg.epoch.max(cfg.threads);
+        let lanes = cfg.threads - 1;
+        let chunk = (window / (lanes + 1)).max(1);
+        ordered_pipeline(
+            tickets,
+            chunk,
+            lanes,
+            |ticket| Prepared::prepare(&ticket, &kinds, &platform, alloc, itype),
+            |p| commit_one(&platform, alloc, itype, &mut pool, &mut acc, p),
+        );
     }
 
     pool.finish();
@@ -348,5 +432,87 @@ mod tests {
             epoch: 1, // degenerate window: one ticket in flight per worker refill
         };
         assert_eq!(run_sharded_service(&p, &cfg).to_json(), legacy);
+    }
+
+    #[test]
+    fn pipeline_commits_every_item_in_order_within_the_window() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// A prepared value that counts itself out of `alive` on drop.
+        struct Counted<'a>(u32, &'a AtomicUsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.1.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        for n in [0_u32, 1, 5, 100] {
+            for lanes in [1, 2, 3, 8] {
+                for chunk in [1, 3, 7, 64] {
+                    // `alive`: prepared, not yet dropped. `waiting`:
+                    // prepared, not yet committed.
+                    let (alive, waiting) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                    let (peak_alive, peak_waiting) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                    let mut got = Vec::new();
+                    ordered_pipeline(
+                        0..n,
+                        chunk,
+                        lanes,
+                        |i| {
+                            peak_alive.fetch_max(
+                                alive.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
+                            peak_waiting.fetch_max(
+                                waiting.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
+                            Counted(i * 2, &alive)
+                        },
+                        |p| {
+                            waiting.fetch_sub(1, Ordering::SeqCst);
+                            got.push(p.0);
+                        },
+                    );
+                    let case = format!("n={n} lanes={lanes} chunk={chunk}");
+                    let want: Vec<u32> = (0..n).map(|i| i * 2).collect();
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(alive.load(Ordering::SeqCst), 0, "{case}: all dropped");
+                    let peak_waiting = peak_waiting.load(Ordering::SeqCst);
+                    assert!(
+                        peak_waiting <= (lanes + 1) * chunk,
+                        "{case}: {peak_waiting} waiting"
+                    );
+                    let peak_alive = peak_alive.load(Ordering::SeqCst);
+                    let alive_bound = if lanes == 1 { 2 } else { 2 * lanes + 1 } * chunk;
+                    assert!(peak_alive <= alive_bound, "{case}: {peak_alive} alive");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prepare failed on item 5")]
+    fn pipeline_reraises_a_prepare_panic_with_its_message() {
+        ordered_pipeline(
+            0..64_u32,
+            2,
+            3,
+            |i| {
+                assert!(i != 5, "prepare failed on item {i}");
+                i
+            },
+            |_| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "commit failed on item 9")]
+    fn pipeline_commit_panic_does_not_deadlock_the_workers() {
+        ordered_pipeline(
+            0..1000_u32,
+            4,
+            2,
+            |i| i,
+            |&i| assert!(i != 9, "commit failed on item {i}"),
+        );
     }
 }

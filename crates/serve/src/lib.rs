@@ -12,7 +12,7 @@
 //! | Module | Responsibility |
 //! |--------|----------------|
 //! | [`shard`] | the [`ShardedPool`]: per-region shards with their own event queues and billing meters, merged in global rental order |
-//! | [`engine`] | the pipelined executor: lazy [`cws_service::TicketStream`] arrivals, parallel preparation under [`cws_obs::quiet`], strict in-order commits |
+//! | [`engine`] | the chunked two-stage pipeline: lazy [`cws_service::TicketStream`] arrivals, worker lanes preparing ticket chunks under [`cws_obs::quiet`], strict in-order commits with no reorder buffer |
 //! | [`wire`] | the JSON-lines workflow interchange format (first cut) |
 //! | [`daemon`] | the long-lived `cws-exp serve --listen` daemon: socket accept loop around a [`ServeCore`] |
 //!

@@ -2,7 +2,10 @@
 //! are **invisible**. For every seed in the CI seed matrix, the report
 //! JSON and the trace byte stream produced by the sharded engine must
 //! be byte-identical to the legacy `run_service` — and therefore to
-//! each other — across shards ∈ {1, 2, 8} × threads ∈ {1, 8}.
+//! each other — across shards ∈ {1, 2, 8} × threads ∈ {1, 2, 3, 8} ×
+//! epoch ∈ {1, 7, 64}. Epoch 7 splits unevenly into the pipeline's
+//! chunks (3 tickets at two threads, 2 at three), so the chunks never
+//! fill the credit window exactly.
 //!
 //! The trace sink is process-global, so every test here serializes on
 //! one lock and uninstalls the sink before releasing it.
@@ -16,7 +19,7 @@ use cws_platform::{InstanceType, Platform};
 use cws_serve::{run_sharded_service, run_sharded_summary, ShardedConfig};
 use cws_service::{
     run_service, run_service_summary, ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec,
-    WorkloadKind,
+    TicketStream, WorkloadKind,
 };
 
 static OBS_GUARD: Mutex<()> = Mutex::new(());
@@ -85,9 +88,13 @@ fn config(seed: u64) -> ServiceConfig {
     }
 }
 
-/// The full matrix from ISSUE/CI: seeds 7, 42, 1337 × shards 1, 2, 8 ×
-/// threads 1, 8 — every cell byte-identical to legacy in both report
-/// and trace.
+/// Thread counts and credit windows every matrix below covers.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+const EPOCHS: [usize; 3] = [1, 7, 64];
+
+/// The full matrix: seeds 7, 42, 1337 × shards 1, 2, 8 × threads
+/// 1, 2, 3, 8 × epoch 1, 7, 64 — every cell byte-identical to legacy
+/// in both report and trace.
 #[test]
 fn report_and_trace_are_invariant_across_shards_and_threads() {
     let _g = obs_lock();
@@ -102,26 +109,60 @@ fn report_and_trace_are_invariant_across_shards_and_threads() {
             "seed {seed}: legacy run must emit trace events"
         );
         for shards in [1_usize, 2, 8] {
-            for threads in [1_usize, 8] {
+            for threads in THREADS {
+                for epoch in EPOCHS {
+                    let scfg = ShardedConfig {
+                        service: cfg.clone(),
+                        shards,
+                        threads,
+                        epoch,
+                    };
+                    let (report, trace) = traced(|| run_sharded_service(&platform, &scfg));
+                    let cell =
+                        format!("seed {seed} shards {shards} threads {threads} epoch {epoch}");
+                    assert_eq!(report.to_json(), legacy_json, "report diverged: {cell}");
+                    assert!(
+                        trace == legacy_trace,
+                        "trace bytes diverged: {cell} (legacy {} bytes, sharded {} bytes)",
+                        legacy_trace.len(),
+                        trace.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The pipeline's edge cases: a stream with no tickets at all, and one
+/// whose horizon closes between the first and second arrival.
+#[test]
+fn empty_and_one_ticket_streams_are_invariant() {
+    let _g = obs_lock();
+    obs::set_metrics_enabled(false);
+    let platform = Platform::ec2_paper();
+    let tickets = |cfg: &ServiceConfig| TicketStream::new(&cfg.tenants, &cfg.model, cfg.seed);
+    let mut first_two = tickets(&config(42)).map(|t| t.time);
+    let (t0, t1) = (
+        first_two.next().expect("a first arrival"),
+        first_two.next().expect("a second arrival"),
+    );
+    for (horizon_s, want) in [(0.0, 0), ((t0 + t1) / 2.0, 1)] {
+        let mut cfg = config(42);
+        cfg.model = ArrivalModel::Poisson { horizon_s };
+        assert_eq!(tickets(&cfg).count(), want, "horizon {horizon_s} s");
+        let (legacy, legacy_trace) = traced(|| run_service(&platform, &cfg).to_json());
+        for threads in THREADS {
+            for epoch in EPOCHS {
                 let scfg = ShardedConfig {
                     service: cfg.clone(),
-                    shards,
+                    shards: 2,
                     threads,
-                    epoch: 64,
+                    epoch,
                 };
-                let (report, trace) = traced(|| run_sharded_service(&platform, &scfg));
-                assert_eq!(
-                    report.to_json(),
-                    legacy_json,
-                    "report diverged: seed {seed} shards {shards} threads {threads}"
-                );
-                assert!(
-                    trace == legacy_trace,
-                    "trace bytes diverged: seed {seed} shards {shards} threads {threads} \
-                     (legacy {} bytes, sharded {} bytes)",
-                    legacy_trace.len(),
-                    trace.len()
-                );
+                let (sharded, trace) = traced(|| run_sharded_service(&platform, &scfg).to_json());
+                let cell = format!("{want} tickets, threads {threads} epoch {epoch}");
+                assert_eq!(sharded, legacy, "report diverged: {cell}");
+                assert!(trace == legacy_trace, "trace bytes diverged: {cell}");
             }
         }
     }
