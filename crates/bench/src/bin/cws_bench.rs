@@ -94,11 +94,7 @@ fn sweep(
     let tables = share_tables.then(|| KernelTables::build(wf, platform));
     for _ in 0..reps {
         for s in strategies {
-            let t = Instant::now();
             checksum += s.schedule_with(wf, platform, tables.as_ref()).makespan();
-            if std::env::var_os("CWS_BENCH_TRACE").is_some() {
-                eprintln!("  {:<24} {:>9.4}s", s.label(), t.elapsed().as_secs_f64());
-            }
         }
     }
     (start.elapsed().as_secs_f64(), checksum)

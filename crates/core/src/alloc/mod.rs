@@ -17,7 +17,7 @@
 //! | [`mod@hcoc`] | HCOC-style hybrid private+public bursting | b-level clusters | deadline-driven public rent |
 //! | [`mod@heftins`] | insertion-based HEFT on a fixed pool | upward-rank priority | idle-gap insertion |
 //! | [`minmin`] | Min-Min / Max-Min ready-list scheduling | earliest-completion extremes | fixed pool |
-//! | [`spot_heft`] | checkpoint-aware spot-market HEFT | upward-rank priority | risk-adjusted EFT + marginal spot cost |
+//! | [`mod@spot_heft`] | checkpoint-aware spot-market HEFT | upward-rank priority | risk-adjusted EFT + marginal spot cost |
 
 pub mod botpack;
 pub mod cpa;

@@ -32,6 +32,7 @@ pub mod compare;
 pub mod frontier;
 pub mod gantt;
 pub mod metrics;
+mod par;
 pub mod pooled;
 pub mod provisioning;
 pub mod schedule;
@@ -44,6 +45,7 @@ mod fastpath_tests;
 
 pub use compare::{compare, compare_strategies, ScheduleComparison};
 pub use metrics::{RelativeMetrics, ScheduleMetrics};
+pub use par::par_map;
 pub use pooled::{pooled_static, PooledSchedule, WarmVm};
 pub use provisioning::ProvisioningPolicy;
 pub use schedule::{Schedule, ScheduleError, TaskPlacement, VmMetrics};

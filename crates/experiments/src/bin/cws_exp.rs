@@ -633,6 +633,12 @@ fn main() {
         seed: args.seed,
         ..ExperimentConfig::default()
     };
+    // Drivers that replay their own plans, or only aggregate them, skip
+    // the per-schedule simulator cross-check.
+    let quiet = ExperimentConfig {
+        validate_with_sim: false,
+        ..config.clone()
+    };
 
     let run_one = |cmd: &str, args: &Args| match cmd {
         "fig3" => {
@@ -725,21 +731,13 @@ fn main() {
             );
         }
         "frontier" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             for panel in frontier::frontier(&quiet) {
                 let name = format!("frontier_{}", panel.workflow.replace('-', "_"));
                 emit(&panel.to_table(), &name, args);
             }
         }
         "grid" => {
-            // The full 4x3x19 grid through the crossbeam-parallel runner.
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
+            // The full 4x3x19 grid through the parallel grid runner.
             let workflows = cws_workloads::paper_workflows();
             let scenarios = quiet.scenarios();
             let strategies = cws_core::Strategy::paper_set();
@@ -780,10 +778,6 @@ fn main() {
             emit(&t, "full_grid", args);
         }
         "boundaries" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             let structure = boundaries::structure_sweep(&quiet, 6, &[1, 2, 4, 8, 16]);
             emit(
                 &boundaries::boundaries_report(
@@ -820,10 +814,6 @@ fn main() {
             }
         }
         "fleet" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             for wf in cws_workloads::paper_workflows() {
                 let rows = fleet::fleet(&quiet, &wf);
                 let name = format!("fleet_{}", wf.name().replace('-', "_"));
@@ -839,10 +829,6 @@ fn main() {
             );
         }
         "failures" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             for wf in cws_workloads::paper_workflows() {
                 let rows = failures::failure_domains(&quiet, &wf, 0.5);
                 let name = format!("failures_{}", wf.name().replace('-', "_"));
@@ -867,10 +853,6 @@ fn main() {
             // sampled evictions. `spot_frontier` replays each plan
             // itself, so the sim cross-check stays off here (a second
             // replay would double the trace's event stream).
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             let market = cws_platform::SpotMarket::default();
             note_spot_market(market);
             let rows = spot::spot_frontier(&quiet, &montage_24(), market, args.threads);
@@ -881,10 +863,6 @@ fn main() {
             );
         }
         "energy" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             for wf in cws_workloads::paper_workflows() {
                 let rows =
                     energy::energy_accounting(&quiet, &wf, cws_platform::EnergyModel::default());
@@ -893,10 +871,6 @@ fn main() {
             }
         }
         "data" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             for wf in cws_workloads::paper_workflows() {
                 let panel = data_intensive::data_intensive_panel(&quiet, &wf);
                 let name = format!("data_{}", panel.workflow.replace('-', "_"));
@@ -904,10 +878,6 @@ fn main() {
             }
         }
         "summary" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             let md = summary::markdown_report(&quiet);
             println!("{md}");
             if let Some(dir) = &args.out {
@@ -942,10 +912,6 @@ fn main() {
         "catalog" => emit(&tables::table1(), "table1_catalog", args),
         "prices" => emit(&tables::table2(), "table2_prices", args),
         "ablation" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             let wf = montage_24();
             let scale = ablation::task_scale_ablation(
                 &quiet,
@@ -964,10 +930,6 @@ fn main() {
             );
         }
         "sensitivity" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             let seeds: Vec<u64> = (0..20).map(|i| config.seed.wrapping_add(i)).collect();
             for wf in cws_workloads::paper_workflows() {
                 let rows = sensitivity::seed_sensitivity(&quiet, &wf, &seeds);
@@ -980,10 +942,6 @@ fn main() {
             }
         }
         "robustness" => {
-            let quiet = ExperimentConfig {
-                validate_with_sim: false,
-                ..config.clone()
-            };
             let jitter = cws_sim::JitterModel::new(0.2, config.seed);
             for wf in cws_workloads::paper_workflows() {
                 let rows = robustness::strategy_robustness(&quiet, &wf, jitter, 25);

@@ -60,8 +60,7 @@ pub fn fig4(config: &ExperimentConfig) -> Vec<Fig4Panel> {
 }
 
 /// [`fig4`] with the (workflow × strategy) cells fanned over `threads`
-/// workers (`0` = one per core). Output is identical for any thread
-/// count.
+/// workers. Output is identical for any thread count.
 #[must_use]
 pub fn fig4_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Fig4Panel> {
     let scenario = Scenario::Pareto { seed: config.seed };

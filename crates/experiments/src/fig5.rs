@@ -50,8 +50,7 @@ pub fn fig5(config: &ExperimentConfig) -> Vec<Fig5Panel> {
 }
 
 /// [`fig5`] with the (workflow × strategy) cells fanned over `threads`
-/// workers (`0` = one per core). Output is identical for any thread
-/// count.
+/// workers. Output is identical for any thread count.
 #[must_use]
 pub fn fig5_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Fig5Panel> {
     let scenario = Scenario::Pareto { seed: config.seed };

@@ -10,8 +10,9 @@
 //! | [`table5`] | Table V — per-workflow-class recommendations (computed winners) |
 //! | [`corent`] | the co-rent idle-time leasing analysis sketched in Sect. V |
 //!
-//! [`run`] holds the shared single-experiment runner, [`sweep`] a
-//! parallel grid runner (crossbeam scoped threads), and [`report`] the
+//! [`run`] holds the shared single-experiment runner and the matrix
+//! runner every figure fans out with [`cws_core::par_map`], [`sweep`]
+//! the full-grid runner built on it, and [`report`] the
 //! ASCII/CSV/gnuplot emitters. Beyond the paper: [`ablation`] sweeps the
 //! design knobs DESIGN.md calls out, [`sensitivity`] re-draws the Pareto
 //! runtimes across seeds, [`robustness`] replays every plan under

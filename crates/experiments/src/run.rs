@@ -1,6 +1,7 @@
-//! Shared experiment runner: one (workflow, scenario, strategy) cell.
+//! Shared experiment runner: one (workflow, scenario, strategy) cell,
+//! and [`run_matrix`], which fans many cells out over [`par_map`].
 
-use cws_core::{KernelTables, RelativeMetrics, ScheduleMetrics, Strategy};
+use cws_core::{par_map, KernelTables, RelativeMetrics, ScheduleMetrics, Strategy};
 use cws_dag::Workflow;
 use cws_platform::Platform;
 use cws_workloads::{DataSizeModel, Scenario};
@@ -171,12 +172,11 @@ pub fn prepare(config: &ExperimentConfig, wf: &Workflow, scenario: Scenario) -> 
 }
 
 /// Run every strategy on every prepared workflow, fanning the
-/// (workflow × strategy) cells over `threads` workers (`0` = one per
-/// available core). Cells are independent and each schedule is computed
+/// (workflow × strategy) cells over `threads` workers with
+/// [`par_map`]. Cells are independent and each schedule is computed
 /// exactly as in the sequential path, so the result matrix — indexed
 /// `[workflow][strategy]` in input order — is identical for any thread
-/// count. This is the same deterministic ordered-merge work-queue
-/// pattern as `cws-service`'s campaign driver and [`crate::sweep`].
+/// count.
 #[must_use]
 pub fn run_matrix(
     config: &ExperimentConfig,
@@ -184,61 +184,22 @@ pub fn run_matrix(
     strategies: &[Strategy],
     threads: usize,
 ) -> Vec<Vec<StrategyResult>> {
-    let cells = prepared.len() * strategies.len();
-    if cells == 0 {
-        return prepared.iter().map(|_| Vec::new()).collect();
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    } else {
-        threads
-    };
-    let workers = threads.min(cells);
-
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, usize)>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, usize, StrategyResult)>();
-    for p in 0..prepared.len() {
-        for s in 0..strategies.len() {
-            job_tx.send((p, s)).expect("queue accepts jobs");
-        }
-    }
-    drop(job_tx);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok((p, s)) = job_rx.recv() {
-                    let row = &prepared[p];
-                    let result = run_strategy_with(
-                        config,
-                        &row.wf,
-                        strategies[s],
-                        &row.baseline,
-                        Some(&row.tables),
-                    );
-                    res_tx.send((p, s, result)).expect("result channel open");
-                }
-            });
-        }
-        drop(res_tx);
-        let mut out: Vec<Vec<Option<StrategyResult>>> =
-            vec![vec![None; strategies.len()]; prepared.len()];
-        for (p, s, result) in res_rx {
-            out[p][s] = Some(result);
-        }
-        out.into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|r| r.expect("every cell completed"))
-                    .collect()
-            })
-            .collect()
+    let per_row = strategies.len();
+    let mut cells = par_map(prepared.len() * per_row, threads, |cell| {
+        let row = &prepared[cell / per_row];
+        run_strategy_with(
+            config,
+            &row.wf,
+            strategies[cell % per_row],
+            &row.baseline,
+            Some(&row.tables),
+        )
     })
-    .expect("no worker panicked")
+    .into_iter();
+    prepared
+        .iter()
+        .map(|_| cells.by_ref().take(per_row).collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,20 +3,20 @@
 //! [`crate::failures::spot_economics`] prices plans on the spot market
 //! *in expectation*; this module closes the loop with the simulator's
 //! interruption replay ([`cws_sim::replay_spot`]): every paper pairing
-//! — plus the checkpoint-aware [`cws_core::alloc::spot_heft`] planner
+//! — plus the checkpoint-aware [`mod@cws_core::alloc::spot_heft`] planner
 //! on all four instance types — is scheduled, replayed under sampled
 //! evictions, and billed for what actually happened (discounted spot
 //! rent for checkpointed work, on-demand rent for the re-executed
 //! tail). The resulting table is the `spot_vs_ondemand` artifact.
 //!
-//! The fan-out mirrors [`crate::run::run_matrix`]: cells are
-//! independent, results are merged by input index, and the replay seed
-//! is fixed per run, so the table is byte-identical at any `--threads`
-//! value.
+//! Plans fan out over [`par_map`] like [`crate::run::run_matrix`]'s
+//! cells: they are independent, rows come back in plan order, and the
+//! replay seed is fixed per run, so the table is byte-identical at any
+//! `--threads` value.
 
 use crate::report::{fmt_f, Table};
 use crate::run::ExperimentConfig;
-use cws_core::{alloc::spot_heft_with, KernelTables, ScheduleMetrics, Strategy};
+use cws_core::{alloc::spot_heft_with, par_map, KernelTables, ScheduleMetrics, Strategy};
 use cws_dag::Workflow;
 use cws_obs as obs;
 use cws_platform::{InstanceType, SpotMarket};
@@ -81,7 +81,7 @@ fn plan_set() -> Vec<Plan> {
 ///
 /// # Panics
 /// Panics if any plan produces an invalid schedule (a bug, not a data
-/// condition) or a worker thread dies.
+/// condition).
 #[must_use]
 pub fn spot_frontier(
     config: &ExperimentConfig,
@@ -94,17 +94,8 @@ pub fn spot_frontier(
     let small_price = config.platform.price(InstanceType::Small);
     let plans = plan_set();
 
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    } else {
-        threads
-    };
-    let workers = threads.min(plans.len());
-
-    let run_cell = |plan: Plan| -> SpotFrontierRow {
-        let s = match plan {
+    let rows = par_map(plans.len(), threads, |i| {
+        let s = match plans[i] {
             Plan::Paper(strategy) => strategy.schedule_with(&m, &config.platform, Some(&tables)),
             Plan::SpotHeft(itype) => {
                 spot_heft_with(&m, &config.platform, &market, itype, Some(&tables))
@@ -137,38 +128,7 @@ pub fn spot_frontier(
             completion_rate: r.completion_rate(),
             evictions: r.interruptions.len(),
         }
-    };
-
-    // Same deterministic ordered-merge work queue as `run_matrix`:
-    // results land by input index, so thread count cannot reorder rows.
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, SpotFrontierRow)>();
-    for i in 0..plans.len() {
-        job_tx.send(i).expect("queue accepts jobs");
-    }
-    drop(job_tx);
-    let rows = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let run_cell = &run_cell;
-            let plans = &plans;
-            scope.spawn(move |_| {
-                while let Ok(i) = job_rx.recv() {
-                    res_tx.send((i, run_cell(plans[i]))).expect("channel open");
-                }
-            });
-        }
-        drop(res_tx);
-        let mut out: Vec<Option<SpotFrontierRow>> = vec![None; plans.len()];
-        for (i, row) in res_rx {
-            out[i] = Some(row);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every plan completed"))
-            .collect::<Vec<_>>()
-    })
-    .expect("no worker panicked");
+    });
 
     if obs::metrics_enabled() {
         let pinned = rows
@@ -261,7 +221,11 @@ mod tests {
         for r in &rows {
             assert_eq!(r.evictions, 0, "{}", r.label);
             assert_eq!(r.completion_rate, 1.0, "{}", r.label);
-            assert!((r.realized_makespan - r.on_demand_makespan).abs() < 1e-6, "{}", r.label);
+            assert!(
+                (r.realized_makespan - r.on_demand_makespan).abs() < 1e-6,
+                "{}",
+                r.label
+            );
             // Realized = expected = the discounted rental bill; both
             // may sit below `on_demand_cost`, which adds transfer fees.
             assert!(
@@ -278,7 +242,7 @@ mod tests {
     #[test]
     fn report_renders_every_row() {
         let market = SpotMarket::default();
-        let rows = spot_frontier(&cfg(), &montage_24(), market, 0);
+        let rows = spot_frontier(&cfg(), &montage_24(), market, 3);
         let t = spot_frontier_report("montage-24", market, &rows);
         assert_eq!(t.rows.len(), rows.len());
         assert_eq!(t.headers.len(), t.rows[0].len());

@@ -1,13 +1,13 @@
 //! Parallel grid runner.
 //!
 //! The full reproduction runs 19 strategies × 4 workflows × 3 scenarios
-//! (plus baselines). Cells are independent, so the grid is executed on a
-//! crossbeam-scoped worker pool fed through a channel — the standard
-//! work-queue pattern — while results return through a second channel.
-//! Determinism is preserved by sorting results back into grid order.
+//! (plus baselines). Each (workflow, scenario) pair is prepared once —
+//! materialized, its [`KernelTables`](cws_core::KernelTables) built and
+//! its baseline computed — and the cells then fan out through
+//! [`run_matrix`], so the grid comes back in deterministic grid order
+//! for any thread count.
 
-use crate::run::{baseline_metrics, run_strategy, ExperimentConfig, StrategyResult};
-use crossbeam::channel;
+use crate::run::{prepare, run_matrix, ExperimentConfig, StrategyResult};
 use cws_core::Strategy;
 use cws_dag::Workflow;
 use cws_workloads::Scenario;
@@ -25,8 +25,8 @@ pub struct GridCell {
 }
 
 /// Run the whole (workflow × scenario × strategy) grid on `workers`
-/// threads (`0` = one per available core). Results come back in
-/// deterministic grid order regardless of scheduling.
+/// threads. Results come back workflow-major, then scenario, then
+/// strategy, regardless of scheduling.
 #[must_use]
 pub fn run_grid(
     config: &ExperimentConfig,
@@ -35,65 +35,25 @@ pub fn run_grid(
     strategies: &[Strategy],
     workers: usize,
 ) -> Vec<GridCell> {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    } else {
-        workers
-    };
-
-    // Materialize workflows + baselines once per (workflow, scenario).
-    let prepared: Vec<(String, String, Workflow, cws_core::ScheduleMetrics)> = workflows
+    let keys: Vec<(&Workflow, Scenario)> = workflows
         .iter()
-        .flat_map(|wf| {
-            scenarios.iter().map(move |&sc| {
-                let m = config.materialize(wf, sc);
-                let base = baseline_metrics(config, &m);
-                (wf.name().to_string(), sc.name().to_string(), m, base)
+        .flat_map(|wf| scenarios.iter().map(move |&sc| (wf, sc)))
+        .collect();
+    let prepared: Vec<_> = keys
+        .iter()
+        .map(|&(wf, sc)| prepare(config, wf, sc))
+        .collect();
+    let matrix = run_matrix(config, &prepared, strategies, workers);
+    keys.iter()
+        .zip(matrix)
+        .flat_map(|(&(wf, sc), row)| {
+            row.into_iter().map(move |result| GridCell {
+                workflow: wf.name().to_string(),
+                scenario: sc.name().to_string(),
+                result,
             })
         })
-        .collect();
-
-    let jobs: Vec<(usize, usize)> = (0..prepared.len())
-        .flat_map(|p| (0..strategies.len()).map(move |s| (p, s)))
-        .collect();
-
-    let (job_tx, job_rx) = channel::unbounded::<(usize, usize)>();
-    let (res_tx, res_rx) = channel::unbounded::<(usize, usize, GridCell)>();
-    for j in &jobs {
-        job_tx.send(*j).expect("queue accepts jobs");
-    }
-    drop(job_tx);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let prepared = &prepared;
-            scope.spawn(move |_| {
-                while let Ok((p, s)) = job_rx.recv() {
-                    let (wf_name, sc_name, m, base) = &prepared[p];
-                    let result = run_strategy(config, m, strategies[s], base);
-                    let cell = GridCell {
-                        workflow: wf_name.clone(),
-                        scenario: sc_name.clone(),
-                        result,
-                    };
-                    res_tx.send((p, s, cell)).expect("result channel open");
-                }
-            });
-        }
-        drop(res_tx);
-        let mut out: Vec<Option<GridCell>> = vec![None; jobs.len()];
-        for (p, s, cell) in res_rx {
-            out[p * strategies.len() + s] = Some(cell);
-        }
-        out.into_iter()
-            .map(|c| c.expect("every job completed"))
-            .collect()
-    })
-    .expect("no worker panicked")
+        .collect()
 }
 
 #[cfg(test)]
@@ -113,6 +73,7 @@ mod tests {
         assert_eq!(cells[0].workflow, "sequential-5");
         assert_eq!(cells[0].scenario, "best-case");
         assert_eq!(cells[0].result.label, "StartParNotExceed-s");
+        assert_eq!(cells[19].scenario, "worst-case");
         assert_eq!(cells.last().unwrap().workflow, "mapreduce-8x8x4");
         assert_eq!(cells.last().unwrap().result.label, "AllPar1LnSDyn");
     }
@@ -134,15 +95,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_defaults_to_parallelism() {
+    fn one_cell_grid_on_two_workers() {
         let cfg = ExperimentConfig::default();
         let cells = run_grid(
             &cfg,
             &[sequential(3)],
             &[Scenario::BestCase],
             &[Strategy::BASELINE],
-            0,
+            2,
         );
         assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].result.relative.gain_pct, 0.0);
     }
 }

@@ -51,8 +51,7 @@ pub fn table3(config: &ExperimentConfig) -> Vec<Table3Cell> {
 }
 
 /// [`table3`] with the (scenario × workflow × strategy) cells fanned
-/// over `threads` workers (`0` = one per core). Output is identical for
-/// any thread count.
+/// over `threads` workers. Output is identical for any thread count.
 #[must_use]
 pub fn table3_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Table3Cell> {
     let pairs: Vec<(Scenario, cws_dag::Workflow)> = config

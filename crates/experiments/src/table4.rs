@@ -52,9 +52,9 @@ pub fn table4(config: &ExperimentConfig) -> Vec<Table4Row> {
 }
 
 /// [`table4`] with the (workflow × scenario × variant × type) cells
-/// fanned over `threads` workers (`0` = one per core). The aggregation
-/// (including every floating-point sum) visits cells in exactly the
-/// sequential order, so output is identical for any thread count.
+/// fanned over `threads` workers. The aggregation (including every
+/// floating-point sum) visits cells in exactly the sequential order, so
+/// output is identical for any thread count.
 #[must_use]
 pub fn table4_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Table4Row> {
     let variants = [StaticAlloc::AllParExceed, StaticAlloc::AllParNotExceed];

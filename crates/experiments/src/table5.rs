@@ -105,8 +105,7 @@ pub fn table5(config: &ExperimentConfig) -> Vec<Table5Row> {
 }
 
 /// [`table5`] with the (workflow × strategy) cells fanned over `threads`
-/// workers (`0` = one per core). Output is identical for any thread
-/// count.
+/// workers. Output is identical for any thread count.
 #[must_use]
 pub fn table5_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Table5Row> {
     let scenario = Scenario::Pareto { seed: config.seed };

@@ -7,9 +7,9 @@
 //! task runtimes, so no [`Scenario`](cws_workloads::Scenario)
 //! materialization is applied and no seed is involved. The sweep is
 //! the same deterministic (workflow × strategy) matrix the figures
-//! use — shared [`KernelTables`], crossbeam
-//! ordered work queue — so reports are byte-identical for any
-//! `--threads` count.
+//! use — shared [`KernelTables`], cells fanned out by
+//! [`par_map`](cws_core::par_map) — so reports are byte-identical for
+//! any `--threads` count.
 
 use crate::report::{fmt_f, Table};
 use crate::run::{
@@ -51,8 +51,7 @@ pub fn prepare_as_given(config: &ExperimentConfig, wf: &Workflow) -> PreparedWor
 }
 
 /// Run the full 19-pairing sweep on one as-given workflow, fanning
-/// cells over `threads` workers (`0` = one per core). Identical output
-/// for any thread count.
+/// cells over `threads` workers. Identical output for any thread count.
 #[must_use]
 pub fn trace_sweep(config: &ExperimentConfig, wf: &Workflow, threads: usize) -> TraceSweep {
     let prepared = vec![prepare_as_given(config, wf)];

@@ -3,17 +3,15 @@
 //!
 //! Each grid cell is an independent service run with its own seed
 //! (derived from the campaign seed and the cell's grid index), so the
-//! schedule of work across threads cannot influence any result. Workers
-//! pull cell indices from a shared channel (the same work-queue pattern
-//! as `cws-experiments::sweep`) and the driver reassembles the results
-//! in grid order before reporting.
+//! schedule of work across threads cannot influence any result. The
+//! cells fan out over [`par_map`], which hands them back in grid order.
 
 use crate::arrivals::{ArrivalModel, TenantSpec};
 use crate::engine::{run_service, ServiceConfig};
 use crate::mix_seed;
 use crate::pool::ReclaimPolicy;
 use crate::report::{json_f64, json_str, ServiceReport};
-use cws_core::StaticAlloc;
+use cws_core::{par_map, StaticAlloc};
 use cws_platform::{InstanceType, Platform};
 use std::fmt::Write as _;
 
@@ -115,58 +113,26 @@ fn cell_config(spec: &CampaignSpec, cell: usize) -> (f64, ServiceConfig) {
     )
 }
 
-/// Run the campaign on `threads` worker threads.
+/// Run the campaign on `threads` worker threads (at least one).
 ///
 /// # Panics
-/// Panics if the grid is empty, `threads == 0`, or a worker panics.
+/// Panics if the grid is empty or has no tenants, and re-raises any
+/// panic of a cell's service run.
 #[must_use]
 pub fn run_campaign(platform: &Platform, spec: &CampaignSpec, threads: usize) -> CampaignReport {
-    assert!(threads >= 1, "need at least one worker thread");
     assert!(!spec.tenants.is_empty(), "need at least one tenant");
     let cells = spec.rates_per_hour.len() * spec.strategies.len() * spec.reclaims.len();
     assert!(cells >= 1, "campaign grid is empty");
 
-    let mut results: Vec<Option<CampaignCell>> = vec![None; cells];
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, CampaignCell)>();
-    for cell in 0..cells {
-        job_tx.send(cell).expect("receiver alive");
-    }
-    drop(job_tx);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.min(cells) {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move |_| {
-                while let Ok(cell) = job_rx.recv() {
-                    let (rate, cfg) = cell_config(spec, cell);
-                    let report = run_service(platform, &cfg);
-                    res_tx
-                        .send((
-                            cell,
-                            CampaignCell {
-                                rate_per_hour: rate,
-                                report,
-                            },
-                        ))
-                        .expect("driver alive");
-                }
-            });
-        }
-        drop(res_tx);
-        for (cell, result) in res_rx {
-            results[cell] = Some(result);
-        }
-    })
-    .expect("no worker panicked");
-
     CampaignReport {
         seed: spec.seed,
-        cells: results
-            .into_iter()
-            .map(|r| r.expect("every cell computed"))
-            .collect(),
+        cells: par_map(cells, threads, |cell| {
+            let (rate, cfg) = cell_config(spec, cell);
+            CampaignCell {
+                rate_per_hour: rate,
+                report: run_service(platform, &cfg),
+            }
+        }),
     }
 }
 

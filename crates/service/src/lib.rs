@@ -17,7 +17,7 @@
 //! | [`pool`] | the shared [`VmPool`]: warm machines, idle-reclaim policies, wall-clock BTU billing |
 //! | [`engine`] | the online loop: each arrival is scheduled by a `cws-core` strategy against the pool (via [`cws_core::pooled`]) |
 //! | [`report`] | per-tenant + fleet [`ServiceReport`] with deterministic JSON rendering |
-//! | [`campaign`] | parallel sweep over arrival rates × strategies × reclaim policies (crossbeam scoped threads, bit-reproducible) |
+//! | [`campaign`] | parallel sweep over arrival rates × strategies × reclaim policies ([`cws_core::par_map`], bit-reproducible) |
 //!
 //! Everything is deterministic for a fixed seed: arrival times and
 //! workflow shapes derive from per-tenant RNG streams, arrivals stream

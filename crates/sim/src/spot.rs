@@ -2,7 +2,7 @@
 //!
 //! A spot schedule is a normal static plan whose VMs may be reclaimed by
 //! the market. This module closes the loop the planner's expectations
-//! open ([`cws_core::alloc::spot_heft`] *prices* the risk; this replay
+//! open ([`mod@cws_core::alloc::spot_heft`] *prices* the risk; this replay
 //! *realizes* it):
 //!
 //! 1. Every VM samples its first interruption from the market's
@@ -10,17 +10,17 @@
 //!    ([`SpotMarket::sample_interruption`]), seeded per VM so the replay
 //!    is deterministic for a given `(schedule, market, seed)` triple.
 //! 2. Interruptions become [`VmFailure`]s and the checkpoint model is
-//!    exactly [`failure_impact`]: tasks checkpoint at their boundaries,
+//!    exactly [`failure_impact`](crate::failures::failure_impact): tasks checkpoint at their boundaries,
 //!    so completed tasks are durable and the running/queued remainder
 //!    of an evicted VM is lost.
-//! 3. Lost work re-executes from the last checkpoint via [`recover`] on
+//! 3. Lost work re-executes from the last checkpoint via [`recover`](crate::failures::recover) on
 //!    fresh **on-demand** replacements (no second eviction), rented
 //!    after the first eviction plus the platform's boot delay.
 //!
 //! Billing follows the workspace convention (busy-consumed BTUs): each
 //! spot VM pays its *completed* busy seconds at the discounted price —
 //! at least one BTU, an evicted-before-useful-work machine still billed
-//! — and the recovery VMs pay on-demand prices inside [`recover`].
+//! — and the recovery VMs pay on-demand prices inside [`recover`](crate::failures::recover).
 
 use crate::engine::simulate;
 use crate::failures::{failure_impact_from, recover_from, FailureImpact, Recovery, VmFailure};
