@@ -30,13 +30,13 @@
 //! cws-bench --service [--quick] [--out PATH]
 //! ```
 //!
-//! `--service` benchmarks the online engines instead: the legacy
-//! single-loop `cws_service::run_service_summary` against the sharded
-//! streaming `cws_serve::run_sharded_summary` on the light scaling
-//! profile (one UniformBag(4) tenant, immediate reclaim) at 10³, 10⁴
-//! and 10⁵ submissions, asserting byte-identical summaries before
-//! writing tenants/sec per engine to `BENCH_service.json` (with the
-//! same manifest-sibling convention).
+//! `--service` benchmarks the service engine instead: the sharded
+//! streaming `cws_serve::run_sharded_service` against the single-loop
+//! reference engine `cws_service::run_service` it is tested against,
+//! on the light scaling profile (one UniformBag(4) tenant, immediate
+//! reclaim) at 10³, 10⁴ and 10⁵ submissions. It asserts byte-identical
+//! full reports before writing tenants/sec per engine to
+//! `BENCH_service.json` (with the same manifest-sibling convention).
 
 use cws_core::state::naive;
 use cws_core::{KernelTables, Strategy};
@@ -129,9 +129,10 @@ impl ServiceRow {
     }
 }
 
-/// `cws-bench --service`: legacy vs sharded service-engine throughput
-/// on the light scaling profile, with the byte-identity contract
-/// re-proven at every scale before anything is timed into the report.
+/// `cws-bench --service`: sharded service-engine throughput against the
+/// reference engine on the light scaling profile, with the
+/// byte-identity contract re-proven at every scale before anything is
+/// timed into the report.
 fn service_bench(quick: bool, out: &PathBuf) {
     use cws_service::{ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec, WorkloadKind};
 
@@ -164,7 +165,7 @@ fn service_bench(quick: bool, out: &PathBuf) {
             seed: 42,
         };
         let start = Instant::now();
-        let legacy = cws_service::run_service_summary(&platform, &cfg);
+        let legacy = cws_service::run_service(&platform, &cfg);
         let legacy_s = start.elapsed().as_secs_f64();
 
         let scfg = cws_serve::ShardedConfig {
@@ -174,7 +175,7 @@ fn service_bench(quick: bool, out: &PathBuf) {
             epoch: 64,
         };
         let start = Instant::now();
-        let sharded = cws_serve::run_sharded_summary(&platform, &scfg);
+        let sharded = cws_serve::run_sharded_service(&platform, &scfg);
         let sharded_s = start.elapsed().as_secs_f64();
 
         assert_eq!(

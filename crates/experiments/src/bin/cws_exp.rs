@@ -5,7 +5,7 @@
 //! cws-exp <fig3|fig4|fig5|table3|table4|table5|corent|catalog|prices|all>
 //!         [--seed N] [--out DIR] [--format ascii|csv|gnuplot]
 //!         [--trace FILE] [--metrics] [--manifest]
-//! cws-exp serve [--engine legacy|sharded] [--shards N] [--report full|summary]
+//! cws-exp serve [--shards N] [--report full|summary]
 //!         [--hours H] [--light] [--listen ADDR]
 //! cws-exp trace-report FILE [--json] [--check]
 //! cws-exp sweep --workflow FILE.json [--threads N] [common flags]
@@ -25,8 +25,8 @@
 //! writes a `<artifact>.manifest.json` provenance file next to every
 //! artifact produced under `--out` (and next to the trace file itself).
 //!
-//! `serve` runs the multi-tenant service engines (`cws-service` /
-//! `cws-serve`) directly: one batch run of a synthetic tenant profile,
+//! `serve` runs the multi-tenant service engine (`cws-serve`)
+//! directly: one batch run of a synthetic tenant profile,
 //! or — with `--listen ADDR` — a long-lived daemon accepting JSON-lines
 //! workflow submissions over a unix or TCP socket (see EXPERIMENTS.md
 //! for the wire format). Batch runs respect `--trace`, `--metrics`,
@@ -64,10 +64,7 @@ use cws_obs as obs;
 use cws_serve::{
     run_sharded_service, run_sharded_summary, Daemon, ServeCore, ServeOptions, ShardedConfig,
 };
-use cws_service::{
-    run_service, run_service_summary, ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec,
-    WorkloadKind,
-};
+use cws_service::{ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec, WorkloadKind};
 use cws_workloads::{montage_24, Scenario};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -111,9 +108,7 @@ struct Args {
     input: Option<PathBuf>,
     /// `trace-report --check`: reconcile against the manifest sibling.
     check: bool,
-    /// `serve`: which engine runs the batch (`legacy` or `sharded`).
-    engine: String,
-    /// `serve`: warm-pool shard count for the sharded engine.
+    /// `serve`: warm-pool shard count.
     shards: usize,
     /// `serve`: report mode (`full` or `summary`).
     report: String,
@@ -136,7 +131,7 @@ fn usage() -> ! {
          |frontier|ablation|boundaries|grid|workloads|fleet|gantt|sensitivity|robustness|failures|spot|energy|data|summary|service|all> \
          [--seed N] [--out DIR] [--format ascii|csv|gnuplot] [--threads N] [--json] \
          [--trace FILE] [--metrics] [--manifest]\n       \
-         cws-exp serve [--engine legacy|sharded] [--shards N] [--report full|summary] \
+         cws-exp serve [--shards N] [--report full|summary] \
          [--hours H] [--light] [--listen ADDR] [common flags]\n       \
          cws-exp trace-report FILE [--json] [--check]\n       \
          cws-exp sweep --workflow FILE.json [--threads N] [common flags]\n       \
@@ -162,7 +157,6 @@ fn parse_args() -> Args {
         manifest: false,
         input: None,
         check: false,
-        engine: "sharded".to_string(),
         shards: 1,
         report: "full".to_string(),
         hours: 2.0,
@@ -198,12 +192,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage());
             }
             "--json" => parsed.json = true,
-            "--engine" => {
-                parsed.engine = match args.next().as_deref() {
-                    Some(e @ ("legacy" | "sharded")) => e.to_string(),
-                    _ => usage(),
-                };
-            }
             "--shards" => {
                 parsed.shards = args
                     .next()
@@ -506,9 +494,8 @@ fn serve_profile(args: &Args) -> ServiceConfig {
     }
 }
 
-/// `cws-exp serve`: the service engines from the command line — either
-/// one batch run of a synthetic profile (legacy or sharded engine, full
-/// or summary report) or a long-lived daemon (`--listen ADDR`) taking
+/// `cws-exp serve`: the service engine from the command line — either
+/// one batch run of a synthetic profile (full or summary report) or a long-lived daemon (`--listen ADDR`) taking
 /// JSON-lines submissions over a unix or TCP socket. Batch runs print
 /// the report JSON to stdout, publish the `service.fleet_*` gauges
 /// under `--metrics` (what `trace-report --check` reconciles a service
@@ -529,31 +516,18 @@ fn run_serve(args: &Args, platform: &cws_platform::Platform) {
         return;
     }
 
-    let service = serve_profile(args);
-    let (fleet, json) = match (args.engine.as_str(), args.report.as_str()) {
-        ("legacy", "full") => {
-            let r = run_service(platform, &service);
-            (r.fleet.clone(), r.to_json())
-        }
-        ("legacy", "summary") => {
-            let r = run_service_summary(platform, &service);
-            (r.fleet.clone(), r.to_json())
-        }
-        (_, mode) => {
-            let scfg = ShardedConfig {
-                service,
-                shards: args.shards,
-                threads: args.threads,
-                epoch: 64,
-            };
-            if mode == "summary" {
-                let r = run_sharded_summary(platform, &scfg);
-                (r.fleet.clone(), r.to_json())
-            } else {
-                let r = run_sharded_service(platform, &scfg);
-                (r.fleet.clone(), r.to_json())
-            }
-        }
+    let scfg = ShardedConfig {
+        service: serve_profile(args),
+        shards: args.shards,
+        threads: args.threads,
+        epoch: 64,
+    };
+    let (fleet, json) = if args.report == "summary" {
+        let r = run_sharded_summary(platform, &scfg);
+        (r.fleet.clone(), r.to_json())
+    } else {
+        let r = run_sharded_service(platform, &scfg);
+        (r.fleet.clone(), r.to_json())
     };
 
     // Fleet gauges are what make a service trace checkable:

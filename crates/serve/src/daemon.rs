@@ -25,17 +25,14 @@
 //! connection: it is logged to stderr and the accept loop goes on. A
 //! `shutdown` whose reply cannot be delivered still stops the daemon.
 
-use crate::shard::ShardedPool;
+use crate::engine::{cold_makespan, Committer};
 use crate::wire::{parse_request, Request};
-use cws_core::pooled::pooled_static;
 use cws_core::StaticAlloc;
 use cws_dag::Workflow;
-use cws_obs as obs;
 use cws_obs::json::{json_f64, json_str};
 use cws_platform::{InstanceType, Platform};
 use cws_service::{
-    ArrivalModel, ReclaimPolicy, ReportAccumulator, ServiceConfig, ServiceReport, TenantSpec,
-    WorkflowRecord, WorkloadKind,
+    ArrivalModel, ReclaimPolicy, ServiceConfig, ServiceReport, TenantSpec, WorkloadKind,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -100,9 +97,9 @@ pub struct SubmitOutcome {
 #[derive(Debug)]
 pub struct ServeCore {
     opts: ServeOptions,
-    platform: Platform,
-    pool: ShardedPool,
-    acc: ReportAccumulator,
+    /// The pool and report fold, behind the admission step the batch
+    /// engine runs too.
+    committer: Committer,
     /// Tenant names in creation order (index = tenant id).
     names: Vec<String>,
     /// Name → tenant id.
@@ -116,16 +113,20 @@ impl ServeCore {
     /// Fresh state on `platform` under `opts`.
     #[must_use]
     pub fn new(platform: &Platform, opts: ServeOptions) -> Self {
-        let platform = platform.clone().with_boot_time(opts.boot_time_s);
         ServeCore {
-            pool: ShardedPool::new(opts.reclaim, opts.shards.max(1)),
-            acc: ReportAccumulator::new(0),
+            committer: Committer::new(
+                platform.clone().with_boot_time(opts.boot_time_s),
+                opts.alloc,
+                opts.itype,
+                opts.reclaim,
+                opts.shards.max(1),
+                0,
+            ),
             names: Vec::new(),
             index: BTreeMap::new(),
             clock: 0.0,
             finished: false,
             opts,
-            platform,
         }
     }
 
@@ -137,7 +138,7 @@ impl ServeCore {
         let id = self.names.len();
         self.names.push(name.to_string());
         self.index.insert(name.to_string(), id);
-        self.acc.ensure_tenants(self.names.len());
+        self.committer.acc.ensure_tenants(self.names.len());
         id
     }
 
@@ -154,31 +155,9 @@ impl ServeCore {
         let tenant = self.tenant_id(tenant);
         let now = time.unwrap_or(self.clock).max(self.clock);
         self.clock = now;
-        self.pool.reclaim_until(now);
-        self.pool.drain_folded(&mut self.acc, &self.platform);
-        let (warm, slot_map) = self.pool.warm_slots(now);
-        let opts = &self.opts;
-        let pooled = pooled_static(wf, &self.platform, opts.alloc, opts.itype, &warm);
-        let cold = obs::quiet(|| pooled_static(wf, &self.platform, opts.alloc, opts.itype, &[]));
-        let queue_delay_s = pooled
-            .schedule
-            .placements
-            .iter()
-            .map(|p| p.start)
-            .fold(f64::INFINITY, f64::min);
-        let record = WorkflowRecord {
-            tenant,
-            arrival_s: now,
-            makespan_s: pooled.schedule.makespan(),
-            cold_makespan_s: cold.schedule.makespan(),
-            queue_delay_s,
-            pool_hits: pooled.pool_hits(),
-            cold_rentals: pooled.cold_rentals(),
-            tasks: wf.len(),
-        };
-        self.acc.record(&record);
-        self.pool
-            .commit(now, tenant, &pooled, &slot_map, &self.platform);
+        let c = &mut self.committer;
+        let cold_makespan_s = cold_makespan(wf, &c.platform, c.alloc, c.itype);
+        let record = c.admit(tenant, now, wf, cold_makespan_s);
         SubmitOutcome {
             tenant,
             time: now,
@@ -196,18 +175,15 @@ impl ServeCore {
     /// the `shutdown` command) settles them.
     #[must_use]
     pub fn report(&mut self) -> ServiceReport {
-        self.pool.drain_folded(&mut self.acc, &self.platform);
-        self.acc.finish_report(&self.synthetic_config())
+        self.committer.drain();
+        self.committer.acc.finish_report(&self.synthetic_config())
     }
 
     /// Terminate and bill every live machine. Idempotent; called by
     /// the `shutdown` command before its final report.
     pub fn finish(&mut self) {
-        if !self.finished {
-            self.pool.finish();
-            self.finished = true;
-        }
-        self.pool.drain_folded(&mut self.acc, &self.platform);
+        self.committer.finish();
+        self.finished = true;
     }
 
     /// The [`ServiceConfig`] equivalent of this daemon's state, for

@@ -7,8 +7,10 @@
 //! the workflow from its ticket seed and schedules the cold one-shot
 //! reference; it never touches the pool. The *commit* (reclaim, warm
 //! snapshot, pooled schedule, pool mutation, report fold) is
-//! order-sensitive. Both cost about the same, so with `threads = T`
-//! the calling thread commits while `T - 1` worker lanes prepare:
+//! order-sensitive; it is `Committer::admit`, the same admission step
+//! the daemon runs per submission. Both cost about the same, so with
+//! `threads = T` the calling thread commits while `T - 1` worker lanes
+//! prepare:
 //!
 //! ```text
 //!                 chunk k ──► lane k mod L: realize + cold reference
@@ -32,9 +34,9 @@
 //!
 //! The pool therefore sees the identical operation sequence at any
 //! thread count. Because preparation is muted with [`cws_obs::quiet`],
-//! like the legacy engine's cold reference, the trace byte stream is
-//! identical too. With `threads <= 1` the same sequence runs inline on
-//! one thread, no channels involved; it is the reference.
+//! the trace byte stream is identical too. With `threads <= 1` the same
+//! sequence runs inline on one thread, no channels involved; it is the
+//! reference.
 //!
 //! Memory is bounded by the credit window plus the live pool. Tickets
 //! are ~40 bytes. Workflows exist only from preparation until their
@@ -53,8 +55,8 @@ use cws_dag::Workflow;
 use cws_obs as obs;
 use cws_platform::{InstanceType, Platform};
 use cws_service::{
-    ArrivalTicket, ReportAccumulator, ServiceConfig, ServiceReport, ServiceSummary, TicketStream,
-    WorkflowRecord, WorkloadKind,
+    ArrivalTicket, ReclaimPolicy, ReportAccumulator, ServiceConfig, ServiceReport, ServiceSummary,
+    TicketStream, WorkflowRecord, WorkloadKind,
 };
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{self, ScopedJoinHandle};
@@ -81,7 +83,8 @@ pub struct ShardedConfig {
 
 impl ShardedConfig {
     /// Single-shard, single-threaded configuration with the default
-    /// credit window — observably identical to `run_service`.
+    /// credit window — observably identical to any other shard and
+    /// thread count.
     #[must_use]
     pub fn new(service: ServiceConfig) -> Self {
         ShardedConfig {
@@ -91,6 +94,22 @@ impl ShardedConfig {
             epoch: 64,
         }
     }
+}
+
+/// The cold one-shot reference makespan of `wf`: the same strategy
+/// from an empty pool. It is a counterfactual, so it runs under
+/// [`obs::quiet`] and leaves no mark in the trace or metrics streams.
+pub(crate) fn cold_makespan(
+    wf: &Workflow,
+    platform: &Platform,
+    alloc: StaticAlloc,
+    itype: InstanceType,
+) -> f64 {
+    obs::quiet(|| {
+        pooled_static(wf, platform, alloc, itype, &[])
+            .schedule
+            .makespan()
+    })
 }
 
 /// A submission after the parallel preparation stage: everything the
@@ -105,9 +124,8 @@ struct Prepared {
 impl Prepared {
     /// Prepare one ticket. Runs muted: preparation happens on worker
     /// threads in nondeterministic real-time order, so nothing it does
-    /// may reach the trace or metrics streams (the legacy engine mutes
-    /// its cold reference the same way; ticket realization emits
-    /// nothing but is muted for symmetry).
+    /// may reach the trace or metrics streams (ticket realization emits
+    /// nothing but is muted for symmetry with the cold reference).
     fn prepare(
         ticket: &ArrivalTicket,
         kinds: &[WorkloadKind],
@@ -116,11 +134,7 @@ impl Prepared {
         itype: InstanceType,
     ) -> Prepared {
         let wf = obs::quiet(|| ticket.realize(kinds[ticket.tenant]));
-        let cold_makespan_s = obs::quiet(|| {
-            pooled_static(&wf, platform, alloc, itype, &[])
-                .schedule
-                .makespan()
-        });
+        let cold_makespan_s = cold_makespan(&wf, platform, alloc, itype);
         Prepared {
             tenant: ticket.tenant,
             time: ticket.time,
@@ -130,45 +144,97 @@ impl Prepared {
     }
 }
 
-/// Commit one prepared submission. Single-threaded, strict arrival
-/// order — this is where every trace event of the run is born, which is
-/// what makes the byte stream thread-count-invariant.
-fn commit_one(
-    platform: &Platform,
-    alloc: StaticAlloc,
-    itype: InstanceType,
-    pool: &mut ShardedPool,
-    acc: &mut ReportAccumulator,
-    p: &Prepared,
-) {
-    let now = p.time;
-    pool.reclaim_until(now);
-    pool.drain_folded(acc, platform);
-    let (warm, slot_map) = pool.warm_slots(now);
-    let pooled = pooled_static(&p.wf, platform, alloc, itype, &warm);
-    let queue_delay_s = pooled
-        .schedule
-        .placements
-        .iter()
-        .map(|pl| pl.start)
-        .fold(f64::INFINITY, f64::min);
-    let record = WorkflowRecord {
-        tenant: p.tenant,
-        arrival_s: now,
-        makespan_s: pooled.schedule.makespan(),
-        cold_makespan_s: p.cold_makespan_s,
-        queue_delay_s,
-        pool_hits: pooled.pool_hits(),
-        cold_rentals: pooled.cold_rentals(),
-        tasks: p.wf.len(),
-    };
-    acc.record(&record);
-    if obs::metrics_enabled() && record.queue_delay_s.is_finite() {
-        obs::MetricsRegistry::global()
-            .histogram(obs::metrics::names::SERVICE_QUEUE_WAIT)
-            .record((record.queue_delay_s * 1000.0).round() as u64);
+/// The order-sensitive half of the service: the sharded pool, the
+/// running report fold, and the platform and strategy every submission
+/// is scheduled with. The batch engine's committer and the daemon each
+/// drive one, one admission at a time in arrival order. Every trace
+/// event of a run is born here, which is what makes the byte stream
+/// thread-count-invariant.
+#[derive(Debug)]
+pub(crate) struct Committer {
+    /// The platform, already carrying the run's boot time.
+    pub(crate) platform: Platform,
+    pub(crate) alloc: StaticAlloc,
+    pub(crate) itype: InstanceType,
+    pub(crate) pool: ShardedPool,
+    pub(crate) acc: ReportAccumulator,
+}
+
+impl Committer {
+    /// An empty pool of `shards` shards under `reclaim`, folding into a
+    /// report over `tenants` tenants.
+    pub(crate) fn new(
+        platform: Platform,
+        alloc: StaticAlloc,
+        itype: InstanceType,
+        reclaim: ReclaimPolicy,
+        shards: usize,
+        tenants: usize,
+    ) -> Self {
+        Committer {
+            platform,
+            alloc,
+            itype,
+            pool: ShardedPool::new(reclaim, shards),
+            acc: ReportAccumulator::new(tenants),
+        }
     }
-    pool.commit(now, p.tenant, &pooled, &slot_map, platform);
+
+    /// Admit `wf` for `tenant` at `now`: reclaim the machines due by
+    /// then and fold those whose turn has come, schedule `wf` against a
+    /// snapshot of the warm pool, fold the outcome and its
+    /// `service.queue_wait` sample, and commit the schedule to the pool.
+    pub(crate) fn admit(
+        &mut self,
+        tenant: usize,
+        now: f64,
+        wf: &Workflow,
+        cold_makespan_s: f64,
+    ) -> WorkflowRecord {
+        self.pool.reclaim_until(now);
+        self.drain();
+        let (warm, slot_map) = self.pool.warm_slots(now);
+        let pooled = pooled_static(wf, &self.platform, self.alloc, self.itype, &warm);
+        let queue_delay_s = pooled
+            .schedule
+            .placements
+            .iter()
+            .map(|pl| pl.start)
+            .fold(f64::INFINITY, f64::min);
+        let record = WorkflowRecord {
+            tenant,
+            arrival_s: now,
+            makespan_s: pooled.schedule.makespan(),
+            cold_makespan_s,
+            queue_delay_s,
+            pool_hits: pooled.pool_hits(),
+            cold_rentals: pooled.cold_rentals(),
+            tasks: wf.len(),
+        };
+        self.acc.record(&record);
+        // Queue wait in sim-clock milliseconds: derived from placement
+        // starts, so the histogram is deterministic at any thread count.
+        if obs::metrics_enabled() && record.queue_delay_s.is_finite() {
+            obs::MetricsRegistry::global()
+                .histogram(obs::metrics::names::SERVICE_QUEUE_WAIT)
+                .record((record.queue_delay_s * 1000.0).round() as u64);
+        }
+        self.pool
+            .commit(now, tenant, &pooled, &slot_map, &self.platform);
+        record
+    }
+
+    /// Fold every terminated machine whose rental-order turn has come.
+    pub(crate) fn drain(&mut self) {
+        self.pool.drain_folded(&mut self.acc, &self.platform);
+    }
+
+    /// Terminate every live machine and fold them all.
+    pub(crate) fn finish(&mut self) {
+        self.pool.finish();
+        self.drain();
+        debug_assert_eq!(self.pool.pending_fold(), 0, "every machine folded");
+    }
 }
 
 /// A message to a preparation lane.
@@ -301,15 +367,26 @@ fn drive(platform: &Platform, cfg: &ShardedConfig) -> ReportAccumulator {
     let platform = platform.clone().with_boot_time(svc.boot_time_s);
     let kinds: Vec<WorkloadKind> = svc.tenants.iter().map(|t| t.kind).collect();
     let (alloc, itype) = (svc.alloc, svc.itype);
+    let shards = cfg.shards.max(1);
 
-    let mut pool = ShardedPool::new(svc.reclaim, cfg.shards.max(1));
-    let mut acc = ReportAccumulator::new(svc.tenants.len());
+    let mut committer = Committer::new(
+        platform.clone(),
+        alloc,
+        itype,
+        svc.reclaim,
+        shards,
+        svc.tenants.len(),
+    );
+    let mut commit = |p: &Prepared| {
+        committer.admit(p.tenant, p.time, &p.wf, p.cold_makespan_s);
+    };
+    let prepare =
+        |ticket: ArrivalTicket| Prepared::prepare(&ticket, &kinds, &platform, alloc, itype);
     let tickets = TicketStream::new(&svc.tenants, &svc.model, svc.seed);
 
     if cfg.threads <= 1 {
         for ticket in tickets {
-            let p = Prepared::prepare(&ticket, &kinds, &platform, alloc, itype);
-            commit_one(&platform, alloc, itype, &mut pool, &mut acc, &p);
+            commit(&prepare(ticket));
         }
     } else {
         // The committer is a thread too, so `threads` buys `threads - 1`
@@ -321,19 +398,11 @@ fn drive(platform: &Platform, cfg: &ShardedConfig) -> ReportAccumulator {
         let window = cfg.epoch.max(cfg.threads);
         let lanes = cfg.threads - 1;
         let chunk = (window / (lanes + 1)).max(1);
-        ordered_pipeline(
-            tickets,
-            chunk,
-            lanes,
-            |ticket| Prepared::prepare(&ticket, &kinds, &platform, alloc, itype),
-            |p| commit_one(&platform, alloc, itype, &mut pool, &mut acc, p),
-        );
+        ordered_pipeline(tickets, chunk, lanes, prepare, commit);
     }
+    committer.finish();
 
-    pool.finish();
-    pool.drain_folded(&mut acc, &platform);
-    debug_assert_eq!(pool.pending_fold(), 0, "every machine folded");
-
+    let acc = committer.acc;
     if obs::metrics_enabled() {
         let reg = obs::MetricsRegistry::global();
         let (hits, cold) = acc.rentals();
@@ -341,14 +410,15 @@ fn drive(platform: &Platform, cfg: &ShardedConfig) -> ReportAccumulator {
             reg.gauge(obs::metrics::names::RUN_POOL_HIT_RATE)
                 .set(hits as f64 / (hits + cold) as f64);
         }
-        reg.gauge(SERVICE_SHARDS).set(cfg.shards.max(1) as f64);
+        reg.gauge(SERVICE_SHARDS).set(shards as f64);
     }
     acc
 }
 
-/// Run the sharded engine, producing the full per-tenant report —
-/// byte-identical (JSON and trace) to [`cws_service::run_service`] on
-/// the same [`ServiceConfig`], at any shard and thread count.
+/// Run the sharded engine, producing the full per-tenant report. At
+/// any shard and thread count its JSON and trace bytes equal those of
+/// the reference engine, [`cws_service::run_service`], on the same
+/// [`ServiceConfig`].
 #[must_use]
 pub fn run_sharded_service(platform: &Platform, cfg: &ShardedConfig) -> ServiceReport {
     drive(platform, cfg).finish_report(&cfg.service)
@@ -365,7 +435,7 @@ pub fn run_sharded_summary(platform: &Platform, cfg: &ShardedConfig) -> ServiceS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cws_service::{run_service, ArrivalModel, ReclaimPolicy, TenantSpec, WorkloadKind};
+    use cws_service::{run_service, ArrivalModel, TenantSpec};
 
     fn config(seed: u64) -> ServiceConfig {
         ServiceConfig {

@@ -1,18 +1,21 @@
 //! `cws-serve` — the sharded streaming service engine and the
 //! workflow-submission daemon.
 //!
-//! `cws-service` proves the paper's strategies work *as a service*: one
-//! synchronous loop, one warm pool, eager reports. This crate is the
-//! production-shaped version of that engine, under one non-negotiable
-//! contract: **sharding and threading are invisible**. Reports and
-//! trace byte streams are identical to `run_service`'s, at any shard
-//! count and any thread count — enforced by the shard-invariance test
-//! matrix and the seed-matrix CI gate, and argued for in DESIGN.md §12.
+//! This is the one service engine: `cws-exp serve` and `service`, the
+//! daemon, the benches and the examples all run it. `cws-service`
+//! supplies its arrivals, billing and report fold, plus a single-loop
+//! reference engine (`cws_service::run_service`) that only tests and
+//! `cws-bench` run.
+//! The engine holds one non-negotiable contract: **sharding and
+//! threading are invisible**. Reports and trace byte streams equal the
+//! reference engine's at any shard count and any thread count —
+//! enforced by the shard-invariance test matrix and the seed-matrix CI
+//! gate, and argued for in DESIGN.md §12.
 //!
 //! | Module | Responsibility |
 //! |--------|----------------|
 //! | [`shard`] | the [`ShardedPool`]: per-region shards with their own event queues and billing meters, merged in global rental order |
-//! | [`engine`] | the chunked two-stage pipeline: lazy [`cws_service::TicketStream`] arrivals, worker lanes preparing ticket chunks under [`cws_obs::quiet`], strict in-order commits with no reorder buffer |
+//! | [`engine`] | the chunked two-stage pipeline: lazy [`cws_service::TicketStream`] arrivals, worker lanes preparing ticket chunks under [`cws_obs::quiet`], strict in-order commits with no reorder buffer; its per-submission admission step is the daemon's too |
 //! | [`wire`] | the JSON-lines workflow interchange format (first cut) |
 //! | [`daemon`] | the long-lived `cws-exp serve --listen` daemon: socket accept loop around a [`ServeCore`] |
 //!

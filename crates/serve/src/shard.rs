@@ -12,7 +12,7 @@
 //! (or worker threads) the run uses:
 //!
 //! 1. **Global rental ids.** Machines are numbered in rental order
-//!    across all shards, exactly as the legacy [`VmPool`] numbers its
+//!    across all shards, exactly as the reference [`VmPool`] numbers its
 //!    `vms` vector. Trace events carry these ids unchanged.
 //! 2. **Deterministic routing.** A machine's shard is a pure function
 //!    of its region and the count of machines that region has already
@@ -20,7 +20,7 @@
 //!    region) — no hashing, no thread identity, no clock.
 //! 3. **Ordered merge.** Every cross-shard operation iterates machines
 //!    in global rental-id order: warm slots are offered in rental
-//!    order (so scheduler tie-breaks see the legacy slot order),
+//!    order (so scheduler tie-breaks see the reference slot order),
 //!    reclaim events are emitted in rental order, and terminated
 //!    machines are folded into the [`ReportAccumulator`] in rental
 //!    order via a reorder buffer (so float summation order matches the
@@ -30,9 +30,9 @@
 //! once folded, so memory tracks the live pool plus the fold's reorder
 //! buffer. That buffer holds machines terminated while an
 //! earlier-rented machine is still alive — bounded by the longest
-//! machine lifetime times the rental rate, not by the run length — and
-//! its entries are compacted to the handful of billing fields the fold
-//! reads. Workloads with bounded task runtimes (e.g.
+//! machine lifetime times the rental rate, not by the run length. Its
+//! entries carry only billing fields: the sharded pool records no task
+//! intervals. Workloads with bounded task runtimes (e.g.
 //! `WorkloadKind::UniformBag`) therefore stream in constant memory;
 //! a heavy-tailed runtime distribution can keep the buffer occupied
 //! for as long as its slowest machine runs.
@@ -268,11 +268,6 @@ impl ShardedPool {
             busy_s: vm.busy_s,
             cost_usd: btus as f64 * vm.price_per_btu,
         });
-        // The report fold never reads the task-interval history, and a
-        // terminated machine can sit in `pending` for as long as an
-        // earlier-rented machine stays alive — keep only what
-        // `ReportAccumulator::vm` consumes.
-        vm.intervals = Vec::new();
         self.pending.insert(id, vm);
     }
 
@@ -328,7 +323,6 @@ impl ShardedPool {
                 _ => continue, // a VM with no tasks cannot occur, but harmless
             };
             let busy: f64 = vm.tasks.iter().map(|&(_, s, f)| f - s).sum();
-            let wall_intervals = vm.tasks.iter().map(|&(_, s, f)| (now + s, now + f));
             match ps.origins[vi] {
                 Some(slot) => {
                     let id = slot_map[slot];
@@ -340,8 +334,6 @@ impl ShardedPool {
                     p.available_at = now + last_finish;
                     p.busy_s += busy;
                     p.add_tenant_busy(tenant, busy);
-                    p.intervals.extend(wall_intervals);
-                    p.workflows_served += 1;
                     // The extension moved the reclaim deadline later:
                     // queue the fresh one, the stale entry is skipped.
                     let deadline = reclaim_deadline(self.policy, p);
@@ -358,8 +350,7 @@ impl ShardedPool {
                         terminated_at: None,
                         busy_s: busy,
                         busy_by_tenant: Vec::new(),
-                        intervals: wall_intervals.collect(),
-                        workflows_served: 1,
+                        intervals: Vec::new(),
                         price_per_btu: platform.price_in(vm.region, vm.itype),
                     };
                     p.add_tenant_busy(tenant, busy);
@@ -461,7 +452,6 @@ mod tests {
             busy_s: busy_until - rented_at,
             busy_by_tenant: vec![(0, busy_until - rented_at)],
             intervals: vec![(rented_at, busy_until)],
-            workflows_served: 1,
             price_per_btu: p.price_in(p.default_region, InstanceType::Small),
         }
     }

@@ -19,7 +19,6 @@ fn vm(rented_at: f64, busy_until: f64) -> PoolVm {
         busy_s: busy_until - rented_at,
         busy_by_tenant: vec![(0, busy_until - rented_at)],
         intervals: vec![(rented_at, busy_until)],
-        workflows_served: 1,
         price_per_btu: p.price_in(p.default_region, InstanceType::Small),
     }
 }

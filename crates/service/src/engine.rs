@@ -1,8 +1,13 @@
-//! The online service loop: arrivals → pooled schedules → pool commits.
+//! The single-loop reference engine: arrivals → pooled schedules →
+//! pool commits against a [`VmPool`] that keeps every machine it ever
+//! rented. Its pool scan is linear in the machines rented so far, so a
+//! run is quadratic in its length; only tests and `cws-bench` run it.
+//! The service itself runs on the sharded engine in `cws-serve`, whose
+//! reports and trace bytes the tests hold equal to this loop's.
 
 use crate::arrivals::{ArrivalModel, ArrivalStream, TenantSpec};
 use crate::pool::{ReclaimPolicy, VmPool};
-use crate::report::{ReportAccumulator, ServiceReport, ServiceSummary};
+use crate::report::ServiceReport;
 use cws_core::pooled::pooled_static;
 use cws_core::StaticAlloc;
 use cws_platform::{InstanceType, Platform};
@@ -63,67 +68,6 @@ pub struct ServiceTrace {
 #[must_use]
 pub fn run_service(platform: &Platform, cfg: &ServiceConfig) -> ServiceReport {
     run_service_traced(platform, cfg).0
-}
-
-/// Run the service and return only the bounded [`ServiceSummary`],
-/// folding every record straight into a [`ReportAccumulator`] — the
-/// constant-memory legacy path: nothing grows with the submission
-/// count (`--report summary` on `cws-exp serve --engine legacy`).
-///
-/// The fold replays exactly the additions [`run_service`] performs
-/// when assembling its report, so the summary's fleet block is
-/// byte-identical to the full report's (and to the sharded engine's).
-#[must_use]
-pub fn run_service_summary(platform: &Platform, cfg: &ServiceConfig) -> ServiceSummary {
-    let platform = platform.clone().with_boot_time(cfg.boot_time_s);
-
-    let mut pool = VmPool::new(cfg.reclaim);
-    let mut acc = ReportAccumulator::new(cfg.tenants.len());
-    for arrival in ArrivalStream::new(&cfg.tenants, &cfg.model, cfg.seed) {
-        let now = arrival.time;
-        pool.reclaim_until(now);
-        let (warm, slot_map) = pool.warm_slots(now);
-        let pooled = pooled_static(&arrival.wf, &platform, cfg.alloc, cfg.itype, &warm);
-        let cold =
-            cws_obs::quiet(|| pooled_static(&arrival.wf, &platform, cfg.alloc, cfg.itype, &[]));
-        let queue_delay_s = pooled
-            .schedule
-            .placements
-            .iter()
-            .map(|p| p.start)
-            .fold(f64::INFINITY, f64::min);
-        let record = WorkflowRecord {
-            tenant: arrival.tenant,
-            arrival_s: now,
-            makespan_s: pooled.schedule.makespan(),
-            cold_makespan_s: cold.schedule.makespan(),
-            queue_delay_s,
-            pool_hits: pooled.pool_hits(),
-            cold_rentals: pooled.cold_rentals(),
-            tasks: arrival.wf.len(),
-        };
-        acc.record(&record);
-        if cws_obs::metrics_enabled() && record.queue_delay_s.is_finite() {
-            cws_obs::MetricsRegistry::global()
-                .histogram(cws_obs::metrics::names::SERVICE_QUEUE_WAIT)
-                .record((record.queue_delay_s * 1000.0).round() as u64);
-        }
-        pool.commit(now, arrival.tenant, &pooled, &slot_map, &platform);
-    }
-    pool.finish();
-    for vm in &pool.vms {
-        acc.vm(vm, &platform);
-    }
-
-    if cws_obs::metrics_enabled() {
-        let (hits, cold) = acc.rentals();
-        if hits + cold > 0 {
-            cws_obs::MetricsRegistry::global()
-                .gauge(cws_obs::metrics::names::RUN_POOL_HIT_RATE)
-                .set(hits as f64 / (hits + cold) as f64);
-        }
-    }
-    acc.finish_summary(cfg)
 }
 
 /// Run the service, returning the report plus the full trace.

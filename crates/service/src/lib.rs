@@ -14,25 +14,25 @@
 //! | Module | Responsibility |
 //! |--------|----------------|
 //! | [`arrivals`] | seedable Poisson / trace arrival processes per tenant, emitting `cws-workloads` workflows |
-//! | [`pool`] | the shared [`VmPool`]: warm machines, idle-reclaim policies, wall-clock BTU billing |
-//! | [`engine`] | the online loop: each arrival is scheduled by a `cws-core` strategy against the pool (via [`cws_core::pooled`]) |
+//! | [`pool`] | pool machines, idle-reclaim policies and wall-clock BTU billing; [`VmPool`] is the reference engine's pool |
+//! | [`engine`] | the reference engine: one loop scheduling each arrival by a `cws-core` strategy against a [`VmPool`] (via [`cws_core::pooled`]); only tests and `cws-bench` run it |
 //! | [`report`] | per-tenant + fleet [`ServiceReport`] with deterministic JSON rendering |
-//! | [`campaign`] | parallel sweep over arrival rates × strategies × reclaim policies ([`cws_core::par_map`], bit-reproducible) |
 //!
 //! Everything is deterministic for a fixed seed: arrival times and
-//! workflow shapes derive from per-tenant RNG streams, arrivals stream
-//! lazily in `(time, tenant, seq)` order (the same FIFO tie-breaking
-//! `cws-sim`'s event queue applies), and the campaign driver assigns
-//! every grid cell an independent seed so the thread count never
-//! changes a single byte of the output. The sharded streaming engine
-//! in `cws-serve` builds on the same [`arrivals`], [`pool`] billing
-//! and [`report::ReportAccumulator`] primitives.
+//! workflow shapes derive from per-tenant RNG streams, and arrivals
+//! stream lazily in `(time, tenant, seq)` order (the same FIFO
+//! tie-breaking `cws-sim`'s event queue applies). Every service path —
+//! `cws-exp serve` and `service`, the daemon, the benches and the
+//! examples — runs the sharded streaming engine in `cws-serve`, which
+//! builds on the same [`arrivals`], [`pool`] billing and
+//! [`report::ReportAccumulator`] primitives; the reference engine is
+//! what its tests compare it against. The arrival-rate campaign lives
+//! in `cws_experiments::service_sweep`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod arrivals;
-pub mod campaign;
 pub mod engine;
 pub mod pool;
 pub mod report;
@@ -41,15 +41,9 @@ pub use arrivals::{
     generate_arrivals, Arrival, ArrivalModel, ArrivalStream, ArrivalTicket, TenantSpec,
     TicketStream, WorkloadKind,
 };
-pub use campaign::{run_campaign, CampaignCell, CampaignReport, CampaignSpec};
-pub use engine::{
-    run_service, run_service_summary, run_service_traced, ServiceConfig, ServiceTrace,
-    WorkflowRecord,
-};
+pub use engine::{run_service, run_service_traced, ServiceConfig, ServiceTrace, WorkflowRecord};
 pub use pool::{reclaim_deadline, PoolVm, ReclaimPolicy, VmPool};
-pub use report::{
-    FleetReport, ReportAccumulator, ReportMode, ServiceReport, ServiceSummary, TenantReport,
-};
+pub use report::{FleetReport, ReportAccumulator, ServiceReport, ServiceSummary, TenantReport};
 
 /// SplitMix64 finalizer — the stateless mixing function used to derive
 /// independent RNG streams (per tenant, per arrival, per campaign cell)

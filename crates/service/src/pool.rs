@@ -54,11 +54,10 @@ pub struct PoolVm {
     pub busy_s: f64,
     /// Busy seconds attributed per tenant index.
     pub busy_by_tenant: Vec<(usize, f64)>,
-    /// Wall-clock task intervals, in placement order (used by the
-    /// pool-reuse invariant tests).
+    /// Wall-clock task intervals, in placement order. Only [`VmPool`]
+    /// records them, for the pool-reuse invariant tests; the sharded
+    /// pool in `cws-serve` leaves this empty.
     pub intervals: Vec<(f64, f64)>,
-    /// Number of distinct workflow submissions that ran tasks here.
-    pub workflows_served: usize,
     /// Per-BTU price in this machine's region (USD), captured at rental
     /// so reclaim events can be billed without platform access.
     pub price_per_btu: f64,
@@ -109,8 +108,8 @@ pub fn reclaim_deadline(policy: ReclaimPolicy, vm: &PoolVm) -> f64 {
     }
 }
 
-/// The shared pool: every machine ever rented by a service run, live or
-/// terminated.
+/// The reference engine's pool: every machine ever rented by a service
+/// run, live or terminated.
 #[derive(Debug, Clone)]
 pub struct VmPool {
     /// The reclaim policy in force.
@@ -242,7 +241,6 @@ impl VmPool {
                     p.busy_s += busy;
                     p.add_tenant_busy(tenant, busy);
                     p.intervals.extend(wall_intervals);
-                    p.workflows_served += 1;
                 }
                 None => {
                     let mut p = PoolVm {
@@ -256,7 +254,6 @@ impl VmPool {
                         busy_s: busy,
                         busy_by_tenant: Vec::new(),
                         intervals: wall_intervals.collect(),
-                        workflows_served: 1,
                         price_per_btu: platform.price_in(vm.region, vm.itype),
                     };
                     p.add_tenant_busy(tenant, busy);
@@ -332,7 +329,6 @@ mod tests {
             busy_s: busy_until - rented_at,
             busy_by_tenant: vec![(0, busy_until - rented_at)],
             intervals: vec![(rented_at, busy_until)],
-            workflows_served: 1,
             price_per_btu: p.price_in(p.default_region, InstanceType::Small),
         }
     }

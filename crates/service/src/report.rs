@@ -7,6 +7,7 @@
 
 use crate::engine::{ServiceConfig, WorkflowRecord};
 use crate::pool::{PoolVm, VmPool};
+use cws_obs::json::{json_f64, json_str};
 use cws_obs::Histogram;
 use cws_platform::Platform;
 use std::fmt::Write as _;
@@ -130,11 +131,6 @@ impl ServiceReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    pub(crate) fn write_json(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"strategy\":{},\"reclaim\":{},\"boot_time_s\":{},\"seed\":{},\"tenants\":[",
@@ -183,28 +179,7 @@ impl ServiceReport {
             json_f64(f.mean_queue_delay_s),
             json_f64(f.mean_gain_pct)
         );
-    }
-}
-
-/// Which rendition of a service run's outcome to produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportMode {
-    /// The full [`ServiceReport`] with one entry per tenant.
-    Full,
-    /// The bounded [`ServiceSummary`]: fleet counts, means and
-    /// histogram percentiles only — `O(1)` in the tenant count.
-    Summary,
-}
-
-impl ReportMode {
-    /// Parse a CLI flag value (`full` / `summary`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<ReportMode> {
-        match s {
-            "full" => Some(ReportMode::Full),
-            "summary" => Some(ReportMode::Summary),
-            _ => None,
-        }
+        out
     }
 }
 
@@ -508,52 +483,5 @@ fn div_or_zero(sum: f64, n: usize) -> f64 {
         0.0
     } else {
         sum / n as f64
-    }
-}
-
-/// A JSON string literal (escapes quotes, backslashes and control
-/// characters — tenant names are the only free-form input).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A JSON number: finite floats via shortest-roundtrip `Display`
-/// (deterministic), non-finite values as `null`.
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_strings_escape() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
-    }
-
-    #[test]
-    fn json_floats_are_shortest_roundtrip() {
-        assert_eq!(json_f64(0.1), "0.1");
-        assert_eq!(json_f64(3600.0), "3600");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 }

@@ -1,11 +1,12 @@
-//! Subsystem-level guarantees of `cws-service`: determinism across runs
-//! and thread counts, the pool-reuse invariants, and degenerate inputs.
+//! Subsystem-level guarantees of `cws-service`'s reference engine:
+//! determinism across runs, the pool-reuse invariants, and degenerate
+//! inputs.
 
 use cws_core::StaticAlloc;
 use cws_platform::{InstanceType, Platform, BTU_SECONDS};
 use cws_service::{
-    run_campaign, run_service, run_service_traced, ArrivalModel, CampaignSpec, ReclaimPolicy,
-    ServiceConfig, TenantSpec, WorkloadKind,
+    run_service, run_service_traced, ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec,
+    WorkloadKind,
 };
 
 fn tenants() -> Vec<TenantSpec> {
@@ -54,29 +55,6 @@ fn same_seed_same_report_bytes() {
         let a = run_service(&p, &cfg).to_json();
         let b = run_service(&p, &cfg).to_json();
         assert_eq!(a, b, "{alloc:?} must be bit-reproducible");
-    }
-}
-
-#[test]
-fn campaign_json_is_identical_across_thread_counts() {
-    let p = Platform::ec2_paper();
-    let spec = CampaignSpec {
-        rates_per_hour: vec![3.0, 9.0],
-        strategies: vec![
-            (StaticAlloc::HeftOneVmPerTask, InstanceType::Small),
-            (StaticAlloc::HeftStartParExceed, InstanceType::Small),
-            (StaticAlloc::AllParNotExceed, InstanceType::Small),
-        ],
-        reclaims: vec![ReclaimPolicy::Immediate, ReclaimPolicy::AtBtuBoundary],
-        tenants: tenants(),
-        horizon_s: 2.0 * 3600.0,
-        boot_time_s: 45.0,
-        seed: 1234,
-    };
-    let serial = run_campaign(&p, &spec, 1).to_json();
-    for threads in [2, 4, 8] {
-        let parallel = run_campaign(&p, &spec, threads).to_json();
-        assert_eq!(serial, parallel, "threads={threads} changed the report");
     }
 }
 

@@ -2,7 +2,7 @@
 //! shared warm-VM pool.
 //!
 //! The paper evaluates every provisioning × allocation pairing on
-//! one-shot submissions: rent, run, terminate. `cws-service` asks the
+//! one-shot submissions: rent, run, terminate. `cws-serve` asks the
 //! follow-up question — what happens when the same strategies operate a
 //! long-running multi-tenant service, where machines left warm by one
 //! submission can be claimed by the next? This example runs three
@@ -17,8 +17,9 @@
 
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::service::{
-    run_service, ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec, WorkloadKind,
+    ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec, WorkloadKind,
 };
+use cws_serve::{run_sharded_service, ShardedConfig};
 
 fn main() {
     let platform = Platform::ec2_paper();
@@ -53,7 +54,7 @@ fn main() {
             },
             seed: 42,
         };
-        let report = run_service(&platform, &cfg);
+        let report = run_sharded_service(&platform, &ShardedConfig::new(cfg));
         let f = &report.fleet;
 
         println!(

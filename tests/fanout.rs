@@ -4,12 +4,11 @@
 //! a fan-out regression visible to the root `cargo test`.
 
 use cloud_workflow_sched::experiments::run::ExperimentConfig;
+use cloud_workflow_sched::experiments::service_sweep::{run_campaign, CampaignSpec};
 use cloud_workflow_sched::experiments::{fig4, spot, sweep, trace_sweep};
 use cloud_workflow_sched::platform::SpotMarket;
 use cloud_workflow_sched::prelude::*;
-use cloud_workflow_sched::service::{
-    run_campaign, CampaignSpec, ReclaimPolicy, TenantSpec, WorkloadKind,
-};
+use cloud_workflow_sched::service::{ReclaimPolicy, TenantSpec, WorkloadKind};
 
 /// Render `render(threads)` at 1, 2 and 8 threads and require the
 /// same bytes each time.

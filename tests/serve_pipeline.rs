@@ -1,15 +1,16 @@
 //! The serve engine's pipeline is invisible: a small run of the
 //! `cws-exp serve` paper profile gives the same summary JSON and the
-//! same trace bytes at 1, 2 and 8 threads. The full shard × thread ×
+//! same trace bytes at 1, 2 and 8 threads, and those trace bytes and
+//! fleet numbers are the reference engine's. The full shard × thread ×
 //! epoch matrix lives in `crates/serve/tests/shard_invariance.rs`; this
-//! copy keeps a pipeline regression visible to the root `cargo test`.
+//! copy keeps an engine regression visible to the root `cargo test`.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::service::{
-    ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec, WorkloadKind,
+    run_service, ArrivalModel, ReclaimPolicy, ServiceConfig, TenantSpec, WorkloadKind,
 };
 use cws_obs as obs;
 use cws_serve::{run_sharded_summary, ShardedConfig};
@@ -56,31 +57,53 @@ fn paper_profile(seed: u64) -> ServiceConfig {
     }
 }
 
+/// Run `f` with a fresh JSONL trace sink installed; returns the result
+/// and the exact bytes the run emitted.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<u8>) {
+    let bytes = Arc::new(Mutex::new(Vec::new()));
+    let sink = obs::JsonlSink::from_writer(Box::new(SharedBuf(bytes.clone())));
+    obs::install_sink(Arc::new(sink));
+    let result = f();
+    obs::flush();
+    obs::clear_sink();
+    let captured = bytes.lock().expect("buffer poisoned").clone();
+    (result, captured)
+}
+
 #[test]
 fn summary_and_trace_bytes_are_thread_invariant() {
     obs::set_metrics_enabled(false);
     let platform = Platform::ec2_paper();
     let run = |threads: usize| {
-        let bytes = Arc::new(Mutex::new(Vec::new()));
-        let sink = obs::JsonlSink::from_writer(Box::new(SharedBuf(bytes.clone())));
-        obs::install_sink(Arc::new(sink));
         let cfg = ShardedConfig {
             service: paper_profile(42),
             shards: 1,
             threads,
             epoch: 64,
         };
-        let summary = run_sharded_summary(&platform, &cfg).to_json();
-        obs::flush();
-        obs::clear_sink();
-        let trace = bytes.lock().expect("buffer poisoned").clone();
-        (summary, trace)
+        traced(|| run_sharded_summary(&platform, &cfg))
     };
     let (summary, trace) = run(1);
     assert!(!trace.is_empty(), "the run must emit trace events");
+    let (reference, reference_trace) = traced(|| run_service(&platform, &paper_profile(42)));
+    assert_eq!(
+        summary.fleet, reference.fleet,
+        "fleet differs from the reference engine"
+    );
+    assert!(
+        trace == reference_trace,
+        "trace bytes differ from the reference engine ({} vs {} bytes)",
+        trace.len(),
+        reference_trace.len()
+    );
+    let summary = summary.to_json();
     for threads in [2, 8] {
         let (s, t) = run(threads);
-        assert_eq!(s, summary, "summary diverged at {threads} threads");
+        assert_eq!(
+            s.to_json(),
+            summary,
+            "summary diverged at {threads} threads"
+        );
         assert!(
             t == trace,
             "trace bytes diverged at {threads} threads ({} vs {} bytes)",

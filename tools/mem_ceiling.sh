@@ -2,8 +2,8 @@
 # Memory-ceiling check for the sharded streaming engine (ROADMAP:
 # cws-serve). Streams a ~10^6-submission synthetic service run — the
 # `--light` profile: one UniformBag(4) tenant at 50 000 arrivals/hour,
-# zero boot, immediate reclaim — through `cws-exp serve --engine
-# sharded --report summary` and asserts the process peak RSS stays
+# zero boot, immediate reclaim — through `cws-exp serve --report
+# summary` and asserts the process peak RSS stays
 # under 512 MiB. Lazy arrivals, the shard pools' incremental billing
 # fold and the streaming summary keep memory at the live pool, not the
 # run length; this script is the regression gate on that property.
@@ -24,7 +24,7 @@ cargo build --release -q -p cws-experiments
 
 err="$(mktemp)"
 trap 'rm -f "$err"' EXIT
-out="$(./target/release/cws-exp serve --engine sharded --report summary \
+out="$(./target/release/cws-exp serve --report summary \
   --light --hours "$HOURS" --seed "$SEED" 2>"$err")"
 
 workflows="$(python3 -c 'import json,sys; print(json.loads(sys.stdin.read())["workflows"])' <<<"$out")"

@@ -17,13 +17,12 @@
 # run.cost_usd / run.makespan_s gauges exactly — trace ⇄ metrics
 # reconciliation on every swept artifact.
 #
-# A final shard-matrix leg covers the sharded service engine
-# (cws-serve): for every seed, a legacy `cws-exp serve` run at
-# --threads 1 is the reference; sharded runs across shards x threads
-# must reproduce its report and trace byte-for-byte, and the recorded
-# service trace must reconcile under `trace-report --check` (the
-# PoolLease/PoolReclaim stream vs the manifest's service.fleet_*
-# gauges).
+# A final shard-matrix leg covers the service engine (cws-serve): for
+# every seed, a `cws-exp serve --shards 1 --threads 1` run is the
+# reference; runs across shards x threads must reproduce its report and
+# trace byte-for-byte, and the reference trace must reconcile under
+# `trace-report --check` (the PoolLease/PoolReclaim stream vs the
+# manifest's service.fleet_* gauges).
 #
 # Environment overrides:
 #   SEEDS  — space-separated seed list        (default: "7 42 1337")
@@ -110,15 +109,15 @@ EOF
   done
 done
 
-# 4. Shard matrix: the sharded service engine must be byte-identical
-#    to the legacy engine — report and trace — at every shard and
-#    thread count, and the legacy service trace must reconcile against
-#    the run's service.fleet_* gauges.
+# 4. Shard matrix: the service engine must be byte-identical to its
+#    one-shard, one-thread run — report and trace — at every shard and
+#    thread count, and that reference trace must reconcile against the
+#    run's service.fleet_* gauges.
 for seed in $SEEDS; do
-  ref="$OUTDIR/serve-s$seed-legacy"
+  ref="$OUTDIR/serve-s$seed-ref"
   mkdir -p "$ref"
   cargo run --release -q -p cws-experiments --bin cws-exp -- \
-    serve --engine legacy --hours 1 --seed "$seed" --threads 1 \
+    serve --shards 1 --threads 1 --hours 1 --seed "$seed" \
     --out "$ref" --trace "$ref/trace.jsonl" --metrics --manifest \
     >/dev/null 2>/dev/null
   if ! cargo run --release -q -p cws-experiments --bin cws-exp -- \
@@ -131,20 +130,20 @@ for seed in $SEEDS; do
       d="$OUTDIR/serve-s$seed-sh$shards-t$threads"
       mkdir -p "$d"
       cargo run --release -q -p cws-experiments --bin cws-exp -- \
-        serve --engine sharded --shards "$shards" --threads "$threads" \
+        serve --shards "$shards" --threads "$threads" \
         --hours 1 --seed "$seed" --out "$d" --trace "$d/trace.jsonl" \
         >/dev/null 2>/dev/null
       if ! cmp -s "$ref/serve_report.json" "$d/serve_report.json"; then
-        echo "NONDETERMINISM: serve seed=$seed shards=$shards threads=$threads: report differs from legacy" >&2
+        echo "NONDETERMINISM: serve seed=$seed shards=$shards threads=$threads: report differs from shards 1 threads 1" >&2
         fail=1
       fi
       if ! cmp -s "$ref/trace.jsonl" "$d/trace.jsonl"; then
-        echo "NONDETERMINISM: serve seed=$seed shards=$shards threads=$threads: trace bytes differ from legacy" >&2
+        echo "NONDETERMINISM: serve seed=$seed shards=$shards threads=$threads: trace bytes differ from shards 1 threads 1" >&2
         fail=1
       fi
     done
   done
-  echo "ok: serve seed=$seed (legacy == sharded over shards [$SHARDS] x threads [1 8], trace reconciles)"
+  echo "ok: serve seed=$seed (shards [$SHARDS] x threads [1 8] == shards 1 threads 1, trace reconciles)"
 done
 
 if [ "$fail" -ne 0 ]; then
