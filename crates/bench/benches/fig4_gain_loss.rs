@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cws_bench::{bench_config, show};
-use cws_experiments::fig4::{fig4, fig4_panel};
-use cws_workloads::{montage_24, Scenario};
+use cws_experiments::fig4::fig4;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -16,16 +15,6 @@ fn bench(c: &mut Criterion) {
     }
 
     c.bench_function("fig4/all_four_panels", |b| b.iter(|| fig4(black_box(&cfg))));
-    let montage = montage_24();
-    c.bench_function("fig4/montage_panel", |b| {
-        b.iter(|| {
-            fig4_panel(
-                black_box(&cfg),
-                black_box(&montage),
-                Scenario::Pareto { seed: 42 },
-            )
-        })
-    });
 }
 
 criterion_group!(benches, bench);

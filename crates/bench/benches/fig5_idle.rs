@@ -2,8 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cws_bench::{bench_config, show};
-use cws_experiments::fig5::{fig5, fig5_panel};
-use cws_workloads::{sequential, Scenario};
+use cws_experiments::fig5::fig5;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -14,16 +13,6 @@ fn bench(c: &mut Criterion) {
     }
 
     c.bench_function("fig5/all_four_panels", |b| b.iter(|| fig5(black_box(&cfg))));
-    let seq = sequential(20);
-    c.bench_function("fig5/sequential_panel", |b| {
-        b.iter(|| {
-            fig5_panel(
-                black_box(&cfg),
-                black_box(&seq),
-                Scenario::Pareto { seed: 42 },
-            )
-        })
-    });
 }
 
 criterion_group!(benches, bench);

@@ -20,10 +20,9 @@ use crate::strategy::{StaticAlloc, Strategy};
 use cws_dag::metrics::{StructureMetrics, WorkflowClass};
 use cws_dag::Workflow;
 use cws_platform::InstanceType;
-use serde::{Deserialize, Serialize};
 
 /// The user goal driving strategy selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Minimise cost relative to the baseline (Table V's "Savings").
     Savings,
@@ -46,7 +45,7 @@ impl std::fmt::Display for Objective {
 
 /// Runtime-profile thresholds used to refine Table V's "short / long /
 /// heterogeneous tasks" qualifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeProfileThresholds {
     /// Coefficient of variation above which runtimes count as
     /// heterogeneous.

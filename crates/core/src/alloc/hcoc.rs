@@ -17,10 +17,9 @@ use crate::state::ScheduleBuilder;
 use crate::vm::VmId;
 use cws_dag::{critical_path, path_clusters, TaskId, Workflow};
 use cws_platform::{InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 
 /// The privately-owned resource pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrivateCloud {
     /// Number of machines owned.
     pub machines: usize,

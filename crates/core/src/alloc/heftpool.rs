@@ -15,10 +15,9 @@ use crate::schedule::Schedule;
 use crate::state::ScheduleBuilder;
 use cws_dag::Workflow;
 use cws_platform::{InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 
 /// The VM pool a heterogeneous HEFT run may use.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolSpec {
     /// Instance types a fresh VM may be rented as.
     pub rentable: Vec<InstanceType>,

@@ -13,10 +13,9 @@ use crate::state::ScheduleBuilder;
 use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 
 /// Which extreme the ready-list heuristic picks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ListRule {
     /// Schedule the ready task with the *smallest* earliest completion.
     MinMin,

@@ -11,11 +11,10 @@ use crate::state::KernelTables;
 use crate::strategy::Strategy;
 use cws_dag::Workflow;
 use cws_platform::{InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The comparison of two schedules of the same workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScheduleComparison {
     /// Label of the left schedule.
     pub left_label: String,

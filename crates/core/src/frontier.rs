@@ -12,10 +12,9 @@ use crate::schedule::Schedule;
 use crate::strategy::{StaticAlloc, Strategy};
 use cws_dag::Workflow;
 use cws_platform::{InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 
 /// One evaluated candidate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierPoint {
     /// Strategy label.
     pub label: String,
@@ -28,7 +27,7 @@ pub struct FrontierPoint {
 }
 
 /// Which candidates to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CandidateSet {
     /// The paper's 19 strategies.
     pub paper: bool,

@@ -3,10 +3,9 @@
 use crate::schedule::Schedule;
 use cws_dag::Workflow;
 use cws_platform::Platform;
-use serde::{Deserialize, Serialize};
 
 /// Absolute metrics of one schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleMetrics {
     /// Makespan in seconds.
     pub makespan: f64,
@@ -61,7 +60,7 @@ impl ScheduleMetrics {
 ///
 /// Fig. 4 plots `gain%` on the x axis and `loss%` on the y axis; the
 /// target square is `gain ≥ 0 ∧ loss ≤ 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelativeMetrics {
     /// Makespan gain percentage (positive = faster).
     pub gain_pct: f64,
@@ -125,7 +124,7 @@ impl RelativeMetrics {
 }
 
 /// Table III's three columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GainSavingsClass {
     /// `0 ≤ gain% < savings%`.
     SavingsDominant,

@@ -8,10 +8,9 @@
 use crate::state::ScheduleBuilder;
 use crate::vm::{VmId, VmSet};
 use cws_dag::TaskId;
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's five provisioning policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProvisioningPolicy {
     /// A fresh VM for every task, "even if there remains enough idle time
     /// on another that could be used by the ready task".

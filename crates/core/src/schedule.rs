@@ -3,10 +3,9 @@
 use crate::vm::{Vm, VmId};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::Platform;
-use serde::{Deserialize, Serialize};
 
 /// Where and when one task executes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskPlacement {
     /// Host VM.
     pub vm: VmId,
@@ -21,7 +20,7 @@ pub struct TaskPlacement {
 /// Produced by the allocation strategies; consumed by the metrics, the
 /// experiment harness and the discrete-event simulator. A schedule owns
 /// its VM table and one placement per task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Name of the strategy that produced the schedule (figure label,
     /// e.g. `"StartParExceed-m"`).
@@ -33,7 +32,7 @@ pub struct Schedule {
 }
 
 /// One VM's share of a schedule's economics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmMetrics {
     /// The VM.
     pub vm: VmId,

@@ -15,11 +15,10 @@ use crate::schedule::Schedule;
 use crate::state::KernelTables;
 use cws_dag::Workflow;
 use cws_platform::{InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 
 /// A static allocation: the Table I pairing of an ordering with a
 /// provisioning policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StaticAlloc {
     /// HEFT ordering + OneVMperTask provisioning.
     HeftOneVmPerTask,
@@ -80,7 +79,7 @@ impl StaticAlloc {
 /// at a loss within [45, 100]%, which only a 2× cap allows. We therefore
 /// default **both** multipliers to 2; the 4×/2× readings remain one
 /// constructor call away.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicBudgets {
     /// CPA-Eager budget multiplier.
     pub cpa_multiplier: f64,
@@ -109,7 +108,7 @@ impl DynamicBudgets {
 }
 
 /// One of the 19 strategies compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// A static allocation run homogeneously on one instance type.
     Static {
@@ -256,7 +255,7 @@ impl std::fmt::Display for Strategy {
 
 /// One row of the paper's Table I: the pairing of provisioning, task
 /// ordering, allocation and parallelism reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatalogRow {
     /// Provisioning policy name.
     pub provisioning: &'static str,

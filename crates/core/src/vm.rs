@@ -2,10 +2,9 @@
 
 use cws_dag::TaskId;
 use cws_platform::{BtuMeter, InstanceType, Region};
-use serde::{Deserialize, Serialize};
 
 /// Dense index of a VM inside its [`Schedule`](crate::schedule::Schedule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u32);
 
 impl VmId {
@@ -86,7 +85,7 @@ impl FromIterator<VmId> for VmSet {
 }
 
 /// A rented VM and the tasks placed on it, in execution order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identifier within the schedule.
     pub id: VmId,

@@ -2,10 +2,9 @@
 
 use crate::error::DagError;
 use crate::task::{Task, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// A directed data-dependency edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Producing task.
     pub from: TaskId,
@@ -22,7 +21,7 @@ pub struct Edge {
 /// graph is non-empty, acyclic, self-loop free and has no duplicate
 /// edges. Task ids are dense (`0..n`), so `Vec`-based side tables can be
 /// indexed by [`TaskId::index`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     name: String,
     tasks: Vec<Task>,

@@ -8,10 +8,9 @@
 //! quantify exactly those properties.
 
 use crate::graph::Workflow;
-use serde::{Deserialize, Serialize};
 
 /// Quantitative structure descriptors of a workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureMetrics {
     /// Number of tasks.
     pub tasks: usize,
@@ -94,7 +93,7 @@ impl StructureMetrics {
 }
 
 /// The workflow classes of Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkflowClass {
     /// "Much parallelism" — MapReduce-like.
     HighlyParallel,

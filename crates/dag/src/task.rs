@@ -1,12 +1,10 @@
 //! Tasks and task identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense index of a task inside its [`Workflow`](crate::graph::Workflow).
 ///
 /// Identifiers are assigned consecutively by the builder, so they can be
 /// used to index side tables (`Vec<T>` keyed by task) without hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -24,7 +22,7 @@ impl std::fmt::Display for TaskId {
 }
 
 /// A workflow task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Identifier (dense index within the owning workflow).
     pub id: TaskId,

@@ -14,15 +14,14 @@
 //!    with it.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{baseline_metrics, run_strategy, ExperimentConfig};
+use crate::run::{prepare, run_matrix, ExperimentConfig};
 use cws_core::metrics::GainSavingsClass;
 use cws_core::{DynamicBudgets, Strategy};
 use cws_dag::Workflow;
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// One point of the task-scale ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Runtime multiplier applied to every task.
     pub scale: f64,
@@ -48,34 +47,42 @@ pub fn task_scale_ablation(
     scales: &[f64],
 ) -> Vec<ScalePoint> {
     let base_wf = config.materialize(wf, Scenario::Pareto { seed: config.seed });
-    let mut out = Vec::new();
-    for &scale in scales {
-        assert!(scale > 0.0, "scale must be positive");
-        let times: Vec<f64> = base_wf
-            .tasks()
-            .iter()
-            .map(|t| t.base_time * scale)
-            .collect();
-        let scaled = base_wf.with_base_times(&times);
-        let mean = scaled.total_work() / scaled.len() as f64;
-        let base = baseline_metrics(config, &scaled);
-        for &label in labels {
-            let strategy = Strategy::parse(label).unwrap_or_else(|| panic!("unknown {label}"));
-            let r = run_strategy(config, &scaled, strategy, &base);
-            out.push(ScalePoint {
+    let strategies: Vec<Strategy> = labels
+        .iter()
+        .map(|&label| Strategy::parse(label).unwrap_or_else(|| panic!("unknown {label}")))
+        .collect();
+    let prepared: Vec<_> = scales
+        .iter()
+        .map(|&scale| {
+            assert!(scale > 0.0, "scale must be positive");
+            let times: Vec<f64> = base_wf
+                .tasks()
+                .iter()
+                .map(|t| t.base_time * scale)
+                .collect();
+            prepare(config, base_wf.with_base_times(&times))
+        })
+        .collect();
+    let matrix = run_matrix(config, &prepared, &strategies, 1);
+    scales
+        .iter()
+        .zip(&prepared)
+        .zip(matrix)
+        .flat_map(|((&scale, row), results)| {
+            let mean = row.wf.total_work() / row.wf.len() as f64;
+            results.into_iter().map(move |r| ScalePoint {
                 scale,
                 task_btu_ratio: mean / cws_platform::BTU_SECONDS,
                 label: r.label,
                 gain_pct: r.relative.gain_pct,
                 loss_pct: r.relative.loss_pct,
-            });
-        }
-    }
-    out
+            })
+        })
+        .collect()
 }
 
 /// One point of the budget ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BudgetPoint {
     /// Budget multiplier.
     pub multiplier: f64,
@@ -95,29 +102,34 @@ pub fn budget_ablation(
     multipliers: &[f64],
 ) -> Vec<BudgetPoint> {
     let m = config.materialize(wf, Scenario::Pareto { seed: config.seed });
-    let base = baseline_metrics(config, &m);
-    let mut out = Vec::new();
-    for &mult in multipliers {
-        let budgets = DynamicBudgets {
-            cpa_multiplier: mult,
-            gain_multiplier: mult,
-        };
-        for strategy in [Strategy::CpaEager(budgets), Strategy::Gain(budgets)] {
-            let r = run_strategy(config, &m, strategy, &base);
-            out.push(BudgetPoint {
-                multiplier: mult,
-                label: r.label,
-                gain_pct: r.relative.gain_pct,
-                loss_pct: r.relative.loss_pct,
-            });
-        }
-    }
-    out
+    let prepared = [prepare(config, m)];
+    let strategies: Vec<Strategy> = multipliers
+        .iter()
+        .flat_map(|&mult| {
+            let budgets = DynamicBudgets {
+                cpa_multiplier: mult,
+                gain_multiplier: mult,
+            };
+            [Strategy::CpaEager(budgets), Strategy::Gain(budgets)]
+        })
+        .collect();
+    let results = run_matrix(config, &prepared, &strategies, 1);
+    multipliers
+        .iter()
+        .flat_map(|&mult| [mult, mult])
+        .zip(results.into_iter().flatten())
+        .map(|(multiplier, r)| BudgetPoint {
+            multiplier,
+            label: r.label,
+            gain_pct: r.relative.gain_pct,
+            loss_pct: r.relative.loss_pct,
+        })
+        .collect()
 }
 
 /// One row of the tolerance ablation: classification counts at one
 /// tolerance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TolerancePoint {
     /// Balance tolerance in percentage points.
     pub tolerance: f64,
@@ -133,20 +145,25 @@ pub struct TolerancePoint {
 /// workflow grid.
 #[must_use]
 pub fn tolerance_ablation(config: &ExperimentConfig, tolerances: &[f64]) -> Vec<TolerancePoint> {
-    // Collect relative metrics once.
-    let mut rels = Vec::new();
-    for scenario in config.scenarios() {
-        for wf in cws_workloads::paper_workflows() {
-            let m = config.materialize(&wf, scenario);
-            let base = baseline_metrics(config, &m);
-            for strategy in Strategy::paper_set() {
-                if strategy.label() == "OneVMperTask-s" {
-                    continue;
-                }
-                rels.push(run_strategy(config, &m, strategy, &base).relative);
-            }
-        }
-    }
+    // Collect relative metrics once, leaving out the reference point.
+    let prepared: Vec<_> = config
+        .scenarios()
+        .into_iter()
+        .flat_map(|scenario| {
+            cws_workloads::paper_workflows()
+                .into_iter()
+                .map(move |wf| prepare(config, config.materialize(&wf, scenario)))
+        })
+        .collect();
+    let strategies: Vec<Strategy> = Strategy::paper_set()
+        .into_iter()
+        .filter(|s| s.label() != "OneVMperTask-s")
+        .collect();
+    let rels: Vec<_> = run_matrix(config, &prepared, &strategies, 1)
+        .into_iter()
+        .flatten()
+        .map(|r| r.relative)
+        .collect();
     tolerances
         .iter()
         .map(|&tol| {

@@ -1,18 +1,9 @@
 //! `cws-exp` — regenerate the paper's figures and tables from the
 //! command line.
 //!
-//! ```text
-//! cws-exp <fig3|fig4|fig5|table3|table4|table5|corent|catalog|prices|all>
-//!         [--seed N] [--out DIR] [--format ascii|csv|gnuplot]
-//!         [--trace FILE] [--metrics] [--manifest]
-//! cws-exp serve [--shards N] [--report full|summary]
-//!         [--hours H] [--light] [--listen ADDR]
-//! cws-exp trace-report FILE [--json] [--check]
-//! cws-exp sweep --workflow FILE.json [--threads N] [common flags]
-//! cws-exp validate FILE.json
-//! cws-exp import WFCOMMONS.json [--out DIR]
-//! cws-exp export NAME [--out DIR]
-//! ```
+//! The synopsis is the usage text `usage()` prints on a missing or
+//! malformed argument; its command list is `ALL_COMMANDS`, the
+//! artifact commands `cws-exp all` runs in order.
 //!
 //! Without `--out` the selected artifact prints to stdout in the chosen
 //! format (default: ascii). With `--out DIR` every produced table is
@@ -125,10 +116,36 @@ struct Args {
     workflow: Option<PathBuf>,
 }
 
+/// The artifact commands, in the order `cws-exp all` runs them.
+const ALL_COMMANDS: [&str; 23] = [
+    "prices",
+    "catalog",
+    "fig3",
+    "fig4",
+    "fig5",
+    "table3",
+    "table4",
+    "table5",
+    "corent",
+    "frontier",
+    "ablation",
+    "boundaries",
+    "grid",
+    "workloads",
+    "fleet",
+    "sensitivity",
+    "robustness",
+    "failures",
+    "spot",
+    "energy",
+    "data",
+    "service",
+    "summary",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: cws-exp <fig3|fig4|fig5|table3|table4|table5|corent|catalog|prices\
-         |frontier|ablation|boundaries|grid|workloads|fleet|gantt|sensitivity|robustness|failures|spot|energy|data|summary|service|all> \
+        "usage: cws-exp <{}|gantt|all> \
          [--seed N] [--out DIR] [--format ascii|csv|gnuplot] [--threads N] [--json] \
          [--trace FILE] [--metrics] [--manifest]\n       \
          cws-exp serve [--shards N] [--report full|summary] \
@@ -137,7 +154,8 @@ fn usage() -> ! {
          cws-exp sweep --workflow FILE.json [--threads N] [common flags]\n       \
          cws-exp validate FILE.json\n       \
          cws-exp import WFCOMMONS.json [--out DIR]\n       \
-         cws-exp export NAME [--out DIR]"
+         cws-exp export NAME [--out DIR]",
+        ALL_COMMANDS.join("|")
     );
     std::process::exit(2);
 }
@@ -382,9 +400,7 @@ fn run_import(args: &Args) -> i32 {
         wf.depth()
     );
     if let Some(dir) = &args.out {
-        std::fs::create_dir_all(dir).expect("create output directory");
-        let out = dir.join(format!("{}.json", wf.name()));
-        std::fs::write(&out, format!("{json}\n")).expect("write interchange document");
+        let out = write_artifact(dir, &format!("{}.json", wf.name()), &format!("{json}\n"));
         eprintln!("import: wrote {}", out.display());
     }
     0
@@ -411,9 +427,7 @@ fn run_export(args: &Args) -> i32 {
     let json = wf.to_json();
     println!("{json}");
     if let Some(dir) = &args.out {
-        std::fs::create_dir_all(dir).expect("create output directory");
-        let out = dir.join(format!("{}.json", wf.name()));
-        std::fs::write(&out, format!("{json}\n")).expect("write interchange document");
+        let out = write_artifact(dir, &format!("{}.json", wf.name()), &format!("{json}\n"));
         eprintln!("export: wrote {}", out.display());
     }
     0
@@ -545,10 +559,7 @@ fn run_serve(args: &Args, platform: &cws_platform::Platform) {
 
     println!("{json}");
     if let Some(dir) = &args.out {
-        std::fs::create_dir_all(dir).expect("create output directory");
-        let path = dir.join("serve_report.json");
-        std::fs::write(&path, &json).expect("write serve report");
-        note_artifact(path);
+        write_artifact(dir, "serve_report.json", &json);
     }
     // Peak RSS of the whole process (linux: VmHWM), for the
     // constant-memory ceiling check in tools/mem_ceiling.sh.
@@ -572,18 +583,27 @@ fn emit(table: &Table, name: &str, args: &Args) {
         Format::Gnuplot => println!("{}", table.to_gnuplot()),
     }
     if let Some(dir) = &args.out {
-        write_files(table, name, dir);
+        write_artifact(dir, &format!("{name}.csv"), &table.to_csv());
+        write_artifact(dir, &format!("{name}.dat"), &table.to_gnuplot());
     }
 }
 
-fn write_files(table: &Table, name: &str, dir: &Path) {
+/// Emit one `<prefix>_<workflow>` table per paper workflow.
+fn emit_per_workflow(prefix: &str, args: &Args, table: impl Fn(&cws_dag::Workflow) -> Table) {
+    for wf in cws_workloads::paper_workflows() {
+        let name = format!("{prefix}_{}", wf.name().replace('-', "_"));
+        emit(&table(&wf), &name, args);
+    }
+}
+
+/// Write one artifact file into `dir` (created if missing) and note it
+/// for `--manifest`. Returns the written path.
+fn write_artifact(dir: &Path, file: &str, contents: &str) -> PathBuf {
     std::fs::create_dir_all(dir).expect("create output directory");
-    let csv = dir.join(format!("{name}.csv"));
-    let dat = dir.join(format!("{name}.dat"));
-    std::fs::write(&csv, table.to_csv()).expect("write csv");
-    std::fs::write(&dat, table.to_gnuplot()).expect("write dat");
-    note_artifact(csv);
-    note_artifact(dat);
+    let path = dir.join(file);
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    note_artifact(path.clone());
+    path
 }
 
 fn main() {
@@ -631,21 +651,8 @@ fn main() {
             let panels = if args.workflow.is_some() {
                 // One panel over the imported trace, as given: reuse
                 // the trace-sweep matrix and project the fig4 axes.
-                let wf = load_workflow(args);
-                let sweep = trace_sweep::trace_sweep(&config, &wf, args.threads);
-                vec![fig4::Fig4Panel {
-                    workflow: sweep.workflow,
-                    points: sweep
-                        .results
-                        .into_iter()
-                        .map(|r| fig4::Fig4Point {
-                            label: r.label,
-                            gain_pct: r.relative.gain_pct,
-                            loss_pct: r.relative.loss_pct,
-                            in_target_square: r.relative.in_target_square(),
-                        })
-                        .collect(),
-                }]
+                let sweep = trace_sweep::trace_sweep(&config, &load_workflow(args), args.threads);
+                vec![fig4::Fig4Panel::new(&sweep.workflow, sweep.results)]
             } else {
                 fig4::fig4_threaded(&config, args.threads)
             };
@@ -653,28 +660,15 @@ fn main() {
                 let name = format!("fig4_{}", panel.workflow.replace('-', "_"));
                 emit(&panel.to_table(), &name, args);
                 if let Some(dir) = &args.out {
-                    let gp = dir.join(format!("{name}.gp"));
-                    std::fs::write(&gp, tables::fig4_gnuplot_script(&panel.workflow))
-                        .expect("write gnuplot script");
-                    note_artifact(gp);
+                    let script = tables::fig4_gnuplot_script(&panel.workflow);
+                    write_artifact(dir, &format!("{name}.gp"), &script);
                 }
             }
         }
         "fig5" => {
             let panels = if args.workflow.is_some() {
-                let wf = load_workflow(args);
-                let sweep = trace_sweep::trace_sweep(&config, &wf, args.threads);
-                vec![fig5::Fig5Panel {
-                    workflow: sweep.workflow,
-                    bars: sweep
-                        .results
-                        .into_iter()
-                        .map(|r| fig5::Fig5Bar {
-                            label: r.label,
-                            idle_seconds: r.metrics.idle_seconds,
-                        })
-                        .collect(),
-                }]
+                let sweep = trace_sweep::trace_sweep(&config, &load_workflow(args), args.threads);
+                vec![fig5::Fig5Panel::new(&sweep.workflow, sweep.results)]
             } else {
                 fig5::fig5_threaded(&config, args.threads)
             };
@@ -787,13 +781,9 @@ fn main() {
                 println!("{}", cws_core::gantt::render(&wf, &s, 100));
             }
         }
-        "fleet" => {
-            for wf in cws_workloads::paper_workflows() {
-                let rows = fleet::fleet(&quiet, &wf);
-                let name = format!("fleet_{}", wf.name().replace('-', "_"));
-                emit(&fleet::fleet_report(wf.name(), &rows), &name, args);
-            }
-        }
+        "fleet" => emit_per_workflow("fleet", args, |wf| {
+            fleet::fleet_report(wf.name(), &fleet::fleet(&quiet, wf))
+        }),
         "workloads" => {
             let profiles = characterize::characterize_all();
             emit(
@@ -803,15 +793,10 @@ fn main() {
             );
         }
         "failures" => {
-            for wf in cws_workloads::paper_workflows() {
-                let rows = failures::failure_domains(&quiet, &wf, 0.5);
-                let name = format!("failures_{}", wf.name().replace('-', "_"));
-                emit(
-                    &failures::failure_report(wf.name(), 0.5, &rows),
-                    &name,
-                    args,
-                );
-            }
+            emit_per_workflow("failures", args, |wf| {
+                let rows = failures::failure_domains(&quiet, wf, 0.5);
+                failures::failure_report(wf.name(), 0.5, &rows)
+            });
             let market = cws_platform::SpotMarket::default();
             let wf = montage_24();
             let rows = failures::spot_economics(&quiet, &wf, market, 50);
@@ -836,29 +821,18 @@ fn main() {
                 args,
             );
         }
-        "energy" => {
-            for wf in cws_workloads::paper_workflows() {
-                let rows =
-                    energy::energy_accounting(&quiet, &wf, cws_platform::EnergyModel::default());
-                let name = format!("energy_{}", wf.name().replace('-', "_"));
-                emit(&energy::energy_report(wf.name(), &rows), &name, args);
-            }
-        }
-        "data" => {
-            for wf in cws_workloads::paper_workflows() {
-                let panel = data_intensive::data_intensive_panel(&quiet, &wf);
-                let name = format!("data_{}", panel.workflow.replace('-', "_"));
-                emit(&data_intensive::data_report(&panel), &name, args);
-            }
-        }
+        "energy" => emit_per_workflow("energy", args, |wf| {
+            let rows = energy::energy_accounting(&quiet, wf, cws_platform::EnergyModel::default());
+            energy::energy_report(wf.name(), &rows)
+        }),
+        "data" => emit_per_workflow("data", args, |wf| {
+            data_intensive::data_report(&data_intensive::data_intensive_panel(&quiet, wf))
+        }),
         "summary" => {
             let md = summary::markdown_report(&quiet);
             println!("{md}");
             if let Some(dir) = &args.out {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                let path = dir.join("reproduction_report.md");
-                std::fs::write(&path, md).expect("write reproduction report");
-                note_artifact(path);
+                write_artifact(dir, "reproduction_report.md", &md);
             }
         }
         "service" => {
@@ -876,10 +850,7 @@ fn main() {
                 );
             }
             if let Some(dir) = &args.out {
-                std::fs::create_dir_all(dir).expect("create output directory");
-                let path = dir.join("service_sweep.json");
-                std::fs::write(&path, report.to_json()).expect("write service sweep json");
-                note_artifact(path);
+                write_artifact(dir, "service_sweep.json", &report.to_json());
             }
         }
         "serve" => run_serve(args, &config.platform),
@@ -905,57 +876,23 @@ fn main() {
         }
         "sensitivity" => {
             let seeds: Vec<u64> = (0..20).map(|i| config.seed.wrapping_add(i)).collect();
-            for wf in cws_workloads::paper_workflows() {
-                let rows = sensitivity::seed_sensitivity(&quiet, &wf, &seeds);
-                let name = format!("sensitivity_{}", wf.name().replace('-', "_"));
-                emit(
-                    &sensitivity::sensitivity_report(wf.name(), &rows),
-                    &name,
-                    args,
-                );
-            }
+            emit_per_workflow("sensitivity", args, |wf| {
+                let rows = sensitivity::seed_sensitivity(&quiet, wf, &seeds);
+                sensitivity::sensitivity_report(wf.name(), &rows)
+            });
         }
         "robustness" => {
             let jitter = cws_sim::JitterModel::new(0.2, config.seed);
-            for wf in cws_workloads::paper_workflows() {
-                let rows = robustness::strategy_robustness(&quiet, &wf, jitter, 25);
-                let name = format!("robustness_{}", wf.name().replace('-', "_"));
-                emit(
-                    &robustness::robustness_report(wf.name(), 0.2, &rows),
-                    &name,
-                    args,
-                );
-            }
+            emit_per_workflow("robustness", args, |wf| {
+                let rows = robustness::strategy_robustness(&quiet, wf, jitter, 25);
+                robustness::robustness_report(wf.name(), 0.2, &rows)
+            });
         }
         _ => usage(),
     };
 
     if args.command == "all" {
-        for cmd in [
-            "prices",
-            "catalog",
-            "fig3",
-            "fig4",
-            "fig5",
-            "table3",
-            "table4",
-            "table5",
-            "corent",
-            "frontier",
-            "ablation",
-            "boundaries",
-            "grid",
-            "workloads",
-            "fleet",
-            "sensitivity",
-            "robustness",
-            "failures",
-            "spot",
-            "energy",
-            "data",
-            "service",
-            "summary",
-        ] {
+        for cmd in ALL_COMMANDS {
             run_one(cmd, &args);
         }
     } else {

@@ -15,17 +15,16 @@
 //!   coefficient of variation.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{baseline_metrics, run_strategy, ExperimentConfig};
+use crate::run::{prepare, run_matrix, ExperimentConfig, StrategyResult};
 use cws_core::Strategy;
 use cws_dag::{StructureMetrics, Workflow};
 use cws_workloads::random::{layered_dag, LayeredShape};
 use cws_workloads::Pareto;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The measured winners at one sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BoundaryPoint {
     /// Descriptive sweep coordinate (width, α, …).
     pub coordinate: String,
@@ -41,13 +40,12 @@ pub struct BoundaryPoint {
     pub balanced_winner: String,
 }
 
-fn winners(config: &ExperimentConfig, wf: &Workflow, coordinate: String) -> BoundaryPoint {
-    let base = baseline_metrics(config, wf);
-    let results: Vec<_> = Strategy::paper_set()
-        .into_iter()
-        .map(|s| run_strategy(config, wf, s, &base))
-        .collect();
-    let best = |score: &dyn Fn(&crate::run::StrategyResult) -> f64| -> String {
+fn winners(config: &ExperimentConfig, wf: Workflow, coordinate: String) -> BoundaryPoint {
+    let prepared = [prepare(config, wf)];
+    let results = run_matrix(config, &prepared, &Strategy::paper_set(), 1)
+        .pop()
+        .expect("one workflow in, one row out");
+    let best = |score: &dyn Fn(&StrategyResult) -> f64| -> String {
         results
             .iter()
             .max_by(|a, b| score(a).total_cmp(&score(b)))
@@ -55,14 +53,14 @@ fn winners(config: &ExperimentConfig, wf: &Workflow, coordinate: String) -> Boun
             .label
             .clone()
     };
-    let in_square_gain = |r: &crate::run::StrategyResult| {
+    let in_square_gain = |r: &StrategyResult| {
         if r.relative.in_target_square() {
             r.relative.gain_pct
         } else {
             f64::NEG_INFINITY
         }
     };
-    let m = StructureMetrics::compute(wf);
+    let m = StructureMetrics::compute(&prepared[0].wf);
     BoundaryPoint {
         coordinate,
         parallelism: m.parallelism,
@@ -92,7 +90,7 @@ pub fn structure_sweep(
                 seed: config.seed,
             });
             let wf = config.materialize(&wf, cws_workloads::Scenario::Pareto { seed: config.seed });
-            winners(config, &wf, format!("width={w}"))
+            winners(config, wf, format!("width={w}"))
         })
         .collect()
 }
@@ -112,7 +110,7 @@ pub fn heterogeneity_sweep(config: &ExperimentConfig, alphas: &[f64]) -> Vec<Bou
             let mut rng = SmallRng::seed_from_u64(config.seed);
             let times = Pareto::new(alpha, 500.0).sample_n(&mut rng, base.len());
             let wf = base.with_base_times(&times);
-            winners(config, &wf, format!("alpha={alpha}"))
+            winners(config, wf, format!("alpha={alpha}"))
         })
         .collect()
 }

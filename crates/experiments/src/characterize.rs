@@ -11,10 +11,9 @@ use cws_workloads::pegasus::{
     cybershake, epigenomics, ligo, CyberShakeShape, EpigenomicsShape, LigoShape,
 };
 use cws_workloads::{bag_of_tasks, paper_workflows};
-use serde::{Deserialize, Serialize};
 
 /// Structural profile of one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadProfile {
     /// Workflow name.
     pub workflow: String,

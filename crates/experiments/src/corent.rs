@@ -9,14 +9,14 @@
 //! market analogy the paper draws).
 
 use crate::report::{fmt_f, Table};
-use crate::run::{run_all_strategies, ExperimentConfig};
+use crate::run::{prepare, run_matrix, ExperimentConfig};
+use cws_core::Strategy;
 use cws_dag::Workflow;
 use cws_platform::{InstanceType, BTU_SECONDS};
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// One strategy's economics under co-renting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoRentEntry {
     /// Strategy legend label.
     pub label: String,
@@ -48,10 +48,11 @@ pub fn corent(
         (0.0..=1.0).contains(&reimbursement_fraction),
         "reimbursement fraction must be in [0, 1], got {reimbursement_fraction}"
     );
-    let m = config.materialize(wf, scenario);
+    let prepared = [prepare(config, config.materialize(wf, scenario))];
     let rate = reimbursement_fraction * config.platform.price(InstanceType::Small);
-    run_all_strategies(config, &m)
+    run_matrix(config, &prepared, &Strategy::paper_set(), 1)
         .into_iter()
+        .flatten()
         .map(|r| {
             let idle_hours = r.metrics.idle_seconds / BTU_SECONDS;
             let reimbursement = rate * idle_hours;

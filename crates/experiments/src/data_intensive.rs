@@ -8,15 +8,14 @@
 //! matter — the quantified version of Sect. III-A's remark that
 //! VM-hungry strategies suit "tasks with large data dependencies".
 
-use crate::fig4::{fig4_panel, Fig4Panel};
 use crate::report::{fmt_f, Table};
-use crate::run::ExperimentConfig;
+use crate::run::{prepare, run_matrix, ExperimentConfig, StrategyResult};
+use cws_core::Strategy;
 use cws_dag::Workflow;
 use cws_workloads::{DataSizeModel, Scenario};
-use serde::{Deserialize, Serialize};
 
 /// One strategy's shift between the CPU-bound and data-bound settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataShift {
     /// Strategy label.
     pub label: String,
@@ -31,7 +30,7 @@ pub struct DataShift {
 }
 
 /// The CPU-vs-data comparison of one workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataPanel {
     /// Workflow name.
     pub workflow: String,
@@ -39,37 +38,42 @@ pub struct DataPanel {
     pub shifts: Vec<DataShift>,
 }
 
-/// Run both settings for one workflow and pair the points up.
+/// Run both settings for one workflow — one matrix row per payload
+/// model — and pair the points up.
 #[must_use]
 pub fn data_intensive_panel(config: &ExperimentConfig, wf: &Workflow) -> DataPanel {
     let scenario = Scenario::Pareto { seed: config.seed };
-    let cpu_cfg = ExperimentConfig {
-        data_model: DataSizeModel::CpuIntensive,
-        ..config.clone()
-    };
-    let data_cfg = ExperimentConfig {
-        data_model: DataSizeModel::ParetoSizes { seed: config.seed },
-        ..config.clone()
-    };
-    let cpu: Fig4Panel = fig4_panel(&cpu_cfg, wf, scenario);
-    let data: Fig4Panel = fig4_panel(&data_cfg, wf, scenario);
+    let prepared: Vec<_> = [
+        DataSizeModel::CpuIntensive,
+        DataSizeModel::ParetoSizes { seed: config.seed },
+    ]
+    .into_iter()
+    .map(|data_model| {
+        let wf = ExperimentConfig {
+            data_model,
+            ..config.clone()
+        }
+        .materialize(wf, scenario);
+        prepare(config, wf)
+    })
+    .collect();
+    let [cpu, data]: [Vec<StrategyResult>; 2] =
+        run_matrix(config, &prepared, &Strategy::paper_set(), 1)
+            .try_into()
+            .expect("two payload models in, two rows out");
     let shifts = cpu
-        .points
-        .iter()
-        .zip(&data.points)
-        .map(|(c, d)| {
-            debug_assert_eq!(c.label, d.label);
-            DataShift {
-                label: c.label.clone(),
-                cpu_gain: c.gain_pct,
-                data_gain: d.gain_pct,
-                cpu_loss: c.loss_pct,
-                data_loss: d.loss_pct,
-            }
+        .into_iter()
+        .zip(data)
+        .map(|(c, d)| DataShift {
+            label: c.label,
+            cpu_gain: c.relative.gain_pct,
+            data_gain: d.relative.gain_pct,
+            cpu_loss: c.relative.loss_pct,
+            data_loss: d.relative.loss_pct,
         })
         .collect();
     DataPanel {
-        workflow: cpu.workflow,
+        workflow: prepared[0].wf.name().to_string(),
         shifts,
     }
 }

@@ -7,15 +7,14 @@
 //! comparison.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{run_all_strategies, ExperimentConfig};
-use cws_core::Strategy;
+use crate::run::{self, ExperimentConfig};
+use cws_core::{ScheduleMetrics, Strategy};
 use cws_dag::Workflow;
 use cws_platform::EnergyModel;
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Energy account of one strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyRow {
     /// Strategy label.
     pub label: String,
@@ -38,13 +37,13 @@ pub fn energy_accounting(
     model: EnergyModel,
 ) -> Vec<EnergyRow> {
     let m = config.materialize(wf, Scenario::Pareto { seed: config.seed });
-    // run_all_strategies gives metrics; we need per-VM splits, so
-    // re-schedule (cheap) and walk the VM table.
-    let _ = run_all_strategies(config, &m); // validates everything once
     Strategy::paper_set()
         .into_iter()
         .map(|strategy| {
             let s = strategy.schedule(&m, &config.platform);
+            run::check(config, &m, &s);
+            // Publishes the run.* gauges a traced run reconciles against.
+            let _ = ScheduleMetrics::of(&s, &m, &config.platform);
             let mut busy_j = 0.0;
             let mut total_j = 0.0;
             for vm in &s.vms {

@@ -18,10 +18,9 @@ use cws_dag::Workflow;
 use cws_platform::SpotMarket;
 use cws_sim::{failure_impact, recover, VmFailure};
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// One strategy's crash resilience.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureRow {
     /// Strategy label.
     pub label: String,
@@ -84,7 +83,7 @@ pub fn failure_domains(config: &ExperimentConfig, wf: &Workflow, fraction: f64) 
 }
 
 /// One strategy's spot-market economics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpotRow {
     /// Strategy label.
     pub label: String,

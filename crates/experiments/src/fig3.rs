@@ -9,10 +9,9 @@ use crate::report::{fmt_f, Table};
 use cws_workloads::pareto::{empirical_cdf, Pareto};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The regenerated Fig. 3 data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Data {
     /// Evaluation points (execution time, seconds).
     pub points: Vec<f64>,

@@ -2,16 +2,10 @@
 //! the four paper workflows under Pareto runtimes.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{
-    prepare, run_all_strategies, run_matrix, ExperimentConfig, PreparedWorkflow, StrategyResult,
-};
-use cws_core::Strategy;
-use cws_dag::Workflow;
-use cws_workloads::{paper_workflows, Scenario};
-use serde::{Deserialize, Serialize};
+use crate::run::{paper_matrix, ExperimentConfig, StrategyResult};
 
 /// One scatter point of Fig. 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Point {
     /// Strategy legend label.
     pub label: String,
@@ -25,31 +19,12 @@ pub struct Fig4Point {
 }
 
 /// One panel of Fig. 4 (one workflow).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Panel {
     /// Workflow name (montage-24, cstem, …).
     pub workflow: String,
     /// The 19 scatter points in legend order.
     pub points: Vec<Fig4Point>,
-}
-
-/// Regenerate one panel for an arbitrary workflow under a scenario.
-#[must_use]
-pub fn fig4_panel(config: &ExperimentConfig, wf: &Workflow, scenario: Scenario) -> Fig4Panel {
-    let m = config.materialize(wf, scenario);
-    let points = run_all_strategies(config, &m)
-        .into_iter()
-        .map(|r: StrategyResult| Fig4Point {
-            label: r.label,
-            gain_pct: r.relative.gain_pct,
-            loss_pct: r.relative.loss_pct,
-            in_target_square: r.relative.in_target_square(),
-        })
-        .collect();
-    Fig4Panel {
-        workflow: m.name().to_string(),
-        points,
-    }
 }
 
 /// Regenerate all four panels (Montage, CSTEM, MapReduce, Sequential)
@@ -63,31 +38,29 @@ pub fn fig4(config: &ExperimentConfig) -> Vec<Fig4Panel> {
 /// workers. Output is identical for any thread count.
 #[must_use]
 pub fn fig4_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Fig4Panel> {
-    let scenario = Scenario::Pareto { seed: config.seed };
-    let prepared: Vec<PreparedWorkflow> = paper_workflows()
-        .iter()
-        .map(|wf| prepare(config, wf, scenario))
-        .collect();
-    let matrix = run_matrix(config, &prepared, &Strategy::paper_set(), threads);
-    prepared
-        .iter()
-        .zip(matrix)
-        .map(|(row, results)| Fig4Panel {
-            workflow: row.wf.name().to_string(),
+    paper_matrix(config, threads)
+        .map(|(row, results)| Fig4Panel::new(row.wf.name(), results))
+        .collect()
+}
+
+impl Fig4Panel {
+    /// Project one workflow's strategy results onto the Fig. 4 axes.
+    #[must_use]
+    pub fn new(workflow: &str, results: Vec<StrategyResult>) -> Self {
+        Fig4Panel {
+            workflow: workflow.to_string(),
             points: results
                 .into_iter()
-                .map(|r: StrategyResult| Fig4Point {
+                .map(|r| Fig4Point {
                     label: r.label,
                     gain_pct: r.relative.gain_pct,
                     loss_pct: r.relative.loss_pct,
                     in_target_square: r.relative.in_target_square(),
                 })
                 .collect(),
-        })
-        .collect()
-}
+        }
+    }
 
-impl Fig4Panel {
     /// Render as a table (`strategy`, `gain%`, `loss%`, `target?`).
     #[must_use]
     pub fn to_table(&self) -> Table {

@@ -2,14 +2,10 @@
 //! paper workflows under Pareto runtimes.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{prepare, run_all_strategies, run_matrix, ExperimentConfig, PreparedWorkflow};
-use cws_core::Strategy;
-use cws_dag::Workflow;
-use cws_workloads::{paper_workflows, Scenario};
-use serde::{Deserialize, Serialize};
+use crate::run::{paper_matrix, ExperimentConfig, StrategyResult};
 
 /// One bar of Fig. 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Bar {
     /// Strategy legend label.
     pub label: String,
@@ -18,29 +14,12 @@ pub struct Fig5Bar {
 }
 
 /// One panel of Fig. 5 (one workflow).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Panel {
     /// Workflow name.
     pub workflow: String,
     /// The 19 bars in legend order.
     pub bars: Vec<Fig5Bar>,
-}
-
-/// Regenerate one panel for an arbitrary workflow and scenario.
-#[must_use]
-pub fn fig5_panel(config: &ExperimentConfig, wf: &Workflow, scenario: Scenario) -> Fig5Panel {
-    let m = config.materialize(wf, scenario);
-    let bars = run_all_strategies(config, &m)
-        .into_iter()
-        .map(|r| Fig5Bar {
-            label: r.label,
-            idle_seconds: r.metrics.idle_seconds,
-        })
-        .collect();
-    Fig5Panel {
-        workflow: m.name().to_string(),
-        bars,
-    }
 }
 
 /// Regenerate all four panels under Pareto runtimes.
@@ -53,17 +32,17 @@ pub fn fig5(config: &ExperimentConfig) -> Vec<Fig5Panel> {
 /// workers. Output is identical for any thread count.
 #[must_use]
 pub fn fig5_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Fig5Panel> {
-    let scenario = Scenario::Pareto { seed: config.seed };
-    let prepared: Vec<PreparedWorkflow> = paper_workflows()
-        .iter()
-        .map(|wf| prepare(config, wf, scenario))
-        .collect();
-    let matrix = run_matrix(config, &prepared, &Strategy::paper_set(), threads);
-    prepared
-        .iter()
-        .zip(matrix)
-        .map(|(row, results)| Fig5Panel {
-            workflow: row.wf.name().to_string(),
+    paper_matrix(config, threads)
+        .map(|(row, results)| Fig5Panel::new(row.wf.name(), results))
+        .collect()
+}
+
+impl Fig5Panel {
+    /// Project one workflow's strategy results onto Fig. 5's idle bars.
+    #[must_use]
+    pub fn new(workflow: &str, results: Vec<StrategyResult>) -> Self {
+        Fig5Panel {
+            workflow: workflow.to_string(),
             bars: results
                 .into_iter()
                 .map(|r| Fig5Bar {
@@ -71,11 +50,9 @@ pub fn fig5_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Fig5Panel
                     idle_seconds: r.metrics.idle_seconds,
                 })
                 .collect(),
-        })
-        .collect()
-}
+        }
+    }
 
-impl Fig5Panel {
     /// Render as a table (`strategy`, `idle_s`).
     #[must_use]
     pub fn to_table(&self) -> Table {

@@ -9,10 +9,9 @@ use cws_core::{Schedule, Strategy};
 use cws_dag::Workflow;
 use cws_platform::InstanceType;
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Fleet statistics of one strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetRow {
     /// Strategy label.
     pub label: String,

@@ -10,10 +10,9 @@ use crate::run::ExperimentConfig;
 use cws_core::frontier::{pareto_front, CandidateSet, FrontierPoint};
 use cws_dag::Workflow;
 use cws_workloads::{paper_workflows, Scenario};
-use serde::{Deserialize, Serialize};
 
 /// Frontier of one workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrontierPanel {
     /// Workflow name.
     pub workflow: String,

@@ -10,9 +10,11 @@
 //! | [`table5`] | Table V — per-workflow-class recommendations (computed winners) |
 //! | [`corent`] | the co-rent idle-time leasing analysis sketched in Sect. V |
 //!
-//! [`run`] holds the shared single-experiment runner and the matrix
-//! runner every figure fans out with [`cws_core::par_map`], [`sweep`]
-//! the full-grid runner built on it, and [`report`] the
+//! [`run`] is the one experiment runner: every driver that measures
+//! pairings against the `OneVMperTask-s` baseline goes through
+//! [`run::prepare`] → [`run::run_matrix`], which shares kernel tables
+//! per workflow and fans cells out with [`cws_core::par_map`]. [`sweep`]
+//! is the full-grid runner built on it, and [`report`] the
 //! ASCII/CSV/gnuplot emitters. Beyond the paper: [`ablation`] sweeps the
 //! design knobs DESIGN.md calls out, [`sensitivity`] re-draws the Pareto
 //! runtimes across seeds, [`robustness`] replays every plan under
@@ -51,4 +53,4 @@ pub mod table5;
 pub mod tables;
 pub mod trace_sweep;
 
-pub use run::{run_all_strategies, run_strategy, ExperimentConfig, StrategyResult};
+pub use run::{ExperimentConfig, StrategyResult};

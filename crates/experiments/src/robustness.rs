@@ -13,10 +13,9 @@ use cws_core::Strategy;
 use cws_dag::Workflow;
 use cws_sim::{robustness, JitterModel};
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Robustness of one strategy's plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RobustnessRow {
     /// Strategy label.
     pub label: String,

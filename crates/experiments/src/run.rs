@@ -1,14 +1,16 @@
-//! Shared experiment runner: one (workflow, scenario, strategy) cell,
-//! and [`run_matrix`], which fans many cells out over [`par_map`].
+//! The experiment runner every baseline-relative driver measures
+//! through: [`prepare`] a materialized workflow once (kernel tables and
+//! `OneVMperTask-s` baseline), then [`run_matrix`] schedules, checks and
+//! measures each (workflow × strategy) cell, fanned out over
+//! [`par_map`].
 
-use cws_core::{par_map, KernelTables, RelativeMetrics, ScheduleMetrics, Strategy};
+use cws_core::{par_map, KernelTables, RelativeMetrics, Schedule, ScheduleMetrics, Strategy};
 use cws_dag::Workflow;
 use cws_platform::Platform;
-use cws_workloads::{DataSizeModel, Scenario};
-use serde::{Deserialize, Serialize};
+use cws_workloads::{paper_workflows, DataSizeModel, Scenario};
 
 /// Configuration shared by every experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// The simulated platform (EC2 prices, network, default region).
     pub platform: Platform,
@@ -51,7 +53,7 @@ impl ExperimentConfig {
 }
 
 /// The outcome of one strategy on one materialized workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyResult {
     /// Figure-legend label.
     pub label: String,
@@ -59,85 +61,6 @@ pub struct StrategyResult {
     pub metrics: ScheduleMetrics,
     /// Gain/loss against the `OneVMperTask-s` baseline.
     pub relative: RelativeMetrics,
-}
-
-/// Run one strategy on a *materialized* workflow (runtimes already set)
-/// and measure it against the supplied baseline metrics.
-///
-/// # Panics
-/// Panics if the produced schedule is invalid or (when enabled in
-/// `config`) diverges under discrete-event replay — either indicates a
-/// bug, not a data condition.
-#[must_use]
-pub fn run_strategy(
-    config: &ExperimentConfig,
-    wf: &Workflow,
-    strategy: Strategy,
-    baseline: &ScheduleMetrics,
-) -> StrategyResult {
-    run_strategy_with(config, wf, strategy, baseline, None)
-}
-
-/// [`run_strategy`] borrowing shared [`KernelTables`]. A matrix run
-/// schedules the same materialized workflow 19+ times; lending one
-/// table set to every cell skips the per-schedule exec/bandwidth table
-/// rebuild without changing a single bit of output.
-///
-/// # Panics
-/// As [`run_strategy`].
-#[must_use]
-pub fn run_strategy_with(
-    config: &ExperimentConfig,
-    wf: &Workflow,
-    strategy: Strategy,
-    baseline: &ScheduleMetrics,
-    tables: Option<&KernelTables>,
-) -> StrategyResult {
-    let schedule = strategy.schedule_with(wf, &config.platform, tables);
-    schedule
-        .validate(wf, &config.platform)
-        .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", strategy.label()));
-    if config.validate_with_sim {
-        cws_sim::verify(wf, &config.platform, &schedule, 1e-6)
-            .unwrap_or_else(|e| panic!("{} diverged under replay: {e}", strategy.label()));
-    }
-    let metrics = ScheduleMetrics::of(&schedule, wf, &config.platform);
-    StrategyResult {
-        label: strategy.label(),
-        metrics,
-        relative: RelativeMetrics::vs(&metrics, baseline),
-    }
-}
-
-/// Compute the baseline (`OneVMperTask-s`) metrics for a materialized
-/// workflow.
-#[must_use]
-pub fn baseline_metrics(config: &ExperimentConfig, wf: &Workflow) -> ScheduleMetrics {
-    baseline_metrics_with(config, wf, None)
-}
-
-/// [`baseline_metrics`] borrowing shared [`KernelTables`].
-#[must_use]
-pub fn baseline_metrics_with(
-    config: &ExperimentConfig,
-    wf: &Workflow,
-    tables: Option<&KernelTables>,
-) -> ScheduleMetrics {
-    let schedule = Strategy::BASELINE.schedule_with(wf, &config.platform, tables);
-    ScheduleMetrics::of(&schedule, wf, &config.platform)
-}
-
-/// Run the full 19-strategy paper set on a materialized workflow,
-/// building the exec/bandwidth tables once and sharing them across all
-/// 19 schedules plus the baseline.
-#[must_use]
-pub fn run_all_strategies(config: &ExperimentConfig, wf: &Workflow) -> Vec<StrategyResult> {
-    let tables = KernelTables::build(wf, &config.platform);
-    let baseline = baseline_metrics_with(config, wf, Some(&tables));
-    Strategy::paper_set()
-        .into_iter()
-        .map(|s| run_strategy_with(config, wf, s, &baseline, Some(&tables)))
-        .collect()
 }
 
 /// A materialized workflow plus everything a matrix run shares across
@@ -154,18 +77,20 @@ pub struct PreparedWorkflow {
     pub tables: KernelTables,
 }
 
-/// Materialize `wf` under `scenario`, build its [`KernelTables`] and
-/// compute its baseline once, so a matrix run shares all three across
-/// every strategy cell. The baseline schedule here is the tables' first
-/// use, which keeps the `kernel.table_reuse_hits` counter independent
-/// of [`run_matrix`]'s thread count.
+/// Build the [`KernelTables`] of an already materialized workflow and
+/// compute its `OneVMperTask-s` baseline once, so a matrix run shares
+/// both across every strategy cell. Pass `config.materialize(wf,
+/// scenario)` for a scenario run, or the workflow itself to run it as
+/// given (a trace sweep). The baseline schedule here is the tables'
+/// first use, which keeps the `kernel.table_reuse_hits` counter
+/// independent of [`run_matrix`]'s thread count.
 #[must_use]
-pub fn prepare(config: &ExperimentConfig, wf: &Workflow, scenario: Scenario) -> PreparedWorkflow {
-    let m = config.materialize(wf, scenario);
-    let tables = KernelTables::build(&m, &config.platform);
-    let baseline = baseline_metrics_with(config, &m, Some(&tables));
+pub fn prepare(config: &ExperimentConfig, wf: Workflow) -> PreparedWorkflow {
+    let tables = KernelTables::build(&wf, &config.platform);
+    let schedule = Strategy::BASELINE.schedule_with(&wf, &config.platform, Some(&tables));
+    let baseline = ScheduleMetrics::of(&schedule, &wf, &config.platform);
     PreparedWorkflow {
-        wf: m,
+        wf,
         baseline,
         tables,
     }
@@ -173,10 +98,15 @@ pub fn prepare(config: &ExperimentConfig, wf: &Workflow, scenario: Scenario) -> 
 
 /// Run every strategy on every prepared workflow, fanning the
 /// (workflow × strategy) cells over `threads` workers with
-/// [`par_map`]. Cells are independent and each schedule is computed
-/// exactly as in the sequential path, so the result matrix — indexed
-/// `[workflow][strategy]` in input order — is identical for any thread
-/// count.
+/// [`par_map`]. Each cell schedules on its row's shared tables, checks
+/// the schedule and measures it against the row's baseline; cells are
+/// independent, so the result matrix — indexed `[workflow][strategy]`
+/// in input order — is identical for any thread count.
+///
+/// # Panics
+/// Panics if a cell's schedule is invalid or (when enabled in `config`)
+/// diverges under discrete-event replay — either indicates a bug, not a
+/// data condition.
 #[must_use]
 pub fn run_matrix(
     config: &ExperimentConfig,
@@ -186,13 +116,10 @@ pub fn run_matrix(
 ) -> Vec<Vec<StrategyResult>> {
     let per_row = strategies.len();
     let mut cells = par_map(prepared.len() * per_row, threads, |cell| {
-        let row = &prepared[cell / per_row];
-        run_strategy_with(
+        measure(
             config,
-            &row.wf,
+            &prepared[cell / per_row],
             strategies[cell % per_row],
-            &row.baseline,
-            Some(&row.tables),
         )
     })
     .into_iter();
@@ -200,6 +127,56 @@ pub fn run_matrix(
         .iter()
         .map(|_| cells.by_ref().take(per_row).collect())
         .collect()
+}
+
+/// The Fig. 4/5 and Table V matrix: every paper pairing on the four
+/// paper workflows under the config's Pareto draw, one row per workflow.
+pub(crate) fn paper_matrix(
+    config: &ExperimentConfig,
+    threads: usize,
+) -> impl Iterator<Item = (PreparedWorkflow, Vec<StrategyResult>)> {
+    let scenario = Scenario::Pareto { seed: config.seed };
+    let prepared: Vec<_> = paper_workflows()
+        .iter()
+        .map(|wf| prepare(config, config.materialize(wf, scenario)))
+        .collect();
+    let matrix = run_matrix(config, &prepared, &Strategy::paper_set(), threads);
+    prepared.into_iter().zip(matrix)
+}
+
+/// One matrix cell: schedule `strategy` on the row's tables, check it
+/// and measure it against the row's baseline.
+fn measure(
+    config: &ExperimentConfig,
+    row: &PreparedWorkflow,
+    strategy: Strategy,
+) -> StrategyResult {
+    let schedule = strategy.schedule_with(&row.wf, &config.platform, Some(&row.tables));
+    check(config, &row.wf, &schedule);
+    let metrics = ScheduleMetrics::of(&schedule, &row.wf, &config.platform);
+    StrategyResult {
+        label: strategy.label(),
+        metrics,
+        relative: RelativeMetrics::vs(&metrics, &row.baseline),
+    }
+}
+
+/// The runner's check on every schedule it measures: the schedule is
+/// valid and, when `config` asks for it, replays identically in the
+/// discrete-event simulator.
+///
+/// # Panics
+/// Panics if the schedule is invalid or diverges under replay — either
+/// indicates a bug, not a data condition.
+pub(crate) fn check(config: &ExperimentConfig, wf: &Workflow, schedule: &Schedule) {
+    let label = &schedule.strategy;
+    schedule
+        .validate(wf, &config.platform)
+        .unwrap_or_else(|e| panic!("{label} produced an invalid schedule: {e}"));
+    if config.validate_with_sim {
+        cws_sim::verify(wf, &config.platform, schedule, 1e-6)
+            .unwrap_or_else(|e| panic!("{label} diverged under replay: {e}"));
+    }
 }
 
 #[cfg(test)]
@@ -210,19 +187,25 @@ mod tests {
     #[test]
     fn baseline_relative_is_origin() {
         let cfg = ExperimentConfig::default();
-        let wf = cfg.materialize(&sequential(5), Scenario::BestCase);
-        let baseline = baseline_metrics(&cfg, &wf);
-        let r = run_strategy(&cfg, &wf, Strategy::BASELINE, &baseline);
+        let prepared = [prepare(
+            &cfg,
+            cfg.materialize(&sequential(5), Scenario::BestCase),
+        )];
+        let r = &run_matrix(&cfg, &prepared, &[Strategy::BASELINE], 1)[0][0];
         assert!(r.relative.gain_pct.abs() < 1e-9);
         assert!(r.relative.loss_pct.abs() < 1e-9);
     }
 
     #[test]
-    fn run_all_covers_19_strategies() {
+    fn matrix_covers_19_strategies_per_row() {
         let cfg = ExperimentConfig::default();
-        let wf = cfg.materialize(&sequential(5), Scenario::BestCase);
-        let results = run_all_strategies(&cfg, &wf);
-        assert_eq!(results.len(), 19);
+        let prepared: Vec<_> = [Scenario::BestCase, Scenario::WorstCase]
+            .into_iter()
+            .map(|sc| prepare(&cfg, cfg.materialize(&sequential(5), sc)))
+            .collect();
+        let matrix = run_matrix(&cfg, &prepared, &Strategy::paper_set(), 1);
+        assert_eq!(matrix.len(), 2);
+        assert!(matrix.iter().all(|row| row.len() == 19));
     }
 
     #[test]

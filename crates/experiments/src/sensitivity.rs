@@ -7,14 +7,13 @@
 //! the target square — the statistical footing under Table V.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{baseline_metrics, run_strategy, ExperimentConfig};
+use crate::run::{prepare, run_matrix, ExperimentConfig};
 use cws_core::Strategy;
 use cws_dag::Workflow;
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated behaviour of one strategy across seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityRow {
     /// Strategy label.
     pub label: String,
@@ -55,11 +54,12 @@ pub fn seed_sensitivity(
     let mut losses: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
     let mut squares: Vec<usize> = vec![0; strategies.len()];
 
-    for &seed in seeds {
-        let m = config.materialize(wf, Scenario::Pareto { seed });
-        let base = baseline_metrics(config, &m);
-        for (i, &strategy) in strategies.iter().enumerate() {
-            let r = run_strategy(config, &m, strategy, &base);
+    let prepared: Vec<_> = seeds
+        .iter()
+        .map(|&seed| prepare(config, config.materialize(wf, Scenario::Pareto { seed })))
+        .collect();
+    for row in run_matrix(config, &prepared, &strategies, 1) {
+        for (i, r) in row.into_iter().enumerate() {
             gains[i].push(r.relative.gain_pct);
             losses[i].push(r.relative.loss_pct);
             if r.relative.in_target_square() {

@@ -22,10 +22,9 @@ use cws_obs as obs;
 use cws_platform::{InstanceType, SpotMarket};
 use cws_sim::replay_spot;
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// One plan's realized position on the spot frontier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpotFrontierRow {
     /// Plan label (`"AllParExceed-m"`, `"SpotHEFT-s"`, …).
     pub label: String,

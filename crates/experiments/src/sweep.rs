@@ -11,10 +11,9 @@ use crate::run::{prepare, run_matrix, ExperimentConfig, StrategyResult};
 use cws_core::Strategy;
 use cws_dag::Workflow;
 use cws_workloads::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// One completed grid cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridCell {
     /// Workflow name.
     pub workflow: String,
@@ -41,7 +40,7 @@ pub fn run_grid(
         .collect();
     let prepared: Vec<_> = keys
         .iter()
-        .map(|&(wf, sc)| prepare(config, wf, sc))
+        .map(|&(wf, sc)| prepare(config, config.materialize(wf, sc)))
         .collect();
     let matrix = run_matrix(config, &prepared, strategies, workers);
     keys.iter()

@@ -13,7 +13,6 @@ use crate::run::{prepare, run_matrix, ExperimentConfig, PreparedWorkflow, Strate
 use cws_core::metrics::GainSavingsClass;
 use cws_core::Strategy;
 use cws_workloads::{paper_workflows, Scenario};
-use serde::{Deserialize, Serialize};
 
 /// Tolerance (percentage points) within which gain and savings count as
 /// balanced. The paper uses "≈" without quantifying; 10 points
@@ -22,7 +21,7 @@ pub const BALANCE_TOLERANCE: f64 = 10.0;
 
 /// One cell of Table III: the classified strategies for a (scenario,
 /// workflow) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Cell {
     /// Scenario name (`pareto`, `best-case`, `worst-case`).
     pub scenario: String,
@@ -61,7 +60,7 @@ pub fn table3_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Table3C
         .collect();
     let prepared: Vec<PreparedWorkflow> = pairs
         .iter()
-        .map(|(scenario, wf)| prepare(config, wf, *scenario))
+        .map(|(scenario, wf)| prepare(config, config.materialize(wf, *scenario)))
         .collect();
     let matrix = run_matrix(config, &prepared, &Strategy::paper_set(), threads);
     pairs

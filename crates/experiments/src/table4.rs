@@ -15,10 +15,9 @@ use crate::run::{prepare, run_matrix, ExperimentConfig, PreparedWorkflow};
 use cws_core::{StaticAlloc, Strategy};
 use cws_platform::InstanceType;
 use cws_workloads::paper_workflows;
-use serde::{Deserialize, Serialize};
 
 /// Loss statistics of one workflow at one instance type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkflowLoss {
     /// Workflow name.
     pub workflow: String,
@@ -31,7 +30,7 @@ pub struct WorkflowLoss {
 }
 
 /// One row of Table IV (one instance type).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Instance type of the row.
     pub itype: InstanceType,
@@ -73,7 +72,7 @@ pub fn table4_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Table4R
         .flat_map(|wf| {
             scenarios
                 .iter()
-                .map(|&scenario| prepare(config, wf, scenario))
+                .map(|&scenario| prepare(config, config.materialize(wf, scenario)))
         })
         .collect();
     let strategies: Vec<Strategy> = itypes

@@ -8,17 +8,12 @@
 //! comparison.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{
-    prepare, run_all_strategies, run_matrix, ExperimentConfig, PreparedWorkflow, StrategyResult,
-};
+use crate::run::{paper_matrix, ExperimentConfig, StrategyResult};
 use cws_core::adaptive::{select_strategy, Objective};
-use cws_core::Strategy;
 use cws_dag::metrics::StructureMetrics;
-use cws_workloads::{paper_workflows, Scenario};
-use serde::{Deserialize, Serialize};
 
 /// One row of the computed Table V.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Row {
     /// Workflow name.
     pub workflow: String,
@@ -50,14 +45,6 @@ fn best_by(
         .iter()
         .max_by(|a, b| key(a).total_cmp(&key(b)))
         .expect("at least one strategy")
-}
-
-/// Compute one row for a workflow under Pareto runtimes.
-#[must_use]
-pub fn table5_row(config: &ExperimentConfig, wf: &cws_dag::Workflow) -> Table5Row {
-    let m = config.materialize(wf, Scenario::Pareto { seed: config.seed });
-    let results = run_all_strategies(config, &m);
-    row_from_results(&m, &results)
 }
 
 fn row_from_results(m: &cws_dag::Workflow, results: &[StrategyResult]) -> Table5Row {
@@ -108,15 +95,7 @@ pub fn table5(config: &ExperimentConfig) -> Vec<Table5Row> {
 /// workers. Output is identical for any thread count.
 #[must_use]
 pub fn table5_threaded(config: &ExperimentConfig, threads: usize) -> Vec<Table5Row> {
-    let scenario = Scenario::Pareto { seed: config.seed };
-    let prepared: Vec<PreparedWorkflow> = paper_workflows()
-        .iter()
-        .map(|wf| prepare(config, wf, scenario))
-        .collect();
-    let matrix = run_matrix(config, &prepared, &Strategy::paper_set(), threads);
-    prepared
-        .iter()
-        .zip(matrix)
+    paper_matrix(config, threads)
         .map(|(row, results)| row_from_results(&row.wf, &results))
         .collect()
 }

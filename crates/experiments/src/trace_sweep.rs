@@ -7,20 +7,17 @@
 //! task runtimes, so no [`Scenario`](cws_workloads::Scenario)
 //! materialization is applied and no seed is involved. The sweep is
 //! the same deterministic (workflow × strategy) matrix the figures
-//! use — shared [`KernelTables`], cells fanned out by
-//! [`par_map`](cws_core::par_map) — so reports are byte-identical for
-//! any `--threads` count.
+//! use — [`prepare`] with shared [`KernelTables`](cws_core::KernelTables),
+//! cells fanned out by [`run_matrix`] — so reports are byte-identical
+//! for any `--threads` count.
 
 use crate::report::{fmt_f, Table};
-use crate::run::{
-    baseline_metrics_with, run_matrix, ExperimentConfig, PreparedWorkflow, StrategyResult,
-};
-use cws_core::{KernelTables, Strategy};
+use crate::run::{prepare, run_matrix, ExperimentConfig, StrategyResult};
+use cws_core::Strategy;
 use cws_dag::Workflow;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of one 19-pairing sweep over one as-given workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceSweep {
     /// Workflow name from the interchange document.
     pub workflow: String,
@@ -36,25 +33,11 @@ pub struct TraceSweep {
     pub results: Vec<StrategyResult>,
 }
 
-/// Wrap an as-given workflow for the shared matrix runner: kernel
-/// tables and the `OneVMperTask-s` baseline are computed once, exactly
-/// like [`crate::run::prepare`] minus the scenario materialization.
-#[must_use]
-pub fn prepare_as_given(config: &ExperimentConfig, wf: &Workflow) -> PreparedWorkflow {
-    let tables = KernelTables::build(wf, &config.platform);
-    let baseline = baseline_metrics_with(config, wf, Some(&tables));
-    PreparedWorkflow {
-        wf: wf.clone(),
-        baseline,
-        tables,
-    }
-}
-
 /// Run the full 19-pairing sweep on one as-given workflow, fanning
 /// cells over `threads` workers. Identical output for any thread count.
 #[must_use]
 pub fn trace_sweep(config: &ExperimentConfig, wf: &Workflow, threads: usize) -> TraceSweep {
-    let prepared = vec![prepare_as_given(config, wf)];
+    let prepared = [prepare(config, wf.clone())];
     let mut matrix = run_matrix(config, &prepared, &Strategy::paper_set(), threads);
     TraceSweep {
         workflow: wf.name().to_string(),

@@ -1,0 +1,85 @@
+//! `cws-exp` end to end: `all` must write exactly the data files
+//! committed under `results/`, byte for byte (the `*.manifest.json`
+//! siblings aside: they carry timestamps), and every driver that
+//! measures a plan must record a `--threads 1` trace that
+//! `trace-report --check` reconciles against the run's `run.*` gauges.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn cws_exp(args: &[&str]) -> Output {
+    let out = Command::new(env!("CARGO_BIN_EXE_cws-exp"))
+        .args(args)
+        .output()
+        .expect("run cws-exp");
+    assert!(
+        out.status.success(),
+        "cws-exp {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+/// An empty scratch directory under the cargo target tree.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch directory");
+    dir
+}
+
+/// Every file in `dir` except the manifests, by name, with its bytes.
+fn data_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("list directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .map(|path| {
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), std::fs::read(&path).expect("read file"))
+        })
+        .filter(|(name, _)| !name.ends_with(".manifest.json"))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn all_writes_exactly_the_committed_results() {
+    let out = scratch("cli_golden_all");
+    let out_arg = out.to_str().expect("UTF-8 scratch path");
+    cws_exp(&["all", "--out", out_arg, "--format", "csv", "--threads", "2"]);
+    let committed = data_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
+    let written = data_files(&out);
+    let names: Vec<_> = written.iter().map(|f| &f.0).collect();
+    let want: Vec<_> = committed.iter().map(|f| &f.0).collect();
+    assert_eq!(names, want, "file set differs from results/");
+    let differing: Vec<_> = written
+        .iter()
+        .zip(&committed)
+        .filter(|(a, b)| a != b)
+        .map(|(f, _)| &f.0)
+        .collect();
+    assert!(
+        differing.is_empty(),
+        "not byte-identical to results/: {differing:?}"
+    );
+}
+
+/// The six drivers left out do not reconcile yet (ROADMAP,
+/// observability item): `fleet`, `frontier` and `gantt` measure no
+/// plan, `robustness` replays jittered runtimes, `failures` boots
+/// recovery VMs the plan never leased and `service` restarts pool VM
+/// ids in every campaign cell.
+#[test]
+fn every_plan_measuring_driver_reconciles_its_trace() {
+    let dir = scratch("cli_golden_traces");
+    let drivers = "fig4 fig5 table3 table4 table5 grid summary spot \
+                   ablation sensitivity boundaries corent data energy";
+    for driver in drivers.split_whitespace() {
+        let trace = dir.join(format!("{driver}.jsonl"));
+        let trace = trace.to_str().expect("UTF-8 scratch path");
+        let flags = ["--threads", "1", "--metrics", "--manifest", "--trace"];
+        cws_exp(&[&[driver][..], &flags, &[trace]].concat());
+        cws_exp(&["trace-report", trace, "--check"]);
+    }
+}

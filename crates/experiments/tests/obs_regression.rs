@@ -169,7 +169,7 @@ fn matrix_metric_totals_are_identical_across_thread_counts() {
     let scenario = Scenario::Pareto { seed: cfg.seed };
     let prepared: Vec<_> = paper_workflows()
         .iter()
-        .map(|wf| prepare(&cfg, wf, scenario))
+        .map(|wf| prepare(&cfg, cfg.materialize(wf, scenario)))
         .collect();
     let strategies = Strategy::paper_set();
     let registry = obs::MetricsRegistry::global();
@@ -218,7 +218,7 @@ fn table_reuse_hits_equal_schedules_minus_distinct_keys() {
     let scenario = Scenario::Pareto { seed: cfg.seed };
     let prepared: Vec<_> = paper_workflows()
         .iter()
-        .map(|wf| prepare(&cfg, wf, scenario))
+        .map(|wf| prepare(&cfg, cfg.materialize(wf, scenario)))
         .collect();
     let _ = run_matrix(&cfg, &prepared, &Strategy::paper_set(), 1);
     obs::set_metrics_enabled(false);
@@ -484,7 +484,7 @@ fn trace_report_round_trips_schedule_metrics_exactly() {
             validate_with_sim: false,
             ..ExperimentConfig::default()
         };
-        let prepared = vec![prepare(&cfg, &montage_24(), scenario)];
+        let prepared = [prepare(&cfg, cfg.materialize(&montage_24(), scenario))];
         let one = run_matrix(&cfg, &prepared, &strategies, 1);
         let eight = run_matrix(&cfg, &prepared, &strategies, 8);
         assert_eq!(format!("{one:?}"), format!("{eight:?}"), "seed {seed}");

@@ -23,7 +23,7 @@ fn run_matrix_is_identical_across_thread_counts() {
     let scenario = Scenario::Pareto { seed: cfg.seed };
     let prepared: Vec<_> = paper_workflows()
         .iter()
-        .map(|wf| prepare(&cfg, wf, scenario))
+        .map(|wf| prepare(&cfg, cfg.materialize(wf, scenario)))
         .collect();
     let strategies = cws_core::Strategy::paper_set();
     let one = run_matrix(&cfg, &prepared, &strategies, 1);

@@ -5,8 +5,6 @@
 //! provisioning decisions hinge on the *remaining* time of the BTU a VM is
 //! currently inside.
 
-use serde::{Deserialize, Serialize};
-
 /// One Billing Time Unit in seconds (Sect. IV-A: `one BTU = 3,600 s`).
 pub const BTU_SECONDS: f64 = 3600.0;
 
@@ -84,7 +82,7 @@ pub fn fits_in_current_btu(elapsed: f64, duration: f64) -> bool {
 /// * cost = `btus × price_per_btu`
 /// * idle = `billed seconds − busy seconds` (the dark "I" rectangles of
 ///   the paper's Fig. 1: paid-for but unused BTU tails)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BtuMeter {
     /// Rental start time (seconds since schedule origin).
     pub start: f64,

@@ -8,12 +8,11 @@
 //! of Fig. 5 can be restated in joules.
 
 use crate::instance::InstanceType;
-use serde::{Deserialize, Serialize};
 
 /// Per-core power model. Defaults follow the typical 2012 server
 /// figures Le et al. use: ~100 W per busy core, with idle cores drawing
 /// about half of that (servers are notoriously non-energy-proportional).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Power draw of one busy core, watts.
     pub busy_watts_per_core: f64,

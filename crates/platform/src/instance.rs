@@ -1,14 +1,12 @@
 //! On-demand instance types and their performance model.
 
-use serde::{Deserialize, Serialize};
-
 /// The four EC2 on-demand instance types considered in the paper.
 ///
 /// The paper assigns each type a number of cores (1, 2, 4, 8) and a
 /// *speed-up* over the one-core reference machine of 1, 1.6, 2.1 and 2.7 —
 /// figures reported for the statistical package Stata/MP. A task whose
 /// reference runtime is `t` seconds executes in `t / speedup` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstanceType {
     /// 1 core, speed-up 1.0, 1 Gb/s link. The reference machine
     /// (roughly a 1.0–1.2 GHz 2007 Opteron per CPU unit).

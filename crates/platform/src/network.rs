@@ -9,10 +9,9 @@
 
 use crate::instance::InstanceType;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 
 /// Description of a single data movement between two VMs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferSpec {
     /// Payload size in megabytes.
     pub size_mb: f64,
@@ -27,7 +26,7 @@ pub struct TransferSpec {
 }
 
 /// Network model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way latency between two VMs in the same region, seconds.
     pub intra_region_latency_s: f64,

@@ -4,13 +4,12 @@ use crate::instance::InstanceType;
 use crate::network::{NetworkModel, TransferSpec};
 use crate::pricing::PriceCatalog;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 
 /// A complete cloud platform model, bundling the price catalog, the
 /// network model and the default region used when the caller does not care
 /// about placement (the paper's CPU-intensive experiments are effectively
 /// single-region).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// On-demand and transfer prices (Table II).
     pub prices: PriceCatalog,

@@ -2,13 +2,12 @@
 
 use crate::instance::InstanceType;
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 
 /// Monthly outbound-transfer volume bracket in which per-GB transfer
 /// pricing applies. The paper: "Communication costs are per GB and were
 /// considered only when moving data outside a region. They are applied if
 /// the transfer size is between (1GB, 10TB] per month."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferBracket {
     /// Exclusive lower bound in gigabytes (1 GB).
     pub min_gb_exclusive: f64,
@@ -37,7 +36,7 @@ impl TransferBracket {
 ///
 /// Prices are US dollars per BTU (hour) for on-demand instances, plus the
 /// per-GB price for data transferred out of the region.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PriceCatalog {
     /// The bracket within which outbound transfer volume is billed.
     pub transfer_bracket: TransferBracket,

@@ -1,9 +1,7 @@
 //! The seven Amazon EC2 regions of the paper's Table II.
 
-use serde::{Deserialize, Serialize};
-
 /// An Amazon EC2 region as of October 2012.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Region {
     /// US East (Northern Virginia).
     UsEastVirginia,

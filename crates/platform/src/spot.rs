@@ -11,10 +11,9 @@ use crate::billing::btus_for_span;
 use crate::instance::InstanceType;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A spot market: a flat discount and a per-hour interruption hazard.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotMarket {
     /// Price as a fraction of the on-demand price (e.g. 0.3 = 70% off —
     /// typical EC2 spot discounts).

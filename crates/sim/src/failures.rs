@@ -18,10 +18,9 @@ use crate::report::SimReport;
 use cws_core::{Schedule, VmId};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
-use serde::{Deserialize, Serialize};
 
 /// One VM crash.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmFailure {
     /// The failing VM.
     pub vm: VmId,
@@ -31,7 +30,7 @@ pub struct VmFailure {
 }
 
 /// What survives a set of crashes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureImpact {
     /// Per task: did it complete?
     pub completed: Vec<bool>,
@@ -124,7 +123,7 @@ pub fn failure_impact_from(
 /// Cost and makespan of greedily recovering from `impact`: every lost
 /// task reruns on a fresh VM of `itype`, starting no earlier than
 /// `restart_at` and its (possibly recovered) predecessors' finishes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recovery {
     /// Makespan including the recovery tail.
     pub recovered_makespan: f64,

@@ -15,10 +15,9 @@ use cws_dag::Workflow;
 use cws_platform::Platform;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative uniform jitter model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// Relative half-width of the factor interval; 0.2 means each task
     /// runs anywhere between 80% and 120% of its estimate.
@@ -58,7 +57,7 @@ impl JitterModel {
 }
 
 /// Aggregate robustness result over many jittered replays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessReport {
     /// Planned (jitter-free) makespan.
     pub planned_makespan: f64,

@@ -2,10 +2,9 @@
 
 use cws_core::{Schedule, VmId};
 use cws_dag::TaskId;
-use serde::{Deserialize, Serialize};
 
 /// One entry of the simulation trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimEvent {
     /// A VM finished booting and is ready to execute.
     VmReady {
@@ -57,7 +56,7 @@ impl SimEvent {
 }
 
 /// Observed task execution interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedTask {
     /// Start time.
     pub start: f64,
@@ -68,7 +67,7 @@ pub struct ObservedTask {
 }
 
 /// The result of replaying a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Observed interval per task, indexed by [`TaskId::index`].
     pub tasks: Vec<ObservedTask>,

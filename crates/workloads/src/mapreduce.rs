@@ -7,10 +7,9 @@
 //! collects the reducers.
 
 use cws_dag::{TaskId, Workflow, WorkflowBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Shape parameters of a MapReduce instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapReduceShape {
     /// Mappers in the first map phase (the second phase has the same
     /// width, one successor per first-phase mapper).

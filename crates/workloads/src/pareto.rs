@@ -6,7 +6,6 @@
 //! Fig. 3 is the CDF of the runtime distribution.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A (type-I) Pareto distribution with CDF `F(x) = 1 − (scale/x)^shape`
 /// for `x ≥ scale`.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(x >= 500.0, "samples never fall below the scale");
 /// assert_eq!(Pareto::RUNTIMES.mean(), 1000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     /// Shape parameter α (> 0). Smaller values give heavier tails.
     pub shape: f64,

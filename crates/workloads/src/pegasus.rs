@@ -18,10 +18,9 @@
 //!   second filtering pass.
 
 use cws_dag::{Workflow, WorkflowBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Shape of an Epigenomics instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpigenomicsShape {
     /// Independent sequencing lanes.
     pub lanes: usize,
@@ -76,7 +75,7 @@ pub fn epigenomics(shape: EpigenomicsShape) -> Workflow {
 }
 
 /// Shape of a CyberShake instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CyberShakeShape {
     /// Seismogram synthesis tasks (split evenly over the two SGT
     /// extractions).
@@ -111,7 +110,7 @@ pub fn cybershake(shape: CyberShakeShape) -> Workflow {
 }
 
 /// Shape of a LIGO Inspiral instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LigoShape {
     /// Coincidence groups.
     pub groups: usize,

@@ -9,10 +9,9 @@
 use cws_dag::{TaskId, Workflow, WorkflowBuilder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a random layered DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayeredShape {
     /// Number of levels.
     pub levels: usize,
@@ -89,7 +88,7 @@ pub fn layered_dag(shape: LayeredShape) -> Workflow {
 
 /// Parameters of a fork-join DAG: `stages` sequential fork-join blocks,
 /// each forking into `fanout` parallel tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForkJoinShape {
     /// Number of fork-join blocks chained one after another.
     pub stages: usize,

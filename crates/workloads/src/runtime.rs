@@ -16,7 +16,6 @@ use cws_dag::Workflow;
 use cws_platform::BTU_SECONDS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's three execution-time scenarios.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// // best case: all tasks equal and summing to exactly one BTU
 /// assert_eq!(wf.task(cws_dag::TaskId(0)).base_time, 360.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scenario {
     /// Heterogeneous runtimes: Pareto(α=2, scale=500) seconds, seeded.
     Pareto {
@@ -105,7 +104,7 @@ impl std::fmt::Display for Scenario {
 }
 
 /// How edge payloads (task data sizes) are assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DataSizeModel {
     /// No payloads: the CPU-intensive setting of the paper's evaluation.
     CpuIntensive,
