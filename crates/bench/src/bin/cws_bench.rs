@@ -1,7 +1,8 @@
 //! `cws-bench` — fixed-workload perf baseline for the scheduling kernel.
 //!
 //! Runs the four paper workflows (Montage, CSTEM, MapReduce, Sequential)
-//! plus 1000-task and 10000-task random layered DAGs through all 19
+//! plus 1000-task and 10000-task random layered DAGs and the
+//! 10 103-task pipeline-shaped `epigenomics-50x50` through all 19
 //! paper pairings, first on the fast kernel (shared exec/transfer
 //! tables, pooled probe scratch, batched probes + per-VM gap index, see
 //! `cws_core::state`) and then on the naive reference kernel
@@ -43,7 +44,7 @@ use cws_core::{KernelTables, Strategy};
 use cws_dag::Workflow;
 use cws_platform::Platform;
 use cws_workloads::random::{layered_dag, LayeredShape};
-use cws_workloads::{paper_workflows, DataSizeModel, Scenario};
+use cws_workloads::{epigenomics, paper_workflows, DataSizeModel, EpigenomicsShape, Scenario};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -251,7 +252,7 @@ fn main() {
     let strategies = Strategy::paper_set();
     let scenario = Scenario::Pareto { seed: 42 };
 
-    // (workflow, reps): the 10k-task DAG always runs at 1 rep — its
+    // (workflow, reps): the 10k-task DAGs always run at 1 rep — each
     // naive sweep alone is tens of seconds, and one rep is plenty of
     // signal at that size — so full-mode runtime stays bounded. The
     // paper workflows sit at the other extreme: a 19-pairing sweep over
@@ -286,13 +287,22 @@ fn main() {
         })),
         1,
     ));
+    // Pipeline-shaped: each stage's one parent host is where AllPar's
+    // VM choice usually lands, unlike the layered DAGs' many-host joins.
+    workloads.push((
+        scenario.apply(&epigenomics(EpigenomicsShape {
+            lanes: 50,
+            chunks_per_lane: 50,
+        })),
+        1,
+    ));
 
     let mut reports = Vec::new();
     for (wf, wf_reps) in &workloads {
-        // All but the 10k-task DAG take the min over three interleaved
+        // All but the 10k-task DAGs take the min over three interleaved
         // sweep pairs: their windows are short enough that one
         // scheduler hiccup on either side can fake a ±10% swing, and
-        // the minimum is the standard least-interference estimate. The
+        // the minimum is the standard least-interference estimate. A
         // 10k-task naive sweep times tens of seconds, where a single
         // pair is stable (and three would triple the run).
         let attempts = if wf.len() < 5000 { 3 } else { 1 };

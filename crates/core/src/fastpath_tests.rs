@@ -12,17 +12,22 @@
 //! meter and placement).
 
 use crate::alloc::{heft_insertion, heft_pool, list_schedule, ListRule, PoolSpec};
+use crate::pooled::{pooled_static, WarmVm};
 use crate::schedule::Schedule;
 use crate::state::{naive, KernelTables, ScheduleBuilder};
-use crate::strategy::Strategy;
+use crate::strategy::{StaticAlloc, Strategy};
+use crate::vm::Vm;
 use cws_dag::Workflow;
-use cws_platform::{InstanceType, Platform};
+use cws_platform::{InstanceType, Platform, Region};
 // This module is compiled only behind `#[cfg(test)]` in lib.rs, so the
 // cws-workloads edge is a dev-dependency, not an architecture layer —
 // the per-file scanner cannot see the gate in lib.rs.
 // cws-lint: allow(layering-contract)
 use cws_workloads::random::{fork_join, layered_dag, ForkJoinShape, LayeredShape};
-use cws_workloads::Scenario;
+use cws_workloads::{
+    cybershake, epigenomics, montage, CyberShakeShape, DataSizeModel, EpigenomicsShape,
+    MontageShape, Scenario,
+};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
@@ -81,6 +86,34 @@ fn arb_fork_join() -> impl proptest::strategy::Strategy<Value = Workflow> {
     })
 }
 
+/// Small instances of the WfCommons shapes: Epigenomics pipelines, where
+/// each stage's one parent host wins outright, CyberShake's two
+/// broadcast roots, and Montage's joins over many hosts.
+fn pegasus(family: usize, a: usize, b: usize, seed: u64) -> Workflow {
+    let wf = match family {
+        0 => epigenomics(EpigenomicsShape {
+            lanes: a,
+            chunks_per_lane: b,
+        }),
+        1 => cybershake(CyberShakeShape {
+            synthesis: 2 * a + b,
+        }),
+        _ => {
+            let projections = a + 2;
+            montage(MontageShape {
+                projections,
+                overlaps: b.min(projections * (projections - 1) / 2),
+            })
+        }
+    };
+    Scenario::Pareto { seed }.apply(&wf)
+}
+
+fn arb_pegasus() -> impl proptest::strategy::Strategy<Value = Workflow> {
+    (0usize..3, 1usize..4, 1usize..7, 0u64..1000)
+        .prop_map(|(family, a, b, seed)| pegasus(family, a, b, seed))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -100,6 +133,72 @@ proptest! {
         let p = Platform::ec2_paper();
         for strategy in Strategy::paper_set() {
             assert_kernels_agree(&wf, &p, &strategy.label(), || strategy.schedule(&wf, &p));
+        }
+    }
+
+    /// All 19 paper pairings on the WfCommons shapes, with per-schedule
+    /// and shared tables, at the paper's zero boot and at a 120 s boot.
+    #[test]
+    fn paper_set_is_bit_identical_on_pegasus_shapes(wf in arb_pegasus()) {
+        for p in [Platform::ec2_paper(), Platform::ec2_paper().with_boot_time(120.0)] {
+            let tables = KernelTables::build(&wf, &p);
+            for strategy in Strategy::paper_set() {
+                assert_kernels_agree(&wf, &p, &strategy.label(), || strategy.schedule(&wf, &p));
+                assert_kernels_agree(&wf, &p, &strategy.label(), || {
+                    strategy.schedule_with(&wf, &p, Some(&tables))
+                });
+            }
+        }
+    }
+
+    /// [`ScheduleBuilder::earliest_start_vm_where`] picks what the naive
+    /// scan picks on mixed fleets — every type, three regions, VMs kept
+    /// busy past their predecessors' finish — under three filters, at
+    /// every step of a growing schedule. On the platform whose regions
+    /// are closer to each other than VMs within one region are, a
+    /// host's own key is not the one with the lowest bound; without
+    /// payloads, a host's start can then tie another region's bound.
+    #[test]
+    fn earliest_start_vm_where_is_bit_identical_on_mixed_fleets(
+        wf in arb_pegasus(),
+        seed in 0u64..1000,
+    ) {
+        let payload_free = DataSizeModel::CpuIntensive.apply(&wf);
+        for (wf, close_regions) in [(&wf, false), (&wf, true), (&payload_free, true)] {
+            let mut p = Platform::ec2_paper();
+            if close_regions {
+                p.network.intra_region_latency_s = 600.0;
+                p.network.inter_region_latency_s = 0.0;
+            }
+            let mut fast = ScheduleBuilder::new(wf, &p);
+            let mut reference = with_reference_kernel(|| ScheduleBuilder::new(wf, &p));
+            for (n, &task) in wf.topological_order().iter().enumerate() {
+                let draw = (seed + n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                let itype = InstanceType::ALL[draw as usize % InstanceType::ALL.len()];
+                let all = |_: &Vm| true;
+                let of_type = |v: &Vm| v.itype == itype;
+                let sparse = |v: &Vm| !(u64::from(v.id.0) + draw).is_multiple_of(3);
+                let filters: [&dyn Fn(&Vm) -> bool; 3] = [&all, &of_type, &sparse];
+                for keep in filters {
+                    prop_assert_eq!(
+                        fast.earliest_start_vm_where(task, keep),
+                        reference.earliest_start_vm_where(task, keep),
+                        "task {:?} of {}", task, wf.name()
+                    );
+                }
+                match fast.earliest_start_vm_where(task, all) {
+                    Some(vm) if !draw.is_multiple_of(3) => {
+                        fast.place_on(task, vm);
+                        reference.place_on(task, vm);
+                    }
+                    _ => {
+                        let region = Region::ALL[(draw / 4) as usize % 3];
+                        fast.place_on_new_in(task, itype, region);
+                        reference.place_on_new_in(task, itype, region);
+                    }
+                }
+            }
+            prop_assert!(fast.build("mixed") == reference.build("mixed"));
         }
     }
 
@@ -208,4 +307,66 @@ fn paper_set_with_shared_tables_at_pinned_seeds() {
         }
         assert_eq!(tables.uses(), 19, "seed {seed}");
     }
+}
+
+/// The AllPar pairings of [`pooled_static`] over a warm pool whose slots
+/// sit in two regions, so the rented fleet spans more than one
+/// (region, type) key and the host-first bound must clear each of them.
+/// Besides the paper's network, an hour of latency between regions lets
+/// a host in the pool's region start later than a free VM beside it and
+/// still beat every VM of the default region, and regions closer to each
+/// other than VMs within one let the other region's bound undercut a
+/// host's own.
+#[test]
+fn pooled_allpar_over_a_two_region_pool_is_bit_identical() {
+    let networks: [fn(&mut Platform); 3] = [
+        |_| {},
+        |p| p.network.inter_region_latency_s = 3600.0,
+        |p| {
+            p.network.intra_region_latency_s = 600.0;
+            p.network.inter_region_latency_s = 0.0;
+        },
+    ];
+    let mut two_region_schedules = 0;
+    for seed in 0..6u64 {
+        for family in 0..3 {
+            let wf = pegasus(family, 2, 3, seed);
+            for (boot, (net, set_network)) in [0.0, 120.0]
+                .into_iter()
+                .flat_map(|boot| networks.into_iter().enumerate().map(move |n| (boot, n)))
+            {
+                let mut p = Platform::ec2_paper().with_boot_time(boot);
+                set_network(&mut p);
+                let regions = [p.default_region, Region::EuDublin];
+                let itype = InstanceType::ALL[seed as usize % InstanceType::ALL.len()];
+                let warm: Vec<WarmVm> = (0..12)
+                    .map(|i| WarmVm {
+                        itype,
+                        region: regions[i % 2],
+                        available_rel: 40.0 * (i / 2) as f64,
+                        btu_elapsed: 900.0 * (i % 3) as f64,
+                    })
+                    .collect();
+                for alloc in [StaticAlloc::AllParExceed, StaticAlloc::AllParNotExceed] {
+                    let run = || pooled_static(&wf, &p, alloc, itype, &warm);
+                    let fast = run();
+                    let reference = with_reference_kernel(run);
+                    assert!(
+                        fast == reference,
+                        "{alloc:?} on {} at boot {boot}, network {net}: fast kernel \
+                         diverged from the naive reference",
+                        wf.name()
+                    );
+                    let in_region = |r: Region| fast.schedule.vms.iter().any(|v| v.region == r);
+                    if in_region(regions[0]) && in_region(regions[1]) {
+                        two_region_schedules += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        two_region_schedules > 0,
+        "no pooled schedule spanned both regions"
+    );
 }

@@ -53,6 +53,27 @@
 //! skip exec-table setup entirely (`ExecSource::Direct`), which is
 //! what keeps the fast path ≥ 1× on the paper's 20-task workloads.
 //!
+//! # Kernel round 3
+//!
+//! [`ScheduleBuilder::earliest_start_vm_where`], the VM picker of the
+//! AllPar and AllPar1LnS policies, no longer always computes a start for
+//! every kept VM. A VM of (region, type) key k reads `top_k`, the
+//! largest transfer-adjusted arrival into k, as its cross-host arrival —
+//! unless it is the host contributing it (`KeyReady::top_vm`), which
+//! reads the runner-up. So every VM of key k but that top starts at or
+//! after `max(top_k, 0)`, and since `top_vm` is always a predecessor
+//! host, the only VMs that can start below their own key's bound are
+//! kept hosts that top their own key. The picker folds those in first.
+//! When the best of them starts strictly below `max(top_k, 0)` for every
+//! key k with a rented VM (`key_rented`), no other VM can tie or win, and
+//! it is the answer. Otherwise the original fused scan runs over every
+//! kept VM under the same (start, busy desc, id) order — a total order,
+//! since ids are unique, so folding the tops first cannot change the
+//! winner. A pipeline stage whose single parent VM is free when the
+//! parent ends thus costs O(preds + keys) instead of O(preds + V); joins
+//! whose hosts tie at `top_k`, and tasks whose host is already taken in
+//! the level, still pay the O(V) scan.
+//!
 //! The fast path performs the *same floating-point operations* as the
 //! naive code: `f64::max` is exact, so regrouping the ready-time
 //! max-reduction per host VM is bit-identical, and the cached transfer
@@ -412,6 +433,9 @@ pub struct ScheduleBuilder<'a> {
     /// Struct-of-arrays mirror of `vms`: each VM's `(region, itype)`
     /// candidate key as a [`key_idx`] code, for the batched probe pass.
     vm_key: Vec<u16>,
+    /// `key_rented[k]`: some VM of [`key_idx`] code `k` has been rented
+    /// — the keys whose bound [`Self::earliest_start_vm_where`] checks.
+    key_rented: [bool; N_KEYS],
     /// Per-VM idle-window index, in lock-step with `vms`.
     gaps: Vec<VmGaps>,
     /// Pooled probe workspace (see [`ProbeScratch`]).
@@ -556,6 +580,7 @@ impl<'a> ScheduleBuilder<'a> {
             bw,
             vm_avail: Vec::new(),
             vm_key: Vec::new(),
+            key_rented: [false; N_KEYS],
             gaps: Vec::new(),
             scratch: ScratchCell::new(),
             busiest: None,
@@ -860,13 +885,19 @@ impl<'a> ScheduleBuilder<'a> {
         vm.push_task(task, start, finish);
         self.vms.push(vm);
         self.vm_avail.push(self.vms[id.index()].available_at());
-        self.vm_key.push(key_idx(region, itype) as u16);
+        let ki = key_idx(region, itype);
+        self.vm_key.push(ki as u16);
+        self.key_rented[ki] = true;
         self.origins.push(None);
         // At boot 0 the gap index opens at 0 (the paper's pre-provisioned
         // fleet: insertion strategies may fill any pre-start idle). With a
         // non-zero boot there is no usable time before the first task —
         // the machine is still booting — so the index opens at `start`.
-        let open = if self.platform.boot_time_s == 0.0 { 0.0 } else { start };
+        let open = if self.platform.boot_time_s == 0.0 {
+            0.0
+        } else {
+            start
+        };
         let mut gaps = VmGaps::new(open);
         gaps.note_append(start, finish);
         self.gaps.push(gaps);
@@ -955,14 +986,20 @@ impl<'a> ScheduleBuilder<'a> {
         vm.push_task(task, start, finish);
         self.vms.push(vm);
         self.vm_avail.push(self.vms[id.index()].available_at());
-        self.vm_key.push(key_idx(region, itype) as u16);
+        let ki = key_idx(region, itype);
+        self.vm_key.push(ki as u16);
+        self.key_rented[ki] = true;
         self.origins.push(Some(slot));
         // A claimed slot is already booted, so its first task may start
         // before a fresh rental could. As with fresh rentals, no usable
         // idle exists before the first task, so the gap index opens
         // where the task starts (at 0 under the paper's zero-boot
         // setting, matching the naive scan's cursor).
-        let open = if self.platform.boot_time_s == 0.0 { 0.0 } else { start };
+        let open = if self.platform.boot_time_s == 0.0 {
+            0.0
+        } else {
+            start
+        };
         let mut gaps = VmGaps::new(open);
         gaps.note_append(start, finish);
         self.gaps.push(gaps);
@@ -1148,16 +1185,56 @@ impl<'a> ScheduleBuilder<'a> {
         if self.kernel_naive {
             return naive::earliest_start_vm_where(self, task, keep);
         }
-        // One probe, then a single fused pass: each kept VM's start time
-        // is computed inline (the same per-key lazy ready reduction
-        // `probe_all` performs, producing the same bits) and folded into
-        // the running min immediately — no intermediate `starts` lane,
-        // no second scan. The comparator is the sequential `min_by`'s —
-        // earliest start, then largest busy time, then smallest id; ids
-        // are unique so the order is total and first-vs-last min never
-        // matters.
+        // The comparator is the sequential `min_by`'s — earliest start,
+        // then largest busy time, then smallest id. Ids are unique, so the
+        // order is total and folding a VM twice, or in any order, never
+        // changes the answer.
+        let fold = |best: Option<(VmId, f64, f64)>, v: &Vm, start: f64| {
+            let busy = v.busy_seconds();
+            match best {
+                Some((bid, bs, bb))
+                    if start
+                        .total_cmp(&bs)
+                        .then(bb.total_cmp(&busy))
+                        .then(v.id.0.cmp(&bid.0))
+                        != std::cmp::Ordering::Less =>
+                {
+                    Some((bid, bs, bb))
+                }
+                _ => Some((v.id, start, busy)),
+            }
+        };
         let mut probe = self.probe(task);
-        let mut best: Option<(VmId, f64, f64)> = None;
+        // Only a kept host that tops its own key can start below the key
+        // bounds `max(top_k, 0)` (module doc, round 3). One that misses
+        // its own key's bound cannot win outright, so it is left to the
+        // scan rather than costing the other keys' builds below.
+        let mut best = None;
+        for h in 0..probe.scratch.hosts.len() {
+            let v = &self.vms[probe.scratch.hosts[h].vm.index()];
+            if !keep(v) {
+                continue;
+            }
+            let key = probe.key_ready_idx(self.vm_key[v.id.index()] as usize);
+            if key.top_vm == v.id {
+                let start = probe.start_on(v.id);
+                if start < key.top.max(0.0) {
+                    best = fold(best, v, start);
+                }
+            }
+        }
+        // Strictly below every rented key's bound: no other VM ties or wins.
+        let host_wins = best.is_some_and(|(_, start, _)| {
+            (0..N_KEYS)
+                .filter(|&ki| self.key_rented[ki])
+                .all(|ki| start < probe.key_ready_idx(ki).top.max(0.0))
+        });
+        if host_wins {
+            return best.map(|(id, _, _)| id);
+        }
+        // One fused pass: each kept VM's start time is computed inline
+        // (the same per-key lazy ready reduction `probe_all` performs,
+        // producing the same bits) and folded into the running min.
         for v in &self.vms {
             if !keep(v) {
                 continue;
@@ -1169,25 +1246,11 @@ impl<'a> ScheduleBuilder<'a> {
             } else {
                 key.top
             };
-            let local = if probe.scratch.local_epoch[i] == probe.scratch.epoch {
-                probe.scratch.local_ready[i]
-            } else {
-                f64::NEG_INFINITY
-            };
-            let start = cross.max(0.0).max(local).max(self.vm_avail[i]);
-            let busy = v.busy_seconds();
-            best = match best {
-                Some((bid, bs, bb))
-                    if start
-                        .total_cmp(&bs)
-                        .then(bb.total_cmp(&busy))
-                        .then(v.id.0.cmp(&bid.0))
-                        != std::cmp::Ordering::Less =>
-                {
-                    Some((bid, bs, bb))
-                }
-                _ => Some((v.id, start, busy)),
-            };
+            let start = cross
+                .max(0.0)
+                .max(probe.local_ready_at(i))
+                .max(self.vm_avail[i]);
+            best = fold(best, v, start);
         }
         best.map(|(id, _, _)| id)
     }

@@ -664,6 +664,18 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_malformed_json_not_an_abort() {
+        // Regression: a megabyte of `[` used to overflow the parser's
+        // stack and abort the process.
+        let err = Workflow::from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.path, "");
+        assert_eq!(
+            err.message,
+            "malformed JSON: nesting deeper than 128 levels at byte 128"
+        );
+    }
+
+    #[test]
     fn duplicate_names_export_with_disambiguators() {
         let mut b = WorkflowBuilder::new("dup");
         let a = b.task("t", 1.0);

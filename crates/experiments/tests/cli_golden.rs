@@ -3,6 +3,8 @@
 //! siblings aside: they carry timestamps), and every driver that
 //! measures a plan must record a `--threads 1` trace that
 //! `trace-report --check` reconciles against the run's `run.*` gauges.
+//! `validate` must reject a hostile document with its documented exit
+//! code instead of dying.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -82,4 +84,23 @@ fn every_plan_measuring_driver_reconciles_its_trace() {
         cws_exp(&[&[driver][..], &flags, &[trace]].concat());
         cws_exp(&["trace-report", trace, "--check"]);
     }
+}
+
+#[test]
+fn validate_rejects_deep_nesting_with_exit_1() {
+    // Regression: a megabyte of `[` used to overflow the JSON parser's
+    // stack, and the process died with "stack overflow" (exit 134).
+    let doc = scratch("deep-nesting").join("deep.json");
+    std::fs::write(&doc, "[".repeat(1_000_000)).expect("write document");
+    let out = Command::new(env!("CARGO_BIN_EXE_cws-exp"))
+        .arg("validate")
+        .arg(&doc)
+        .output()
+        .expect("run cws-exp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("malformed JSON: nesting deeper than 128 levels at byte 128"),
+        "{stderr}"
+    );
 }

@@ -124,15 +124,21 @@ impl Value {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, and a stack overflow aborts the process
+/// where no caller can catch it, so a deeper document is an error.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document.
 ///
 /// # Errors
 /// Returns a human-readable message (with a byte offset) on malformed
-/// input or trailing non-whitespace.
+/// input, trailing non-whitespace, or nesting deeper than
+/// [`MAX_DEPTH`] levels.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(src, bytes, &mut pos)?;
+    let v = parse_value(src, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -155,11 +161,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(src, bytes, pos),
-        Some(b'[') => parse_array(src, bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(src, bytes, pos, depth + 1),
+        Some(b'[') => parse_array(src, bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(src, bytes, pos)?)),
         Some(b't') => parse_keyword(src, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(src, pos, "false", Value::Bool(false)),
@@ -250,7 +262,7 @@ fn parse_string(src: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Stri
     }
 }
 
-fn parse_object(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -263,7 +275,7 @@ fn parse_object(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Strin
         let key = parse_string(src, bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(src, bytes, pos)?;
+        let value = parse_value(src, bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -277,7 +289,7 @@ fn parse_object(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, Strin
     }
 }
 
-fn parse_array(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -286,7 +298,7 @@ fn parse_array(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Value, String
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(src, bytes, pos)?);
+        items.push(parse_value(src, bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -343,6 +355,26 @@ mod tests {
         for s in ["plain", "a\"b\\c", "x\ny", "unicode µ"] {
             assert_eq!(parse(&json_str(s)).unwrap(), Value::Str(s.to_string()));
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 levels at byte 128".to_string())
+        );
+        assert_eq!(
+            parse(&"{\"a\":".repeat(MAX_DEPTH + 1)),
+            Err("nesting deeper than 128 levels at byte 640".to_string())
+        );
+        // Regression: a megabyte of `[` used to overflow the stack and
+        // abort the process.
+        assert_eq!(
+            parse(&"[".repeat(1_000_000)),
+            Err("nesting deeper than 128 levels at byte 128".to_string())
+        );
     }
 
     #[test]

@@ -244,7 +244,10 @@ mod tests {
                 let m = SpotMarket::new(frac, hazard);
                 for &span in &[0.0, 1.0, 3600.0, 1e9] {
                     let c = m.expected_cost(InstanceType::XLarge, 0.08, span);
-                    assert!(c.is_finite() && c >= 0.0, "frac={frac} p={hazard} span={span} -> {c}");
+                    assert!(
+                        c.is_finite() && c >= 0.0,
+                        "frac={frac} p={hazard} span={span} -> {c}"
+                    );
                     let s = m.survival_probability(span / 3600.0);
                     assert!(s.is_finite() && (0.0..=1.0).contains(&s));
                 }

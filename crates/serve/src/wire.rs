@@ -232,4 +232,19 @@ mod tests {
         .expect_err("negative time");
         assert!(err.contains("time"));
     }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_reply() {
+        // Regression: one line of a megabyte of `[` used to overflow the
+        // parser's stack and abort the daemon.
+        assert_eq!(
+            parse_request(&"[".repeat(1_000_000)),
+            Err("nesting deeper than 128 levels at byte 128".to_string())
+        );
+        let deep_workflow = format!(r#"{{"tenant":"a","workflow":{}}}"#, "[".repeat(1_000_000));
+        assert_eq!(
+            parse_request(&deep_workflow),
+            Err("nesting deeper than 128 levels at byte 152".to_string())
+        );
+    }
 }

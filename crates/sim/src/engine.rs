@@ -1,7 +1,7 @@
 //! The discrete-event replay engine.
 
 use crate::queue::EventQueue;
-use crate::report::{ObservedTask, SimEvent, SimReport};
+use crate::report::{ObservedTask, SimReport};
 use cws_core::{Schedule, VmId};
 use cws_dag::{TaskId, Workflow};
 use cws_obs as obs;
@@ -96,7 +96,6 @@ impl<'a> Simulator<'a> {
         let mut vm_busy = vec![false; vm_count];
         let mut vm_booted = vec![false; vm_count];
         let mut observed: Vec<Option<ObservedTask>> = vec![None; n];
-        let mut trace = Vec::new();
         let mut queue: EventQueue<Ev> = EventQueue::new();
         let mut processed = 0usize;
         let mut clock = 0.0f64;
@@ -119,7 +118,6 @@ impl<'a> Simulator<'a> {
             match te.event {
                 Ev::VmReady(vm) => {
                     vm_booted[vm.index()] = true;
-                    trace.push(SimEvent::VmReady { vm, time: te.time });
                     if trace_on {
                         obs::emit(|| obs::TraceEvent::VmBoot {
                             vm: vm.0,
@@ -136,16 +134,10 @@ impl<'a> Simulator<'a> {
                         &mut vm_busy,
                         &vm_booted,
                         &mut observed,
-                        &mut trace,
                         &mut queue,
                     );
                 }
                 Ev::TaskFinish(task, vm) => {
-                    trace.push(SimEvent::TaskFinish {
-                        task,
-                        vm,
-                        time: te.time,
-                    });
                     if trace_on {
                         obs::emit(|| obs::TraceEvent::TaskFinish {
                             task: task.index() as u32,
@@ -195,16 +187,10 @@ impl<'a> Simulator<'a> {
                         &mut vm_busy,
                         &vm_booted,
                         &mut observed,
-                        &mut trace,
                         &mut queue,
                     );
                 }
                 Ev::InputArrive { from, to } => {
-                    trace.push(SimEvent::TransferArrive {
-                        from,
-                        to,
-                        time: te.time,
-                    });
                     missing_inputs[to.index()] -= 1;
                     let vm = self.schedule.placements[to.index()].vm;
                     if trace_on && self.schedule.placements[from.index()].vm != vm {
@@ -224,7 +210,6 @@ impl<'a> Simulator<'a> {
                         &mut vm_busy,
                         &vm_booted,
                         &mut observed,
-                        &mut trace,
                         &mut queue,
                     );
                 }
@@ -264,7 +249,6 @@ impl<'a> Simulator<'a> {
         SimReport {
             tasks,
             makespan,
-            trace,
             events_processed: processed,
         }
     }
@@ -340,7 +324,6 @@ fn try_start(
     vm_busy: &mut [bool],
     vm_booted: &[bool],
     observed: &mut [Option<ObservedTask>],
-    trace: &mut Vec<SimEvent>,
     queue: &mut EventQueue<Ev>,
 ) {
     if vm_busy[vm.index()] || !vm_booted[vm.index()] {
@@ -360,11 +343,6 @@ fn try_start(
         start: now,
         finish: now + duration,
         vm,
-    });
-    trace.push(SimEvent::TaskStart {
-        task: head,
-        vm,
-        time: now,
     });
     obs::emit(|| obs::TraceEvent::TaskStart {
         task: head.index() as u32,
@@ -408,29 +386,6 @@ mod tests {
                 .verify_against(&sched, 1e-6)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.label()));
         }
-    }
-
-    #[test]
-    fn trace_is_chronological_and_complete() {
-        let wf = diamond();
-        let p = Platform::ec2_paper();
-        let sched = Strategy::BASELINE.schedule(&wf, &p);
-        let report = simulate(&wf, &p, &sched);
-        for w in report.trace.windows(2) {
-            assert!(w[0].time() <= w[1].time() + 1e-12);
-        }
-        let starts = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e, SimEvent::TaskStart { .. }))
-            .count();
-        let finishes = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e, SimEvent::TaskFinish { .. }))
-            .count();
-        assert_eq!(starts, wf.len());
-        assert_eq!(finishes, wf.len());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! crate rebuilds that component as a proper discrete-event engine: a
 //! schedule (task → VM plan) is *replayed* — VMs boot, tasks wait for
 //! their input transfers, execute serially per VM, and completion events
-//! release successors. The simulator reports observed task times, VM
-//! busy/idle windows and an event trace.
+//! release successors. The simulator reports observed task times and VM
+//! busy/idle windows; with a cws-obs trace sink installed it also emits
+//! the replay's boot, task, transfer and billing events.
 //!
 //! Because the analytic [`ScheduleBuilder`](cws_core::ScheduleBuilder)
 //! and this engine implement the same platform model, a valid schedule
@@ -27,10 +28,10 @@ pub use engine::{simulate, Simulator};
 pub use failures::{
     failure_impact, failure_impact_from, recover, recover_from, FailureImpact, Recovery, VmFailure,
 };
-pub use spot::{replay_spot, SpotReplay};
 pub use jitter::{robustness, JitterModel, RobustnessReport};
 pub use queue::{EventQueue, TimedEvent};
-pub use report::{SimEvent, SimReport, VerifyError};
+pub use report::{SimReport, VerifyError};
+pub use spot::{replay_spot, SpotReplay};
 
 use cws_core::Schedule;
 use cws_dag::Workflow;

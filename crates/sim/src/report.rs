@@ -1,59 +1,7 @@
-//! Simulation results, traces and plan-vs-replay verification.
+//! Simulation results and plan-vs-replay verification.
 
 use cws_core::{Schedule, VmId};
 use cws_dag::TaskId;
-
-/// One entry of the simulation trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimEvent {
-    /// A VM finished booting and is ready to execute.
-    VmReady {
-        /// The VM.
-        vm: VmId,
-        /// When.
-        time: f64,
-    },
-    /// A task began executing.
-    TaskStart {
-        /// The task.
-        task: TaskId,
-        /// Its host VM.
-        vm: VmId,
-        /// When.
-        time: f64,
-    },
-    /// A task completed.
-    TaskFinish {
-        /// The task.
-        task: TaskId,
-        /// Its host VM.
-        vm: VmId,
-        /// When.
-        time: f64,
-    },
-    /// A data transfer between two VMs completed.
-    TransferArrive {
-        /// Producing task.
-        from: TaskId,
-        /// Consuming task.
-        to: TaskId,
-        /// When the data became available at the consumer.
-        time: f64,
-    },
-}
-
-impl SimEvent {
-    /// The timestamp of the event.
-    #[must_use]
-    pub fn time(&self) -> f64 {
-        match *self {
-            SimEvent::VmReady { time, .. }
-            | SimEvent::TaskStart { time, .. }
-            | SimEvent::TaskFinish { time, .. }
-            | SimEvent::TransferArrive { time, .. } => time,
-        }
-    }
-}
 
 /// Observed task execution interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,8 +21,6 @@ pub struct SimReport {
     pub tasks: Vec<ObservedTask>,
     /// Observed makespan.
     pub makespan: f64,
-    /// Full event trace in chronological order.
-    pub trace: Vec<SimEvent>,
     /// Number of events processed.
     pub events_processed: usize,
 }
@@ -204,16 +150,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_time_accessor() {
-        let e = SimEvent::TaskStart {
-            task: TaskId(0),
-            vm: VmId(0),
-            time: 12.5,
-        };
-        assert_eq!(e.time(), 12.5);
-    }
-
-    #[test]
     fn busy_seconds_aggregates_per_vm() {
         let r = SimReport {
             tasks: vec![
@@ -234,7 +170,6 @@ mod tests {
                 },
             ],
             makespan: 30.0,
-            trace: vec![],
             events_processed: 0,
         };
         assert_eq!(r.vm_busy_seconds(2), vec![30.0, 5.0]);
@@ -256,7 +191,6 @@ mod tests {
                 },
             ],
             makespan: 3600.0,
-            trace: vec![],
             events_processed: 0,
         };
         let u = r.vm_utilization(2);

@@ -217,4 +217,16 @@ fn corpus_error_documents_fail_validation_with_paths() {
         err.to_string(),
         "workflow.version: unsupported version 3 (this parser implements version 1)"
     );
+    // The nesting limit the spec states is the parser's.
+    let doc = read(&Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/interchange.md"));
+    let limit = format!("nesting deeper than {} levels", cws_obs::json::MAX_DEPTH);
+    assert!(
+        doc.contains(&limit),
+        "docs/interchange.md must state `{limit}`"
+    );
+    let err = validate(&"[".repeat(1_000_000)).expect_err("deep nesting");
+    assert_eq!(
+        err.to_string(),
+        format!("malformed JSON: {limit} at byte 128")
+    );
 }
