@@ -19,11 +19,16 @@
 //! fast-path regression on any size class turns CI red instead of
 //! shipping silently.
 //!
+//! Each row also carries `replay_s`: the time `cws_sim::verify` takes
+//! to replay the row's fast schedules and check them against their
+//! plans, which every sim-verified sweep pays on top of scheduling.
+//!
 //! After the timed passes (which run with observability disabled, so
 //! the numbers stay comparable across revisions), one *untimed*
-//! instrumented pass collects the kernel's `cws-obs` counters — probes,
-//! key-ready builds, gap-index hits, placements — and embeds the
-//! snapshot in `BENCH_kernel.json`, with a `RunManifest` written as
+//! instrumented pass schedules and replays every workload with the
+//! `cws-obs` counters on — probes, key-ready builds, gap-index hits,
+//! placements, simulator events — and embeds the snapshot in
+//! `BENCH_kernel.json`, with a `RunManifest` written as
 //! `<out>.manifest.json` beside it.
 //!
 //! ```text
@@ -40,7 +45,7 @@
 //! `BENCH_service.json` (with the same manifest-sibling convention).
 
 use cws_core::state::naive;
-use cws_core::{KernelTables, Strategy};
+use cws_core::{KernelTables, Schedule, Strategy};
 use cws_dag::Workflow;
 use cws_platform::Platform;
 use cws_workloads::random::{layered_dag, LayeredShape};
@@ -53,6 +58,7 @@ struct WorkloadReport {
     tasks: usize,
     fast_s: f64,
     naive_s: f64,
+    replay_s: f64,
     schedules: usize,
 }
 
@@ -63,12 +69,13 @@ impl WorkloadReport {
     fn to_json(&self) -> String {
         format!(
             "{{\"name\":\"{}\",\"tasks\":{},\"schedules\":{},\"fast_s\":{},\"naive_s\":{},\
-             \"fast_schedules_per_s\":{},\"naive_schedules_per_s\":{},\"speedup\":{}}}",
+             \"replay_s\":{},\"fast_schedules_per_s\":{},\"naive_schedules_per_s\":{},\"speedup\":{}}}",
             self.name,
             self.tasks,
             self.schedules,
             self.fast_s,
             self.naive_s,
+            self.replay_s,
             self.schedules as f64 / self.fast_s,
             self.schedules as f64 / self.naive_s,
             self.speedup()
@@ -99,6 +106,30 @@ fn sweep(
         }
     }
     (start.elapsed().as_secs_f64(), checksum)
+}
+
+/// The fast kernel's schedule for every strategy, on shared tables.
+fn plans(wf: &Workflow, platform: &Platform, strategies: &[Strategy]) -> Vec<Schedule> {
+    let tables = KernelTables::build(wf, platform);
+    strategies
+        .iter()
+        .map(|s| s.schedule_with(wf, platform, Some(&tables)))
+        .collect()
+}
+
+/// Time `reps` rounds of `cws_sim::verify` over every plan in `plans`.
+///
+/// # Panics
+/// Panics if a replay diverges from its plan.
+fn replay(wf: &Workflow, platform: &Platform, plans: &[Schedule], reps: usize) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        for plan in plans {
+            cws_sim::verify(wf, platform, plan, 1e-6)
+                .unwrap_or_else(|e| panic!("{}: replay diverged from its plan: {e}", wf.name()));
+        }
+    }
+    start.elapsed().as_secs_f64()
 }
 
 fn usage() -> ! {
@@ -306,8 +337,10 @@ fn main() {
         // 10k-task naive sweep times tens of seconds, where a single
         // pair is stable (and three would triple the run).
         let attempts = if wf.len() < 5000 { 3 } else { 1 };
+        let plans = plans(wf, &platform, &strategies);
         let mut fast_s = f64::INFINITY;
         let mut naive_s = f64::INFINITY;
+        let mut replay_s = f64::INFINITY;
         for _ in 0..attempts {
             let (fast, fast_sum) = sweep(wf, &platform, &strategies, *wf_reps, true);
             naive::set_reference_kernel(true);
@@ -321,22 +354,25 @@ fn main() {
             );
             fast_s = fast_s.min(fast);
             naive_s = naive_s.min(naive);
+            replay_s = replay_s.min(replay(wf, &platform, &plans, *wf_reps));
         }
         let r = WorkloadReport {
             name: wf.name().to_string(),
             tasks: wf.len(),
             fast_s,
             naive_s,
+            replay_s,
             schedules: strategies.len() * wf_reps,
         };
         println!(
-            "{:<24} {:>5} tasks  fast {:>8.3}s  naive {:>8.3}s  {:>6.2}x  ({:.0} schedules/s)",
+            "{:<24} {:>5} tasks  fast {:>8.3}s  naive {:>8.3}s  {:>6.2}x  ({:.0} schedules/s)  replay {:>7.3}s",
             r.name,
             r.tasks,
             r.fast_s,
             r.naive_s,
             r.speedup(),
-            r.schedules as f64 / r.fast_s
+            r.schedules as f64 / r.fast_s,
+            r.replay_s
         );
         reports.push(r);
     }
@@ -364,17 +400,14 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Untimed instrumented pass: one sweep of every workload with the
-    // cws-obs counters on, so the report carries the kernel's work
-    // profile (probe/key-build/placement counts) without perturbing the
-    // timings above.
+    // Untimed instrumented pass: one sweep and replay of every workload
+    // with the cws-obs counters on, so the report carries the work
+    // profile (probe/key-build/placement counts, simulator events)
+    // without perturbing the timings above.
     cws_obs::MetricsRegistry::global().reset();
     cws_obs::set_metrics_enabled(true);
     for (wf, _) in &workloads {
-        let tables = KernelTables::build(wf, &platform);
-        for s in &strategies {
-            let _ = s.schedule_with(wf, &platform, Some(&tables));
-        }
+        replay(wf, &platform, &plans(wf, &platform, &strategies), 1);
     }
     cws_obs::set_metrics_enabled(false);
     let mut snapshot = cws_obs::MetricsRegistry::global().snapshot();

@@ -16,6 +16,7 @@
 
 use crate::report::Table;
 use cws_core::{par_map, StaticAlloc};
+use cws_obs as obs;
 use cws_obs::json::json_f64;
 use cws_platform::{InstanceType, Platform};
 use cws_serve::{run_sharded_service, ShardedConfig};
@@ -125,15 +126,32 @@ pub fn run_campaign(platform: &Platform, spec: &CampaignSpec, threads: usize) ->
     let cells = spec.rates_per_hour.len() * spec.strategies.len() * spec.reclaims.len();
     assert!(cells >= 1, "campaign grid is empty");
 
+    let cells = par_map(cells, threads, |cell| {
+        let (rate, cfg) = cell_config(spec, cell);
+        CampaignCell {
+            rate_per_hour: rate,
+            report: run_sharded_service(platform, &ShardedConfig::new(cfg)),
+        }
+    });
+    // Every cell's run sets the process-global hit-rate gauge, so the
+    // last cell to *finish* would win. Set it again from the last cell
+    // in grid order that rented anything: the value one thread ends on.
+    if obs::metrics_enabled() {
+        let last = cells
+            .iter()
+            .rev()
+            .map(|c| &c.report.fleet)
+            .find(|f| f.pool_hits + f.cold_rentals > 0);
+        if let Some(fleet) = last {
+            let (hits, cold) = (fleet.pool_hits, fleet.cold_rentals);
+            obs::MetricsRegistry::global()
+                .gauge(obs::metrics::names::RUN_POOL_HIT_RATE)
+                .set(hits as f64 / (hits + cold) as f64);
+        }
+    }
     CampaignReport {
         seed: spec.seed,
-        cells: par_map(cells, threads, |cell| {
-            let (rate, cfg) = cell_config(spec, cell);
-            CampaignCell {
-                rate_per_hour: rate,
-                report: run_sharded_service(platform, &ShardedConfig::new(cfg)),
-            }
-        }),
+        cells,
     }
 }
 

@@ -23,10 +23,13 @@
 //! `{"ok":false,"error":…}` reply like any other malformed request, and
 //! a read or write failure (a reset, a broken pipe) ends only its own
 //! connection: it is logged to stderr and the accept loop goes on. A
-//! `shutdown` whose reply cannot be delivered still stops the daemon.
+//! line longer than [`MAX_REQUEST_LINE_BYTES`] gets one error reply and
+//! ends its connection, so no client can grow the line buffer without
+//! bound. A `shutdown` whose reply cannot be delivered still stops the
+//! daemon.
 
 use crate::engine::{cold_makespan, Committer};
-use crate::wire::{parse_request, Request};
+use crate::wire::{parse_request, Request, MAX_REQUEST_LINE_BYTES};
 use cws_core::StaticAlloc;
 use cws_dag::Workflow;
 use cws_obs::json::{json_f64, json_str};
@@ -352,8 +355,21 @@ fn serve_connection<S: Read + Write>(stream: S, core: &mut ServeCore) -> std::io
     let mut bytes = Vec::new();
     loop {
         bytes.clear();
-        if reader.read_until(b'\n', &mut bytes)? == 0 {
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut bytes)? == 0 {
             return Ok(false); // client hung up
+        }
+        if bytes.len() > MAX_REQUEST_LINE_BYTES && bytes.last() != Some(&b'\n') {
+            let out = reader.get_mut();
+            out.write_all(
+                format!(
+                    "{{\"ok\":false,\"error\":\"request line longer than \
+                     {MAX_REQUEST_LINE_BYTES} bytes\"}}\n"
+                )
+                .as_bytes(),
+            )?;
+            out.flush()?;
+            return Ok(false); // the rest of the line is never read
         }
         let parsed = match std::str::from_utf8(&bytes) {
             Ok(line) if line.trim().is_empty() => continue,
@@ -472,5 +488,60 @@ mod tests {
                 .and_then(cws_obs::json::Value::as_u64),
             Some(1)
         );
+    }
+
+    /// An in-memory connection: reads `input`, collects the replies.
+    struct Duplex<R> {
+        input: R,
+        output: Vec<u8>,
+    }
+
+    impl<R: Read> Read for Duplex<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl<R> Write for Duplex<R> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn overlong_line_gets_one_error_and_ends_only_its_connection() {
+        let p = Platform::ec2_paper();
+        let mut core = ServeCore::new(&p, ServeOptions::default());
+        let overlong = std::io::repeat(b' ').take(MAX_REQUEST_LINE_BYTES as u64 + 1);
+        let mut conn = Duplex {
+            input: overlong.chain(&b"\n{\"cmd\":\"shutdown\"}\n"[..]),
+            output: Vec::new(),
+        };
+        assert!(!serve_connection(&mut conn, &mut core).expect("no IO error"));
+        assert_eq!(
+            String::from_utf8(conn.output).expect("UTF-8 reply"),
+            "{\"ok\":false,\"error\":\"request line longer than 67108864 bytes\"}\n"
+        );
+        assert!(
+            !core.finished,
+            "the shutdown after the long line is never read"
+        );
+    }
+
+    #[test]
+    fn line_at_the_limit_is_read() {
+        let p = Platform::ec2_paper();
+        let mut core = ServeCore::new(&p, ServeOptions::default());
+        // A blank line of exactly the limit is skipped like any other.
+        let blank = std::io::repeat(b' ').take(MAX_REQUEST_LINE_BYTES as u64);
+        let mut conn = Duplex {
+            input: blank.chain(&b"\n{\"cmd\":\"shutdown\"}\n"[..]),
+            output: Vec::new(),
+        };
+        assert!(serve_connection(&mut conn, &mut core).expect("no IO error"));
+        assert!(conn.output.starts_with(b"{\"ok\":true"));
     }
 }

@@ -36,4 +36,4 @@ pub mod wire;
 pub use daemon::{Daemon, ServeCore, ServeOptions, SubmitOutcome};
 pub use engine::{run_sharded_service, run_sharded_summary, ShardedConfig, SERVICE_SHARDS};
 pub use shard::{shard_metric, Shard, ShardRouter, ShardedPool};
-pub use wire::{parse_request, parse_workflow, workflow_to_json, Request};
+pub use wire::{parse_request, parse_workflow, workflow_to_json, Request, MAX_REQUEST_LINE_BYTES};

@@ -21,6 +21,14 @@
 use cws_dag::{interchange, Workflow};
 use cws_obs::json::Value;
 
+/// The longest request line the daemon reads, in bytes, not counting
+/// its terminating newline: 64 MiB, four times the largest interchange
+/// document the benchmark submits. A longer line gets one
+/// `{"ok":false,"error":"request line longer than 67108864 bytes"}`
+/// reply and its connection is closed, so no client can grow the
+/// daemon's line buffer without bound.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 << 20;
+
 /// One parsed request line.
 // One `Request` exists per socket line and dies after dispatch; boxing
 // the workflow would buy nothing but an indirection in the hot parse.

@@ -1,6 +1,44 @@
 //! The discrete-event replay engine.
+//!
+//! Three kinds of event drive a replay: a VM finishes booting, a task
+//! finishes, and a finished task's outputs arrive at its successors.
+//! The outputs of one finished task travel as **one** heap entry, an
+//! `Ev::Arrivals` batch, rather than one entry per edge:
+//!
+//! 1. On a task's finish, each successor's arrival time is computed
+//!    (zero delay on the same VM, the platform's transfer time across
+//!    VMs), `TransferStart` is emitted in successor order, and the
+//!    `(time, successor)` pairs are appended to one arrival arena per
+//!    replay. The new slice is sorted stably by time, so equal times
+//!    keep successor order, and the batch is pushed once, at its
+//!    earliest time.
+//! 2. When the batch pops at time `t`, every arrival at `t` is
+//!    delivered in order. If arrivals remain, the batch goes back into
+//!    the queue at the next one's time under its original sequence
+//!    number (`EventQueue::requeue`).
+//!
+//! This replays exactly the event order of one queue entry per edge,
+//! the model the batch stands for:
+//!
+//! * Per edge, a finish would push its `k` arrivals under the
+//!   consecutive sequence numbers `s..s+k-1`, with nothing pushed in
+//!   between. The batch holds the single number `s`, a monotone
+//!   relabelling, so every (time, sequence) comparison between a batch
+//!   element and any other event comes out the same, and the stable
+//!   sort reproduces the order inside the batch.
+//! * Arrivals at the popped time need no heap look-up: the batch was
+//!   the minimum at `(t, s)`, and everything pushed while it drains
+//!   gets a larger sequence number.
+//! * Every state change tries to start its VM's next task, so after
+//!   each event no booted, idle VM has a startable head. An arrival
+//!   that leaves inputs missing therefore cannot start anything, and
+//!   only a task's last arrival tries to start its VM.
+//!
+//! Each delivered arrival counts as one processed event, so
+//! [`SimReport::events_processed`] stays one per VM boot, task finish
+//! and edge.
 
-use crate::queue::EventQueue;
+use crate::queue::{check_time, EventQueue};
 use crate::report::{ObservedTask, SimReport};
 use cws_core::{Schedule, VmId};
 use cws_dag::{TaskId, Workflow};
@@ -15,8 +53,15 @@ enum Ev {
     VmReady(VmId),
     /// A task completed on its VM.
     TaskFinish(TaskId, VmId),
-    /// One input dependency of a task became available at its VM.
-    InputArrive { from: TaskId, to: TaskId },
+    /// The undelivered outputs of task `from`: the arena slice
+    /// `next..end`, sorted by arrival time. The entry sits in the queue
+    /// at the time of `arrivals[next]` under the sequence number the
+    /// finish pushed it with (see the module docs).
+    Arrivals {
+        from: TaskId,
+        next: usize,
+        end: usize,
+    },
 }
 
 /// A discrete-event simulator replaying one schedule.
@@ -32,6 +77,53 @@ pub struct Simulator<'a> {
     wf: &'a Workflow,
     platform: &'a Platform,
     schedule: &'a Schedule,
+}
+
+/// The mutable state of one replay.
+struct Replay<'s> {
+    schedule: &'s Schedule,
+    /// Effective duration per task.
+    durations: Vec<f64>,
+    /// Per VM, the position in its planned task order of the next task
+    /// to start.
+    next_task: Vec<usize>,
+    /// Inputs still missing per task.
+    missing_inputs: Vec<usize>,
+    vm_busy: Vec<bool>,
+    vm_booted: Vec<bool>,
+    observed: Vec<Option<ObservedTask>>,
+    queue: EventQueue<Ev>,
+}
+
+impl Replay<'_> {
+    /// Start the head task of `vm`'s plan if the VM is booted, idle and
+    /// the task's inputs have all arrived.
+    fn try_start(&mut self, vm: VmId, now: f64) {
+        let v = vm.index();
+        if self.vm_busy[v] || !self.vm_booted[v] {
+            return;
+        }
+        let Some(&(head, _, _)) = self.schedule.vms[v].tasks.get(self.next_task[v]) else {
+            return;
+        };
+        if self.missing_inputs[head.index()] > 0 {
+            return;
+        }
+        self.next_task[v] += 1;
+        self.vm_busy[v] = true;
+        let duration = self.durations[head.index()];
+        self.observed[head.index()] = Some(ObservedTask {
+            start: now,
+            finish: now + duration,
+            vm,
+        });
+        obs::emit(|| obs::TraceEvent::TaskStart {
+            task: head.index() as u32,
+            vm: vm.0,
+            time: now,
+        });
+        self.queue.push(now + duration, Ev::TaskFinish(head, vm));
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -60,45 +152,40 @@ impl<'a> Simulator<'a> {
     pub fn run_perturbed(&self, perturb: impl Fn(cws_dag::TaskId, f64) -> f64) -> SimReport {
         let n = self.wf.len();
         let vm_count = self.schedule.vms.len();
+        let placements = &self.schedule.placements;
 
-        // Effective duration per task (planned duration through the
-        // perturbation hook).
-        let durations: Vec<f64> = self
-            .wf
-            .ids()
-            .map(|t| {
-                let vm = &self.schedule.vms[self.schedule.placements[t.index()].vm.index()];
-                let planned = vm.itype.execution_time(self.wf.task(t).base_time);
-                let d = perturb(t, planned);
-                assert!(
-                    d.is_finite() && d >= 0.0,
-                    "perturbed duration must be finite and non-negative, got {d}"
-                );
-                d
-            })
-            .collect();
-
-        // Per-VM planned task order.
-        let mut vm_queue: Vec<std::collections::VecDeque<TaskId>> =
-            vec![std::collections::VecDeque::new(); vm_count];
-        for vm in &self.schedule.vms {
-            for &(t, _, _) in &vm.tasks {
-                vm_queue[vm.id.index()].push_back(t);
-            }
-        }
-
-        // Inputs still missing per task.
-        let mut missing_inputs: Vec<usize> = self
-            .wf
-            .ids()
-            .map(|t| self.wf.predecessors(t).len())
-            .collect();
-        let mut vm_busy = vec![false; vm_count];
-        let mut vm_booted = vec![false; vm_count];
-        let mut observed: Vec<Option<ObservedTask>> = vec![None; n];
-        let mut queue: EventQueue<Ev> = EventQueue::new();
+        let mut st = Replay {
+            schedule: self.schedule,
+            // Planned duration through the perturbation hook.
+            durations: self
+                .wf
+                .ids()
+                .map(|t| {
+                    let vm = &self.schedule.vms[placements[t.index()].vm.index()];
+                    let planned = vm.itype.execution_time(self.wf.task(t).base_time);
+                    let d = perturb(t, planned);
+                    assert!(
+                        d.is_finite() && d >= 0.0,
+                        "perturbed duration must be finite and non-negative, got {d}"
+                    );
+                    d
+                })
+                .collect(),
+            next_task: vec![0; vm_count],
+            missing_inputs: self
+                .wf
+                .ids()
+                .map(|t| self.wf.predecessors(t).len())
+                .collect(),
+            vm_busy: vec![false; vm_count],
+            vm_booted: vec![false; vm_count],
+            observed: vec![None; n],
+            queue: EventQueue::new(),
+        };
+        // Every finished task's (arrival time, successor) pairs, one
+        // slice per finish.
+        let mut arrivals: Vec<(f64, TaskId)> = Vec::with_capacity(self.wf.edge_count());
         let mut processed = 0usize;
-        let mut clock = 0.0f64;
         // Captured once per replay: a disabled trace costs one branch on
         // a local per event (same pattern as the kernel's flags).
         let trace_on = obs::trace_enabled();
@@ -109,35 +196,24 @@ impl<'a> Simulator<'a> {
         // assumed, so a plan that fails to wait out boot diverges here.
         for vm in &self.schedule.vms {
             let ready_at = vm.meter.start + self.platform.boot_time_s;
-            queue.push(ready_at, Ev::VmReady(vm.id));
+            st.queue.push(ready_at, Ev::VmReady(vm.id));
         }
 
-        while let Some(te) = queue.pop() {
-            processed += 1;
-            clock = clock.max(te.time);
+        while let Some(mut te) = st.queue.pop() {
             match te.event {
                 Ev::VmReady(vm) => {
-                    vm_booted[vm.index()] = true;
+                    processed += 1;
+                    st.vm_booted[vm.index()] = true;
                     if trace_on {
                         obs::emit(|| obs::TraceEvent::VmBoot {
                             vm: vm.0,
                             time: te.time,
                         });
                     }
-                    try_start(
-                        self,
-                        vm,
-                        te.time,
-                        &durations,
-                        &mut vm_queue,
-                        &missing_inputs,
-                        &mut vm_busy,
-                        &vm_booted,
-                        &mut observed,
-                        &mut queue,
-                    );
+                    st.try_start(vm, te.time);
                 }
                 Ev::TaskFinish(task, vm) => {
+                    processed += 1;
                     if trace_on {
                         obs::emit(|| obs::TraceEvent::TaskFinish {
                             task: task.index() as u32,
@@ -145,10 +221,11 @@ impl<'a> Simulator<'a> {
                             time: te.time,
                         });
                     }
-                    vm_busy[vm.index()] = false;
+                    st.vm_busy[vm.index()] = false;
                     // Release successors: data ships to each consumer.
+                    let first = arrivals.len();
                     for e in self.wf.successors(task) {
-                        let dest_vm = self.schedule.placements[e.to.index()].vm;
+                        let dest_vm = placements[e.to.index()].vm;
                         let delay = if dest_vm == vm {
                             0.0
                         } else {
@@ -168,55 +245,67 @@ impl<'a> Simulator<'a> {
                                 time: te.time,
                             });
                         }
-                        queue.push(
-                            te.time + delay,
-                            Ev::InputArrive {
+                        // Checked as `push` would check it, so a bad
+                        // transfer time panics at this edge.
+                        let at = te.time + delay;
+                        check_time(at);
+                        arrivals.push((at, e.to));
+                    }
+                    let end = arrivals.len();
+                    if end > first {
+                        arrivals[first..].sort_by(|a, b| a.0.total_cmp(&b.0));
+                        st.queue.push(
+                            arrivals[first].0,
+                            Ev::Arrivals {
                                 from: task,
-                                to: e.to,
+                                next: first,
+                                end,
                             },
                         );
                     }
                     // The VM may start its next planned task.
-                    try_start(
-                        self,
-                        vm,
-                        te.time,
-                        &durations,
-                        &mut vm_queue,
-                        &missing_inputs,
-                        &mut vm_busy,
-                        &vm_booted,
-                        &mut observed,
-                        &mut queue,
-                    );
+                    st.try_start(vm, te.time);
                 }
-                Ev::InputArrive { from, to } => {
-                    missing_inputs[to.index()] -= 1;
-                    let vm = self.schedule.placements[to.index()].vm;
-                    if trace_on && self.schedule.placements[from.index()].vm != vm {
-                        obs::emit(|| obs::TraceEvent::TransferFinish {
-                            from: from.index() as u32,
-                            to: to.index() as u32,
-                            time: te.time,
-                        });
+                Ev::Arrivals {
+                    from,
+                    mut next,
+                    end,
+                } => {
+                    let from_vm = placements[from.index()].vm;
+                    loop {
+                        let to = arrivals[next].1;
+                        processed += 1;
+                        st.missing_inputs[to.index()] -= 1;
+                        let vm = placements[to.index()].vm;
+                        if trace_on && from_vm != vm {
+                            obs::emit(|| obs::TraceEvent::TransferFinish {
+                                from: from.index() as u32,
+                                to: to.index() as u32,
+                                time: te.time,
+                            });
+                        }
+                        // Only a task's last input can make its VM's head
+                        // startable (see the module docs).
+                        if st.missing_inputs[to.index()] == 0 {
+                            st.try_start(vm, te.time);
+                        }
+                        next += 1;
+                        if next == end {
+                            break;
+                        }
+                        if arrivals[next].0.total_cmp(&te.time).is_gt() {
+                            te.time = arrivals[next].0;
+                            te.event = Ev::Arrivals { from, next, end };
+                            st.queue.requeue(te);
+                            break;
+                        }
                     }
-                    try_start(
-                        self,
-                        vm,
-                        te.time,
-                        &durations,
-                        &mut vm_queue,
-                        &missing_inputs,
-                        &mut vm_busy,
-                        &vm_booted,
-                        &mut observed,
-                        &mut queue,
-                    );
                 }
             }
         }
 
-        let tasks: Vec<ObservedTask> = observed
+        let tasks: Vec<ObservedTask> = st
+            .observed
             .into_iter()
             .enumerate()
             .map(|(i, o)| {
@@ -225,10 +314,11 @@ impl<'a> Simulator<'a> {
                     // verify_against flags them as mismatches.
                     start: f64::NAN,
                     finish: f64::NAN,
-                    vm: self.schedule.placements[i].vm,
+                    vm: placements[i].vm,
                 })
             })
             .collect();
+
         let makespan = tasks.iter().map(|t| t.finish).fold(0.0f64, |acc, x| {
             if x.is_nan() {
                 f64::NAN
@@ -309,47 +399,6 @@ impl<'a> Simulator<'a> {
             });
         }
     }
-}
-
-/// Start the head task of `vm`'s plan if the VM is booted, idle and the
-/// task's inputs have all arrived.
-#[allow(clippy::too_many_arguments)]
-fn try_start(
-    sim: &Simulator<'_>,
-    vm: VmId,
-    now: f64,
-    durations: &[f64],
-    vm_queue: &mut [std::collections::VecDeque<TaskId>],
-    missing_inputs: &[usize],
-    vm_busy: &mut [bool],
-    vm_booted: &[bool],
-    observed: &mut [Option<ObservedTask>],
-    queue: &mut EventQueue<Ev>,
-) {
-    if vm_busy[vm.index()] || !vm_booted[vm.index()] {
-        return;
-    }
-    let Some(&head) = vm_queue[vm.index()].front() else {
-        return;
-    };
-    if missing_inputs[head.index()] > 0 {
-        return;
-    }
-    vm_queue[vm.index()].pop_front();
-    vm_busy[vm.index()] = true;
-    let _ = sim; // the plan's VM table already fixed the duration basis
-    let duration = durations[head.index()];
-    observed[head.index()] = Some(ObservedTask {
-        start: now,
-        finish: now + duration,
-        vm,
-    });
-    obs::emit(|| obs::TraceEvent::TaskStart {
-        task: head.index() as u32,
-        vm: vm.0,
-        time: now,
-    });
-    queue.push(now + duration, Ev::TaskFinish(head, vm));
 }
 
 /// Replay `schedule` on the platform and report observed behaviour.

@@ -1,7 +1,9 @@
 //! A deterministic event queue.
 //!
 //! Events pop in time order; equal-time events pop in insertion order
-//! (FIFO), which keeps replays bit-for-bit reproducible.
+//! (FIFO), which keeps replays bit-for-bit reproducible. Inside this
+//! crate a popped event can be put back with `EventQueue::requeue` and
+//! keeps its place in that order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -62,16 +64,28 @@ impl<E: PartialEq> EventQueue<E> {
     /// # Panics
     /// Panics if `time` is NaN or negative.
     pub fn push(&mut self, time: f64, event: E) {
-        assert!(
-            time.is_finite() && time >= 0.0,
-            "event time must be finite and non-negative, got {time}"
-        );
+        check_time(time);
         self.heap.push(TimedEvent {
             time,
             seq: self.next_seq,
             event,
         });
         self.next_seq += 1;
+    }
+
+    /// Put a popped event back, at its (possibly updated) `time` and
+    /// with its (possibly updated) payload, under the sequence number
+    /// it was first pushed with. Among events at one time it therefore
+    /// pops ahead of everything pushed after it, exactly as if it had
+    /// never left the queue. The caller requeues each pop at most once
+    /// and at a time no earlier than the one it popped at; otherwise
+    /// equal-time events no longer pop in insertion order.
+    ///
+    /// # Panics
+    /// Panics if `time` is NaN or negative.
+    pub(crate) fn requeue(&mut self, popped: TimedEvent<E>) {
+        check_time(popped.time);
+        self.heap.push(popped);
     }
 
     /// Pop the earliest event.
@@ -90,6 +104,14 @@ impl<E: PartialEq> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+}
+
+/// Panic unless `time` can be scheduled: finite and non-negative.
+pub(crate) fn check_time(time: f64) {
+    assert!(
+        time.is_finite() && time >= 0.0,
+        "event time must be finite and non-negative, got {time}"
+    );
 }
 
 #[cfg(test)]
@@ -114,6 +136,20 @@ mod tests {
         q.push(1.0, "third");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec!["first", "second", "third"]);
+    }
+
+    #[test]
+    fn requeued_event_pops_ahead_of_later_pushes_at_its_time() {
+        let mut q = EventQueue::new();
+        q.push(2.0, "earlier push");
+        q.push(1.0, "batch");
+        let mut batch = q.pop().unwrap();
+        assert_eq!(batch.event, "batch");
+        q.push(2.0, "later push");
+        batch.time = 2.0;
+        q.requeue(batch);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, vec!["earlier push", "batch", "later push"]);
     }
 
     #[test]

@@ -229,4 +229,13 @@ fn corpus_error_documents_fail_validation_with_paths() {
         err.to_string(),
         format!("malformed JSON: {limit} at byte 128")
     );
+    // So is the daemon's request-line limit.
+    let line_limit = format!(
+        "request line longer than {} bytes",
+        cws_serve::MAX_REQUEST_LINE_BYTES
+    );
+    assert!(
+        doc.contains(&line_limit),
+        "docs/interchange.md must state `{line_limit}`"
+    );
 }

@@ -1,9 +1,10 @@
-//! The serve engine's pipeline is invisible: a small run of the
-//! `cws-exp serve` paper profile gives the same summary JSON and the
-//! same trace bytes at 1, 2 and 8 threads, and those trace bytes and
-//! fleet numbers are the reference engine's. The full shard × thread ×
-//! epoch matrix lives in `crates/serve/tests/shard_invariance.rs`; this
-//! copy keeps an engine regression visible to the root `cargo test`.
+//! The serve engine's pipeline and shards are invisible: a small run of
+//! the `cws-exp serve` paper profile gives the same summary JSON and the
+//! same trace bytes at 1, 2 and 8 threads and at 1, 2 and 8 shards, and
+//! those trace bytes and fleet numbers are the reference engine's. The
+//! full shard × thread × epoch matrix lives in
+//! `crates/serve/tests/shard_invariance.rs`; this copy keeps an engine
+//! regression visible to the root `cargo test`.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -74,16 +75,16 @@ fn traced<R>(f: impl FnOnce() -> R) -> (R, Vec<u8>) {
 fn summary_and_trace_bytes_are_thread_invariant() {
     obs::set_metrics_enabled(false);
     let platform = Platform::ec2_paper();
-    let run = |threads: usize| {
+    let run = |shards: usize, threads: usize| {
         let cfg = ShardedConfig {
             service: paper_profile(42),
-            shards: 1,
+            shards,
             threads,
             epoch: 64,
         };
         traced(|| run_sharded_summary(&platform, &cfg))
     };
-    let (summary, trace) = run(1);
+    let (summary, trace) = run(1, 1);
     assert!(!trace.is_empty(), "the run must emit trace events");
     let (reference, reference_trace) = traced(|| run_service(&platform, &paper_profile(42)));
     assert_eq!(
@@ -97,16 +98,16 @@ fn summary_and_trace_bytes_are_thread_invariant() {
         reference_trace.len()
     );
     let summary = summary.to_json();
-    for threads in [2, 8] {
-        let (s, t) = run(threads);
+    for (shards, threads) in [(1, 2), (1, 8), (2, 1), (2, 2), (8, 2)] {
+        let (s, t) = run(shards, threads);
         assert_eq!(
             s.to_json(),
             summary,
-            "summary diverged at {threads} threads"
+            "summary diverged at {shards} shards, {threads} threads"
         );
         assert!(
             t == trace,
-            "trace bytes diverged at {threads} threads ({} vs {} bytes)",
+            "trace bytes diverged at {shards} shards, {threads} threads ({} vs {} bytes)",
             t.len(),
             trace.len()
         );
