@@ -291,7 +291,7 @@ fn run_trace_report(args: &Args) -> i32 {
     let manifest_path = obs::RunManifest::sibling_path(path);
     let manifest = std::fs::read_to_string(&manifest_path)
         .ok()
-        .and_then(|doc| obs::report::parse_manifest_metrics(&doc).ok());
+        .and_then(|doc| obs::MetricsSnapshot::from_json(&doc).ok());
 
     if args.json {
         println!("{}", report.to_json());

@@ -104,3 +104,33 @@ fn validate_rejects_deep_nesting_with_exit_1() {
         "{stderr}"
     );
 }
+
+#[test]
+fn trace_report_survives_hostile_one_line_inputs() {
+    // Regressions: the manifest's empty bucket pair panicked the decoder
+    // (exit 101), the VM id sized an 800 GB table (exit 134) and the
+    // pool id overflowed `vm + 1` (exit 101 in debug builds).
+    let dir = scratch("hostile-trace-report");
+    let manifest = r#"{"histograms":{"h":{"count":1,"sum":1,"buckets":[[]]}}}"#;
+    std::fs::write(dir.join("manifest.jsonl.manifest.json"), manifest).expect("write");
+    let lease =
+        r#"{"ev":"vm-lease","t":0,"vm":4294967295,"itype":"small","region":"r","price_per_btu":1}"#;
+    for (name, trace) in [
+        ("manifest", String::new()),
+        ("vm-lease", lease.to_string()),
+        ("pool-lease", lease.replace("vm-lease", "pool-lease")),
+    ] {
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, trace).expect("write trace");
+        for (check, want) in [(None, 0), (Some("--check"), 1)] {
+            let out = Command::new(env!("CARGO_BIN_EXE_cws-exp"))
+                .arg("trace-report")
+                .arg(&path)
+                .args(check)
+                .output()
+                .expect("run cws-exp");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(want), "{name} {check:?}: {stderr}");
+        }
+    }
+}

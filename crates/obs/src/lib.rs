@@ -20,7 +20,8 @@
 //!   accumulation is commutative and parallel sweeps produce
 //!   bit-identical totals at any thread count. Snapshots are
 //!   [mergeable](metrics::MetricsSnapshot::merge) across per-worker
-//!   registries.
+//!   registries and read back from JSON by
+//!   [`MetricsSnapshot::from_json`].
 //! * [`manifest`] — a [`RunManifest`] written next to every experiment
 //!   or bench artifact: git SHA, seed, thread count, platform
 //!   fingerprint, policy set and final metrics, sufficient to re-run

@@ -10,7 +10,7 @@
 //! the manifest, re-issue `command` at `git_sha`, diff the artifact —
 //! see `EXPERIMENTS.md` § "Reproducing an artifact from its manifest".
 
-use crate::json::{json_f64, json_str};
+use crate::json::json_str;
 use crate::metrics::MetricsSnapshot;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -180,21 +180,6 @@ impl RunManifest {
     }
 }
 
-/// Convenience: encode a `(name, value)` float map as a JSON object —
-/// used by callers embedding ad-hoc per-run metrics.
-#[must_use]
-pub fn json_object(pairs: &[(&str, f64)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{}", json_str(k), json_f64(*v));
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,13 +229,5 @@ mod tests {
         // degrades to "unknown". Both are acceptable — what matters is
         // that resolution never panics.
         assert!(sha == "unknown" || sha.len() == 40);
-    }
-
-    #[test]
-    fn json_object_encodes_pairs() {
-        assert_eq!(
-            json_object(&[("makespan_s", 10.5), ("cost_usd", 0.08)]),
-            "{\"makespan_s\":10.5,\"cost_usd\":0.08}"
-        );
     }
 }

@@ -21,7 +21,7 @@
 //! [`crate::metrics_enabled`] into a local `bool`) so the disabled
 //! case costs one predictable branch.
 
-use crate::json::{json_f64, json_str};
+use crate::json::{self, json_f64, json_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -272,7 +272,9 @@ impl HistogramSnapshot {
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            // Saturating: a decoded snapshot's counts need not sum
+            // within u64.
+            seen = seen.saturating_add(c);
             if seen >= target {
                 return Self::bucket_upper_bound(i);
             }
@@ -489,6 +491,54 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
+
+    /// Decode a [`MetricsSnapshot::to_json`] document, or a run
+    /// manifest that carries one under `"metrics"` (what
+    /// `cws-exp trace-report` reads from a trace's sibling).
+    /// Histograms rebuild from their sparse `buckets` pairs; the
+    /// derived `mean`/`p50`/`p90`/`p99` fields are ignored. A missing
+    /// section reads as empty, and an entry of the wrong shape (a
+    /// non-numeric value, a bucket pair that is not two integers, a
+    /// bucket index past [`HISTOGRAM_BUCKETS`]) is skipped.
+    ///
+    /// # Errors
+    /// Returns the parser's message on malformed JSON.
+    pub fn from_json(doc: &str) -> Result<MetricsSnapshot, String> {
+        let v = json::parse(doc)?;
+        let metrics = v.get("metrics").unwrap_or(&v);
+        let section = |name: &str| metrics.get(name).and_then(Value::as_obj).unwrap_or(&[]);
+        let mut out = MetricsSnapshot::default();
+        for (k, c) in section("counters") {
+            if let Some(c) = c.as_u64() {
+                out.counters.insert(k.clone(), c);
+            }
+        }
+        for (k, g) in section("gauges") {
+            if let Some(g) = g.as_f64() {
+                out.gauges.insert(k.clone(), g);
+            }
+        }
+        for (k, h) in section("histograms") {
+            let mut snap = HistogramSnapshot {
+                buckets: [0; HISTOGRAM_BUCKETS],
+                count: h.get("count").and_then(Value::as_u64).unwrap_or(0),
+                sum: h.get("sum").and_then(Value::as_u64).unwrap_or(0),
+            };
+            for pair in h.get("buckets").and_then(Value::as_arr).unwrap_or(&[]) {
+                let Some([bits, c]) = pair.as_arr() else {
+                    continue;
+                };
+                let (Some(bits), Some(c)) = (bits.as_u64(), c.as_u64()) else {
+                    continue;
+                };
+                if bits < HISTOGRAM_BUCKETS as u64 {
+                    snap.buckets[bits as usize] = c;
+                }
+            }
+            out.histograms.insert(k.clone(), snap);
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -576,6 +626,39 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_json_round_trips_bare_and_in_a_manifest() {
+        let reg = MetricsRegistry::new();
+        reg.counter("kernel.probes").add(12);
+        reg.gauge("run.cost_usd").set(0.475);
+        reg.histogram("kernel.probe_latency").record(900);
+        let snap = reg.snapshot();
+        let json = snap.to_json();
+        assert_eq!(MetricsSnapshot::from_json(&json), Ok(snap.clone()));
+        let manifest = format!(r#"{{"tool":"cws-exp","metrics":{json}}}"#);
+        assert_eq!(MetricsSnapshot::from_json(&manifest), Ok(snap));
+    }
+
+    #[test]
+    fn malformed_entries_are_skipped_not_fatal() {
+        // Regression: `cws-exp trace-report` indexed the empty bucket
+        // pair as `p[0]` and panicked.
+        let snap = MetricsSnapshot::from_json(
+            r#"{"counters":{"c":-1,"d":2},"gauges":{"g":"x","k":0.5},"histograms":{"h":
+                {"count":1,"sum":1,"buckets":[[],[3],["x",1],[65,1],[4,5,6],[2,7]]}}}"#,
+        )
+        .expect("well-formed JSON");
+        assert_eq!(snap.counters, BTreeMap::from([("d".to_string(), 2)]));
+        assert_eq!(snap.gauges, BTreeMap::from([("k".to_string(), 0.5)]));
+        assert_eq!(snap.histograms["h"].nonzero_buckets(), vec![(2, 7)]);
+        // Decoded counts that overflow u64 when summed still rank.
+        let mut big = snap.histograms["h"].clone();
+        big.buckets[1] = 1 << 63;
+        big.buckets[2] = 1 << 63;
+        big.count = u64::MAX;
+        assert_eq!(big.quantile(0.99), 3);
+    }
+
+    #[test]
     fn quantiles_walk_the_log2_buckets() {
         let h = Histogram::default();
         for _ in 0..90 {
@@ -591,18 +674,8 @@ mod tests {
         assert_eq!(s.quantile(0.99), 127);
         assert_eq!(s.quantile(1.0), (1 << 20) - 1);
         assert_eq!(s.quantile(0.0), 1, "q=0 still needs one sample");
-        assert_eq!(HistogramSnapshot::default_empty().quantile(0.5), 0);
+        assert_eq!(Histogram::default().snapshot().quantile(0.5), 0);
         assert_eq!(s.nonzero_buckets(), vec![(1, 90), (7, 9), (20, 1)]);
-    }
-
-    impl HistogramSnapshot {
-        fn default_empty() -> Self {
-            HistogramSnapshot {
-                buckets: [0; HISTOGRAM_BUCKETS],
-                count: 0,
-                sum: 0,
-            }
-        }
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //! `cws-experiments` pins the two implementations equal.
 
 use crate::event::TraceEvent;
-use crate::json::{self, json_f64, json_str, Value};
-use crate::metrics::{HistogramSnapshot, HISTOGRAM_BUCKETS};
-use std::collections::BTreeMap;
+use crate::json::{json_f64, json_str};
+use crate::metrics::MetricsSnapshot;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Reducer-side mirror of `cws_platform::billing`: BTU length and the
@@ -269,7 +269,10 @@ impl TraceReport {
             self.parse_errors.len()
         );
         let total_cost: f64 = self.segments.iter().map(|s| s.obs_cost_usd).sum();
-        let total_btus: u64 = self.segments.iter().map(|s| s.billed_btus).sum();
+        let total_btus = self
+            .segments
+            .iter()
+            .fold(0u64, |n, s| n.saturating_add(s.billed_btus));
         let total_idle: f64 = self.segments.iter().map(|s| s.idle_s).sum();
         let total_mb: f64 = self.segments.iter().map(|s| s.transfer_mb).sum();
         let _ = writeln!(
@@ -460,17 +463,20 @@ pub struct TraceReducer {
     pool: PoolSummary,
     /// Live pool machines by global id → per-BTU price from the lease.
     pool_live: BTreeMap<u32, f64>,
-    /// Next expected (dense) pool lease id.
-    pool_next_lease: u32,
+    /// Next expected (dense) pool lease id; `u64` so the id after
+    /// `u32::MAX` still has a value.
+    pool_next_lease: u64,
     /// Reclaimed machines awaiting the in-id-order fold:
     /// id → (billed BTUs, busy seconds, cost USD).
-    pool_done: BTreeMap<u32, (u64, f64, f64)>,
+    pool_done: BTreeMap<u64, (u64, f64, f64)>,
     /// Next pool id to fold into the running totals.
-    pool_next_fold: u32,
+    pool_next_fold: u64,
     // ---- current segment state ----
-    vms: Vec<Option<VmAcc>>,
-    placed: Vec<bool>,
-    started: Vec<bool>,
+    // Keyed by id, not indexed by it: memory follows the events read,
+    // never the largest id one of them names.
+    vms: BTreeMap<u32, VmAcc>,
+    placed: BTreeSet<u32>,
+    started: BTreeSet<u32>,
     seg_events: u64,
     seg_replayed: bool,
     plan_makespan: f64,
@@ -504,9 +510,8 @@ impl TraceReducer {
     }
 
     fn vm_mut(&mut self, vm: u32, context: &str) -> Option<&mut VmAcc> {
-        let idx = vm as usize;
-        if self.vms.get(idx).is_some_and(Option::is_some) {
-            self.vms[idx].as_mut()
+        if self.vms.contains_key(&vm) {
+            self.vms.get_mut(&vm)
         } else {
             self.violate(format!("{context} for unleased vm{vm}"));
             None
@@ -516,20 +521,12 @@ impl TraceReducer {
     /// Does feeding `e` start a new segment?
     fn starts_new_segment(&self, e: &TraceEvent) -> bool {
         match e {
-            TraceEvent::VmLease { vm, .. } => {
-                self.vms.get(*vm as usize).is_some_and(Option::is_some)
+            TraceEvent::VmLease { vm, .. } => self.vms.contains_key(vm),
+            TraceEvent::ProbeDecision { task, .. } => self.placed.contains(task),
+            TraceEvent::VmBoot { vm, .. } => {
+                self.vms.get(vm).is_some_and(|a| a.summary.boot_t.is_some())
             }
-            TraceEvent::ProbeDecision { task, .. } => {
-                self.placed.get(*task as usize).copied().unwrap_or(false)
-            }
-            TraceEvent::VmBoot { vm, .. } => self
-                .vms
-                .get(*vm as usize)
-                .and_then(Option::as_ref)
-                .is_some_and(|a| a.summary.boot_t.is_some()),
-            TraceEvent::TaskStart { task, .. } => {
-                self.started.get(*task as usize).copied().unwrap_or(false)
-            }
+            TraceEvent::TaskStart { task, .. } => self.started.contains(task),
             _ => false,
         }
     }
@@ -548,7 +545,7 @@ impl TraceReducer {
     /// bit-exact replay of its additions.
     fn pool_drain(&mut self) {
         while let Some((btus, busy, cost)) = self.pool_done.remove(&self.pool_next_fold) {
-            self.pool.billed_btus += btus;
+            self.pool.billed_btus = self.pool.billed_btus.saturating_add(btus);
             self.pool.busy_s += busy;
             self.pool.cost_usd += cost;
             self.pool_next_fold += 1;
@@ -564,13 +561,14 @@ impl TraceReducer {
                 vm, price_per_btu, ..
             } => {
                 self.events += 1;
-                if *vm != self.pool_next_lease {
+                let id = u64::from(*vm);
+                if id != self.pool_next_lease {
                     self.pool_violate(format!(
                         "pool lease vm{vm} is not the next dense id {}",
                         self.pool_next_lease
                     ));
                 }
-                self.pool_next_lease = vm + 1;
+                self.pool_next_lease = id + 1;
                 self.pool.leases += 1;
                 self.pool_live.insert(*vm, *price_per_btu);
                 return;
@@ -599,7 +597,7 @@ impl TraceReducer {
                         }
                         self.pool.reclaims += 1;
                         self.pool_done
-                            .insert(*vm, (*billed_btus, *busy_s, *cost_usd));
+                            .insert(u64::from(*vm), (*billed_btus, *busy_s, *cost_usd));
                         self.pool_drain();
                     }
                 }
@@ -620,11 +618,7 @@ impl TraceReducer {
                 price_per_btu,
                 time,
             } => {
-                let idx = *vm as usize;
-                if self.vms.len() <= idx {
-                    self.vms.resize(idx + 1, None);
-                }
-                self.vms[idx] = Some(VmAcc {
+                let acc = VmAcc {
                     summary: VmSummary {
                         vm: *vm,
                         itype: itype.clone(),
@@ -641,7 +635,8 @@ impl TraceReducer {
                     },
                     running: None,
                     max_boundary: 0,
-                });
+                };
+                self.vms.insert(*vm, acc);
             }
             TraceEvent::ProbeDecision {
                 task,
@@ -650,11 +645,7 @@ impl TraceReducer {
                 finish,
                 ..
             } => {
-                let idx = *task as usize;
-                if self.placed.len() <= idx {
-                    self.placed.resize(idx + 1, false);
-                }
-                self.placed[idx] = true;
+                self.placed.insert(*task);
                 self.tasks += 1;
                 self.plan_makespan = self.plan_makespan.max(*finish);
                 let (start, finish) = (*start, *finish);
@@ -673,11 +664,7 @@ impl TraceReducer {
             }
             TraceEvent::TaskStart { task, vm, time } => {
                 self.seg_replayed = true;
-                let idx = *task as usize;
-                if self.started.len() <= idx {
-                    self.started.resize(idx + 1, false);
-                }
-                self.started[idx] = true;
+                self.started.insert(*task);
                 let (task, time) = (*task, *time);
                 if let Some(a) = self.vm_mut(*vm, "task-start") {
                     if let Some((other, _)) = a.running {
@@ -829,7 +816,7 @@ impl TraceReducer {
         let mut regions: Vec<&str> = Vec::new();
         let mut violations = std::mem::take(&mut self.violations);
         let replayed = self.seg_replayed;
-        for acc in self.vms.iter().flatten() {
+        for acc in self.vms.values() {
             let s = &acc.summary;
             if let Some((t, _)) = acc.running {
                 violations.push(format!("vm{}: task t{t} never finished", s.vm));
@@ -839,7 +826,7 @@ impl TraceReducer {
             plan_cost += self.policy.btus_for_span(s.plan_busy_s) as f64 * s.price_per_btu;
             if let Some((_, billed, busy, cost)) = s.reclaim {
                 obs_cost += cost;
-                billed_total += billed;
+                billed_total = billed_total.saturating_add(billed);
                 idle += billed as f64 * self.policy.btu_seconds - busy;
             } else if replayed && s.obs_tasks > 0 {
                 violations.push(format!("vm{} replayed but never reclaimed", s.vm));
@@ -888,7 +875,7 @@ impl TraceReducer {
             events: self.seg_events,
             violations,
         });
-        // Reset per-segment state (buffers keep their capacity).
+        // Reset per-segment state.
         self.vms.clear();
         self.placed.clear();
         self.started.clear();
@@ -912,7 +899,7 @@ impl TraceReducer {
         // in id order (a gap already shows up as `live > 0`).
         let stragglers = std::mem::take(&mut self.pool_done);
         for (_, (btus, busy, cost)) in stragglers {
-            self.pool.billed_btus += btus;
+            self.pool.billed_btus = self.pool.billed_btus.saturating_add(btus);
             self.pool.busy_s += busy;
             self.pool.cost_usd += cost;
         }
@@ -927,69 +914,10 @@ impl TraceReducer {
     }
 }
 
-/// The subset of a run manifest the reconciliation gate consumes:
-/// final gauges and published histogram snapshots.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ManifestMetrics {
-    /// `run.*` gauges by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram snapshots reconstructed from the sparse bucket
-    /// encoding.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-/// Parse the `"metrics"` object of a `<artifact>.manifest.json` (or a
-/// bare `MetricsSnapshot::to_json` document).
-///
-/// # Errors
-/// Returns a message on malformed JSON or a missing `metrics` object.
-pub fn parse_manifest_metrics(doc: &str) -> Result<ManifestMetrics, String> {
-    let v = json::parse(doc)?;
-    let metrics = v.get("metrics").unwrap_or(&v);
-    let mut out = ManifestMetrics::default();
-    if let Some(gauges) = metrics.get("gauges").and_then(Value::as_obj) {
-        for (k, g) in gauges {
-            if let Some(x) = g.as_f64() {
-                out.gauges.insert(k.clone(), x);
-            }
-        }
-    }
-    if let Some(counters) = metrics.get("counters").and_then(Value::as_obj) {
-        for (k, c) in counters {
-            if let Some(x) = c.as_u64() {
-                out.counters.insert(k.clone(), x);
-            }
-        }
-    }
-    if let Some(hists) = metrics.get("histograms").and_then(Value::as_obj) {
-        for (k, h) in hists {
-            let mut snap = HistogramSnapshot {
-                buckets: [0; HISTOGRAM_BUCKETS],
-                count: h.get("count").and_then(Value::as_u64).unwrap_or(0),
-                sum: h.get("sum").and_then(Value::as_u64).unwrap_or(0),
-            };
-            for pair in h.get("buckets").and_then(Value::as_arr).unwrap_or(&[]) {
-                let Some([bits, c]) = pair.as_arr().map(|p| [p[0].as_u64(), p[1].as_u64()]) else {
-                    continue;
-                };
-                if let (Some(bits), Some(c)) = (bits, c) {
-                    if (bits as usize) < HISTOGRAM_BUCKETS {
-                        snap.buckets[bits as usize] = c;
-                    }
-                }
-            }
-            out.histograms.insert(k.clone(), snap);
-        }
-    }
-    Ok(out)
-}
-
 /// Render percentile summaries of published histograms (the
 /// trace-report text footer).
 #[must_use]
-pub fn histogram_summaries(m: &ManifestMetrics) -> String {
+pub fn histogram_summaries(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, h) in &m.histograms {
         let _ = writeln!(
@@ -1024,7 +952,7 @@ pub fn histogram_summaries(m: &ManifestMetrics) -> String {
 /// additions in the same (pool-id) order. Pool ids are global, so this
 /// branch is thread-count independent.
 #[must_use]
-pub fn check(report: &TraceReport, manifest: &ManifestMetrics) -> Vec<String> {
+pub fn check(report: &TraceReport, manifest: &MetricsSnapshot) -> Vec<String> {
     let mut failures = Vec::new();
     for (at, msg) in &report.parse_errors {
         failures.push(format!("line {at}: {msg}"));
@@ -1044,39 +972,18 @@ pub fn check(report: &TraceReport, manifest: &ManifestMetrics) -> Vec<String> {
                 p.live
             ));
         }
-        if let Some(&cost) = manifest.gauges.get("service.fleet_cost_usd") {
-            if cost != p.cost_usd {
-                failures.push(format!(
-                    "service.fleet_cost_usd {cost} != trace-recomputed {}",
-                    p.cost_usd
-                ));
+        for (name, recomputed) in [
+            ("service.fleet_cost_usd", p.cost_usd),
+            ("service.fleet_vms", p.reclaims as f64),
+            ("service.fleet_btus", p.billed_btus as f64),
+        ] {
+            match manifest.gauge(name) {
+                Some(gauge) if gauge != recomputed => {
+                    failures.push(format!("{name} {gauge} != trace-recomputed {recomputed}"));
+                }
+                Some(_) => {}
+                None => failures.push(format!("manifest has no {name} gauge (was --metrics on?)")),
             }
-        } else {
-            failures.push(
-                "manifest has no service.fleet_cost_usd gauge (was --metrics on?)".to_string(),
-            );
-        }
-        if let Some(&vms) = manifest.gauges.get("service.fleet_vms") {
-            if vms != p.reclaims as f64 {
-                failures.push(format!(
-                    "service.fleet_vms {vms} != trace-recomputed {}",
-                    p.reclaims
-                ));
-            }
-        } else {
-            failures
-                .push("manifest has no service.fleet_vms gauge (was --metrics on?)".to_string());
-        }
-        if let Some(&btus) = manifest.gauges.get("service.fleet_btus") {
-            if btus != p.billed_btus as f64 {
-                failures.push(format!(
-                    "service.fleet_btus {btus} != trace-recomputed {}",
-                    p.billed_btus
-                ));
-            }
-        } else {
-            failures
-                .push("manifest has no service.fleet_btus gauge (was --metrics on?)".to_string());
         }
         return failures;
     }
@@ -1311,7 +1218,7 @@ mod tests {
             r.feed(&e);
         }
         let report = r.finish();
-        let mut m = ManifestMetrics::default();
+        let mut m = MetricsSnapshot::default();
         m.gauges.insert("run.makespan_s".into(), 300.0);
         m.gauges.insert("run.cost_usd".into(), 0.095);
         assert!(check(&report, &m).is_empty());
@@ -1402,7 +1309,7 @@ mod tests {
         r.feed(&pool_lease(0, 0.095, 0.0));
         r.feed(&pool_reclaim(0, 3, 0.095, 10800.0));
         let report = r.finish();
-        let mut m = ManifestMetrics::default();
+        let mut m = MetricsSnapshot::default();
         m.gauges
             .insert("service.fleet_cost_usd".into(), 3.0 * 0.095);
         m.gauges.insert("service.fleet_vms".into(), 1.0);
@@ -1418,7 +1325,7 @@ mod tests {
             failures.iter().any(|f| f.contains("service.fleet_btus")),
             "{failures:?}"
         );
-        let empty = ManifestMetrics::default();
+        let empty = MetricsSnapshot::default();
         let failures = check(&report, &empty);
         assert!(
             failures.iter().any(|f| f.contains("was --metrics on?")),
@@ -1432,7 +1339,7 @@ mod tests {
         r.feed(&pool_lease(0, 0.095, 0.0));
         let report = r.finish();
         assert_eq!(report.pool.live, 1);
-        let mut m = ManifestMetrics::default();
+        let mut m = MetricsSnapshot::default();
         m.gauges.insert("service.fleet_cost_usd".into(), 0.0);
         m.gauges.insert("service.fleet_vms".into(), 0.0);
         m.gauges.insert("service.fleet_btus".into(), 0.0);
@@ -1444,24 +1351,66 @@ mod tests {
     }
 
     #[test]
-    fn manifest_metrics_round_trip_through_snapshot_json() {
+    fn histogram_summaries_render_percentiles() {
         let reg = crate::metrics::MetricsRegistry::new();
-        reg.counter("kernel.probes").add(12);
-        reg.gauge("run.cost_usd").set(0.475);
         let h = reg.histogram("kernel.probe_latency");
         h.record(900);
         h.record(1100);
-        let snap = reg.snapshot();
-        let parsed = parse_manifest_metrics(&snap.to_json()).expect("parse back");
-        assert_eq!(parsed.counters["kernel.probes"], 12);
-        assert_eq!(parsed.gauges["run.cost_usd"], 0.475);
+        let text = histogram_summaries(&reg.snapshot());
         assert_eq!(
-            parsed.histograms["kernel.probe_latency"],
-            snap.histograms["kernel.probe_latency"]
+            text,
+            "  kernel.probe_latency: count 2 mean 1000 p50 ≤1023 p90 ≤2047 p99 ≤2047\n"
         );
-        let text = histogram_summaries(&parsed);
-        assert!(text.contains("kernel.probe_latency"), "{text}");
-        assert!(text.contains("p99"), "{text}");
+    }
+
+    #[test]
+    fn huge_ids_cost_one_entry_not_an_id_sized_table() {
+        // Regression: the reducer sized its per-segment tables by the
+        // largest id, so a lease of vm 4294967295 asked for 800 GB and
+        // aborted.
+        let mut r = TraceReducer::new();
+        r.feed(&lease(u32::MAX, 0.0));
+        r.feed(&probe(u32::MAX, u32::MAX, 0.0, 10.0));
+        r.feed(&TraceEvent::TaskStart {
+            task: u32::MAX,
+            vm: u32::MAX,
+            time: 0.0,
+        });
+        let report = r.finish();
+        assert_eq!(report.segments.len(), 1);
+        let s = &report.segments[0];
+        assert_eq!(s.vms.len(), 1);
+        assert_eq!(s.vms[0].vm, u32::MAX);
+        assert_eq!(s.vms[0].plan_busy_s, 10.0);
+    }
+
+    #[test]
+    fn a_pool_lease_at_the_top_id_does_not_overflow() {
+        // Regression: `vm + 1` overflowed here (a panic in debug
+        // builds, a wrap to 0 in release ones).
+        let mut r = TraceReducer::new();
+        r.feed(&pool_lease(u32::MAX, 0.095, 0.0));
+        r.feed(&pool_lease(0, 0.095, 1.0));
+        let report = r.finish();
+        assert_eq!(report.pool.leases, 2);
+        assert_eq!(
+            report.pool.violations,
+            [
+                "pool lease vm4294967295 is not the next dense id 0",
+                "pool lease vm0 is not the next dense id 4294967296",
+            ]
+        );
+    }
+
+    #[test]
+    fn billed_btu_totals_saturate_instead_of_overflowing() {
+        let mut r = TraceReducer::new();
+        for vm in 0..2 {
+            r.feed(&pool_lease(vm, 1.0, 0.0));
+            r.feed(&pool_reclaim(vm, u64::MAX, 1.0, 3600.0));
+        }
+        let report = r.finish();
+        assert_eq!(report.pool.billed_btus, u64::MAX);
     }
 
     #[test]
@@ -1484,7 +1433,7 @@ mod tests {
         assert!(text.contains("trace report"), "{text}");
         assert!(text.contains("violations: none"), "{text}");
         let json = report.to_json();
-        let v = json::parse(&json).expect("report JSON parses");
-        assert_eq!(v.get("segments").and_then(Value::as_u64), Some(1));
+        let v = crate::json::parse(&json).expect("report JSON parses");
+        assert_eq!(v.get("segments").and_then(|n| n.as_u64()), Some(1));
     }
 }

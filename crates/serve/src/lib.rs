@@ -16,7 +16,7 @@
 //! |--------|----------------|
 //! | [`shard`] | the [`ShardedPool`]: per-region shards with their own event queues and billing meters, merged in global rental order |
 //! | [`engine`] | the chunked two-stage pipeline: lazy [`cws_service::TicketStream`] arrivals, worker lanes preparing ticket chunks under [`cws_obs::quiet`], strict in-order commits with no reorder buffer; its per-submission admission step is the daemon's too |
-//! | [`wire`] | the JSON-lines workflow interchange format (first cut) |
+//! | [`wire`] | the daemon's JSON-lines requests, whose workflows are `cws-dag` interchange documents |
 //! | [`daemon`] | the long-lived `cws-exp serve --listen` daemon: socket accept loop around a [`ServeCore`] |
 //!
 //! Memory scales with the *live* pool and the credit window, not the
@@ -36,4 +36,4 @@ pub mod wire;
 pub use daemon::{Daemon, ServeCore, ServeOptions, SubmitOutcome};
 pub use engine::{run_sharded_service, run_sharded_summary, ShardedConfig, SERVICE_SHARDS};
 pub use shard::{shard_metric, Shard, ShardRouter, ShardedPool};
-pub use wire::{parse_request, parse_workflow, workflow_to_json, Request, MAX_REQUEST_LINE_BYTES};
+pub use wire::{parse_request, Request, MAX_REQUEST_LINE_BYTES};

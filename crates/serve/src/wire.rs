@@ -87,26 +87,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(Request::Submit {
         tenant,
         time,
-        workflow: parse_workflow(wf)?,
+        workflow: interchange::from_json_value(wf).map_err(|e| e.to_string())?,
     })
-}
-
-/// Build a [`Workflow`] from its interchange JSON — a thin shim over
-/// [`cws_dag::interchange::from_json_value`], kept for API stability.
-///
-/// # Errors
-/// Returns the interchange error rendered as `path: message`.
-pub fn parse_workflow(v: &Value) -> Result<Workflow, String> {
-    interchange::from_json_value(v).map_err(|e| e.to_string())
-}
-
-/// Export a workflow into the interchange format — delegates to
-/// [`Workflow::to_json`]; kept for API stability. The rendering is
-/// deterministic and `parse_workflow(workflow_to_json(wf))`
-/// round-trips the DAG exactly.
-#[must_use]
-pub fn workflow_to_json(wf: &Workflow) -> String {
-    wf.to_json()
 }
 
 #[cfg(test)]
@@ -114,8 +96,12 @@ mod tests {
     use super::*;
     use cws_dag::TaskId;
 
-    fn parse(s: &str) -> Result<Workflow, String> {
-        parse_workflow(&cws_obs::json::parse(s).expect("valid JSON"))
+    /// Submit `doc` as one request line and return its workflow.
+    fn parse(doc: &str) -> Result<Workflow, String> {
+        match parse_request(&format!(r#"{{"tenant":"t","workflow":{doc}}}"#))? {
+            Request::Submit { workflow, .. } => Ok(workflow),
+            other => panic!("expected Submit, got {other:?}"),
+        }
     }
 
     #[test]
@@ -141,10 +127,10 @@ mod tests {
             {"id":"x","runtime_s":3.5},
             {"id":"y","runtime_s":7,"deps":[{"task":"x","data_mb":2}]}]}"#;
         let wf = parse(src).expect("valid");
-        let json = workflow_to_json(&wf);
+        let json = wf.to_json();
         let back = parse(&json).expect("export parses");
         assert_eq!(back, wf, "round trip is exact");
-        assert_eq!(json, workflow_to_json(&back), "export is a fixed point");
+        assert_eq!(json, back.to_json(), "export is a fixed point");
     }
 
     #[test]

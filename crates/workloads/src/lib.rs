@@ -31,7 +31,6 @@ pub mod pegasus;
 pub mod random;
 pub mod runtime;
 pub mod sequential;
-pub mod trace;
 pub mod wfcommons;
 
 pub use bot::bag_of_tasks;
@@ -43,7 +42,6 @@ pub use pegasus::{cybershake, epigenomics, ligo, CyberShakeShape, EpigenomicsSha
 pub use random::{fork_join, layered_dag, ForkJoinShape, LayeredShape};
 pub use runtime::{DataSizeModel, Scenario};
 pub use sequential::sequential;
-pub use trace::{from_text, to_text, TraceError};
 pub use wfcommons::{import as import_wfcommons, named_workflow};
 
 use cws_dag::Workflow;

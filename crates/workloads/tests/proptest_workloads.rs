@@ -10,7 +10,7 @@ use cws_workloads::pegasus::{
     cybershake, epigenomics, ligo, CyberShakeShape, EpigenomicsShape, LigoShape,
 };
 use cws_workloads::random::{fork_join, layered_dag, ForkJoinShape, LayeredShape};
-use cws_workloads::{bag_of_tasks, from_text, sequential, to_text, DataSizeModel, Scenario};
+use cws_workloads::{bag_of_tasks, sequential, DataSizeModel, Scenario};
 use proptest::prelude::*;
 
 proptest! {
@@ -104,18 +104,6 @@ proptest! {
         prop_assert_eq!(data.edge_count(), wf.edge_count());
         prop_assert!(cpu.edges().all(|e| e.data_mb == 0.0));
         prop_assert!(data.edges().all(|e| e.data_mb >= 500.0));
-    }
-
-    #[test]
-    fn text_format_round_trips_random_workloads(
-        levels in 2usize..5, width in 1usize..4, prob in 0.1f64..0.9, seed in 0u64..200,
-    ) {
-        let wf = layered_dag(LayeredShape {
-            levels, min_width: 1, max_width: width, edge_prob: prob, seed,
-        });
-        let wf = Scenario::Pareto { seed }.apply(&wf);
-        let back = from_text(&to_text(&wf)).expect("round trip parses");
-        prop_assert_eq!(back, wf);
     }
 
     #[test]

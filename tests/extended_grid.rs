@@ -10,7 +10,6 @@ use cloud_workflow_sched::workloads::bag_of_tasks;
 use cloud_workflow_sched::workloads::pegasus::{
     cybershake, epigenomics, ligo, CyberShakeShape, EpigenomicsShape, LigoShape,
 };
-use cloud_workflow_sched::workloads::{from_text, to_text};
 
 fn pegasus_suite() -> Vec<Workflow> {
     vec![
@@ -162,7 +161,7 @@ fn trace_round_trips_every_generator() {
     all.extend(paper_workflows());
     all.push(bag_of_tasks(10));
     for wf in all {
-        let parsed = from_text(&to_text(&wf)).expect("round trip parses");
+        let parsed = Workflow::from_json(&wf.to_json()).expect("round trip parses");
         assert_eq!(parsed, wf, "{}", wf.name());
     }
 }

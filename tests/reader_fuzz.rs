@@ -1,0 +1,221 @@
+//! Byte-mutation fuzzing of the readers that take bytes from outside
+//! the process: the cws-dag interchange parser, the daemon's request
+//! lines, the trace reducer behind `cws-exp trace-report` and the
+//! metrics-snapshot decoder it reads manifests with.
+//!
+//! Each case overwrites a few bytes of a valid seed document and feeds
+//! the result to the reader. The invariant is that no reader panics or
+//! aborts: bad input is an error or a violation. Documents a reader
+//! accepts must also survive a round trip through their canonical
+//! writer, and the trace report's JSON must stay parseable.
+
+use cws_dag::Workflow;
+use cws_obs::report::{self, TraceReducer, TraceReport};
+use cws_obs::{MetricsRegistry, MetricsSnapshot};
+use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Bytes the JSON grammar turns on. A drawn byte past 255 picks one of
+/// these, so mutations reach past the tokenizer more often than
+/// uniform bytes would.
+const TOKENS: &[u8] = b"{}[]\",:\\-+.eE0123456789 \nu";
+
+/// Up to four `(offset, byte)` overwrites; offsets wrap to the document.
+fn edits() -> impl Strategy<Value = [(usize, u32); 4]> {
+    let edit = || (0usize..1 << 16, 0u32..256 + TOKENS.len() as u32);
+    (edit(), edit(), edit(), edit()).prop_map(|(a, b, c, d)| [a, b, c, d])
+}
+
+/// `doc` with `edits` applied, lossily re-read as UTF-8 (every reader
+/// takes `&str`).
+fn mutate(doc: &str, edits: &[(usize, u32)]) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    for &(at, b) in edits {
+        let at = at % bytes.len();
+        bytes[at] = u8::try_from(b).unwrap_or_else(|_| TOKENS[b as usize - 256]);
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Run `read` on `input`; a panic fails the test naming the input.
+fn survives(reader: &str, input: &str, read: impl FnOnce(&str)) {
+    if catch_unwind(AssertUnwindSafe(|| read(input))).is_err() {
+        panic!("{reader} panicked on {input:?}");
+    }
+}
+
+const DIAMOND: &str = r#"{"format":"cws-dag","version":1,"name":"diamond","tasks":[
+    {"id":"a","runtime_s":10,"type":"stage","input_mb":2.5},
+    {"id":"b","runtime_s":20,"deps":["a"]},
+    {"id":"c","runtime_s":30.75,"deps":[{"task":"a","data_mb":5.5}]},
+    {"id":"d","runtime_s":1e2,"deps":["b",{"task":"c","data_mb":0}]}]}"#;
+
+fn workflow_seeds() -> Vec<String> {
+    let cybershake = cws_workloads::cybershake(cws_workloads::CyberShakeShape { synthesis: 2 });
+    vec![DIAMOND.to_string(), cybershake.to_json()]
+}
+
+fn request_seeds() -> Vec<String> {
+    let mut seeds = vec![
+        r#"{"cmd":"report"}"#.to_string(),
+        r#"{"cmd":"shutdown"}"#.to_string(),
+    ];
+    for wf in workflow_seeds() {
+        seeds.push(format!(
+            r#"{{"tenant":"astro","time":12.5,"workflow":{wf}}}"#
+        ));
+    }
+    seeds
+}
+
+/// A replayed two-VM schedule beside one pool rental: every event kind
+/// once or more, with no violation.
+const TRACE: &str = r#"{"ev":"pool-lease","t":0,"vm":0,"itype":"small","region":"us-east","price_per_btu":0.08}
+{"ev":"vm-lease","t":0,"vm":0,"itype":"small","region":"us-east","price_per_btu":0.08}
+{"ev":"vm-lease","t":0,"vm":1,"itype":"medium","region":"us-east","price_per_btu":0.16}
+{"ev":"probe-decision","t":0,"task":0,"vm":0,"start":0,"finish":4000,"kind":"new-vm"}
+{"ev":"probe-decision","t":0,"task":1,"vm":1,"start":4000.5,"finish":4100,"kind":"new-vm"}
+{"ev":"vm-boot","t":0,"vm":0}
+{"ev":"vm-boot","t":0,"vm":1}
+{"ev":"task-start","t":0,"task":0,"vm":0}
+{"ev":"btu-boundary","t":3600,"vm":0,"btu":1}
+{"ev":"task-finish","t":4000,"task":0,"vm":0}
+{"ev":"transfer-start","t":4000,"from":0,"to":1,"data_mb":12.5}
+{"ev":"transfer-finish","t":4000.5,"from":0,"to":1}
+{"ev":"task-start","t":4000.5,"task":1,"vm":1}
+{"ev":"task-finish","t":4100,"task":1,"vm":1}
+{"ev":"vm-reclaim","t":4000,"vm":0,"billed_btus":2,"busy_s":4000,"cost_usd":0.16}
+{"ev":"vm-reclaim","t":4100,"vm":1,"billed_btus":1,"busy_s":99.5,"cost_usd":0.16}
+{"ev":"pool-reclaim","t":3600,"vm":0,"billed_btus":1,"busy_s":3000,"cost_usd":0.08}"#;
+
+fn reduce(trace: &str) -> TraceReport {
+    let mut reducer = TraceReducer::new();
+    for line in trace.lines() {
+        reducer.feed_line(line);
+    }
+    reducer.finish()
+}
+
+/// The metrics a run of [`TRACE`] would publish, as a manifest.
+fn manifest_seed() -> String {
+    let reg = MetricsRegistry::new();
+    reg.counter("sim.events_processed").add(17);
+    reg.gauge("run.makespan_s").set(4100.0);
+    reg.gauge("service.fleet_cost_usd").set(0.08);
+    let h = reg.histogram("service.queue_wait");
+    for wait in [0, 900, 1100, 70_000] {
+        h.record(wait);
+    }
+    format!(
+        r#"{{"tool":"cws-exp","seed":42,"metrics":{}}}"#,
+        reg.snapshot().to_json()
+    )
+}
+
+/// Everything `cws-exp trace-report --check` does with a reduced trace
+/// and a manifest.
+fn render_and_check(report: &TraceReport, manifest: &MetricsSnapshot) {
+    let _ = report.to_text();
+    let json = report.to_json();
+    assert!(cws_obs::json::parse(&json).is_ok(), "report JSON: {json}");
+    let _ = report::histogram_summaries(manifest);
+    let _ = report::check(report, manifest);
+}
+
+fn read_workflow(doc: &str) {
+    if let Ok(wf) = Workflow::from_json(doc) {
+        let json = wf.to_json();
+        let back = Workflow::from_json(&json).expect("an export parses");
+        assert_eq!(back, wf, "accepted documents round-trip");
+        assert_eq!(back.to_json(), json, "the export is a fixed point");
+    }
+}
+
+fn read_request(line: &str) {
+    let _ = cws_serve::parse_request(line);
+}
+
+fn read_trace(trace: &str) {
+    let manifest = MetricsSnapshot::from_json(&manifest_seed()).expect("seed manifest");
+    render_and_check(&reduce(trace), &manifest);
+}
+
+fn read_manifest(doc: &str) {
+    if let Ok(snap) = MetricsSnapshot::from_json(doc) {
+        render_and_check(&reduce(TRACE), &snap);
+        assert_eq!(
+            MetricsSnapshot::from_json(&snap.to_json()),
+            Ok(snap),
+            "accepted snapshots round-trip"
+        );
+    }
+}
+
+#[test]
+fn seeds_are_valid_so_mutations_start_near_the_grammar() {
+    for doc in workflow_seeds() {
+        Workflow::from_json(&doc).expect("workflow seed");
+    }
+    for line in request_seeds() {
+        cws_serve::parse_request(&line).expect("request seed");
+    }
+    let report = reduce(TRACE);
+    assert!(report.parse_errors.is_empty(), "{:?}", report.parse_errors);
+    assert!(report.violations().is_empty(), "{:?}", report.violations());
+    assert_eq!((report.events, report.pool.reclaims), (17, 1));
+    let manifest = MetricsSnapshot::from_json(&manifest_seed()).expect("manifest seed");
+    assert_eq!(manifest.histograms["service.queue_wait"].count, 4);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn mutated_workflows_never_panic_the_interchange_parser(
+        seed in 0usize..2, n in 1usize..5, edits in edits(),
+    ) {
+        let doc = mutate(&workflow_seeds()[seed], &edits[..n]);
+        survives("Workflow::from_json", &doc, read_workflow);
+    }
+
+    #[test]
+    fn mutated_request_lines_never_panic_the_daemon_parser(
+        seed in 0usize..4, n in 1usize..5, edits in edits(),
+    ) {
+        let line = mutate(&request_seeds()[seed], &edits[..n]);
+        survives("parse_request", &line, read_request);
+    }
+
+    #[test]
+    fn mutated_traces_never_panic_the_reducer(n in 1usize..5, edits in edits()) {
+        let trace = mutate(TRACE, &edits[..n]);
+        survives("TraceReducer::feed_line", &trace, read_trace);
+    }
+
+    #[test]
+    fn mutated_manifests_never_panic_the_snapshot_decoder(n in 1usize..5, edits in edits()) {
+        let doc = mutate(&manifest_seed(), &edits[..n]);
+        survives("MetricsSnapshot::from_json", &doc, read_manifest);
+    }
+}
+
+/// Inputs that once killed `cws-exp trace-report` or the JSON parser,
+/// pinned so the fuzz seeds cannot drift past them.
+#[test]
+fn known_hostile_inputs_are_errors_not_crashes() {
+    // A bucket pair with no elements: indexed as `p[0]`, exit 101.
+    read_manifest(r#"{"histograms":{"h":{"count":1,"sum":1,"buckets":[[]]}}}"#);
+    // The largest VM id sized a table: an 800 GB allocation, exit 134.
+    // The largest pool id overflowed `vm + 1`: exit 101 in debug builds.
+    let lease =
+        r#"{"ev":"vm-lease","t":0,"vm":4294967295,"itype":"small","region":"r","price_per_btu":1}"#;
+    read_trace(lease);
+    read_trace(&lease.replace("vm-lease", "pool-lease"));
+    // A megabyte of `[`: a stack overflow in the recursive parser.
+    let deep = "[".repeat(1_000_000);
+    let nesting = "nesting deeper than 128 levels at byte 128".to_string();
+    assert_eq!(cws_serve::parse_request(&deep), Err(nesting.clone()));
+    assert_eq!(MetricsSnapshot::from_json(&deep), Err(nesting.clone()));
+    assert!(Workflow::from_json(&deep).is_err());
+    assert_eq!(reduce(&deep).parse_errors, [(1, nesting)]);
+}

@@ -2,7 +2,7 @@
 # Interchange-format gate (ROADMAP: real-trace workload frontier; run
 # by the `interchange` CI job, or locally as tools/interchange_check.sh).
 #
-# Three legs:
+# Four legs:
 #
 #   1. Corpus validation — every vendored interchange document under
 #      tests/data/ must pass `cws-exp validate` (exit 0); a malformed
@@ -18,6 +18,10 @@
 #      trace must be byte-identical at --threads 1 and 8, and a traced
 #      run must reconcile under `cws-exp trace-report --check` (events
 #      vs the run manifest's run.cost_usd / run.makespan_s gauges).
+#
+#   4. Hostile trace-report inputs — a manifest with an empty histogram
+#      bucket pair, and a VM lease and a pool lease at the largest id,
+#      must give exit 0 or 1 (a failed --check), never a panic or abort.
 #
 # Environment overrides:
 #   TRACE  — corpus trace for the sweep leg (default: montage-166.json)
@@ -122,8 +126,33 @@ if ! exp trace-report "$tr/trace.jsonl" --check >/dev/null; then
 fi
 echo "ok: sweep --workflow $TRACE (threads 1 == threads 8, trace reconciles)"
 
+# 4. Hostile one-line inputs: trace-report with and without --check
+#    exits 0 or 1, never 101 (panic) or 134 (abort).
+hostile="$OUTDIR/hostile"
+mkdir -p "$hostile"
+lease='{"ev":"vm-lease","t":0,"vm":4294967295,"itype":"small","region":"r","price_per_btu":1}'
+echo "$lease" > "$hostile/vm-lease.jsonl"
+echo "${lease/vm-lease/pool-lease}" > "$hostile/pool-lease.jsonl"
+: > "$hostile/manifest.jsonl"
+echo '{"histograms":{"h":{"count":1,"sum":1,"buckets":[[]]}}}' \
+  > "$hostile/manifest.jsonl.manifest.json"
+for f in manifest vm-lease pool-lease; do
+  for check in "" --check; do
+    set +e
+    exp trace-report "$hostile/$f.jsonl" ${check:+"$check"} >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [ "$rc" -gt 1 ]; then
+      echo "HOSTILE: trace-report $f.jsonl${check:+ $check} exited $rc (want 0 or 1)" >&2
+      fail=1
+    else
+      echo "ok: trace-report $f.jsonl${check:+ $check} exited $rc"
+    fi
+  done
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "interchange check FAILED — see lines above" >&2
   exit 1
 fi
-echo "interchange check clean: corpus + importer + real-trace sweep"
+echo "interchange check clean: corpus + importer + real-trace sweep + hostile trace-report"
