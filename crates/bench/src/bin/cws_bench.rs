@@ -31,8 +31,16 @@
 //! `BENCH_kernel.json`, with a `RunManifest` written as
 //! `<out>.manifest.json` beside it.
 //!
+//! `--check` writes nothing. It compares that counter profile with the
+//! `metrics.counters` of the report already at `--out` (by default the
+//! committed `BENCH_kernel.json`) and **fails (exit 1)** on any counter
+//! whose name or value differs. The pass runs each workload once
+//! whatever the mode, so `--quick --check` checks the full run's
+//! profile; a change that alters the scheduling work must regenerate
+//! the report.
+//!
 //! ```text
-//! cws-bench [--quick] [--out PATH]
+//! cws-bench [--quick] [--check] [--out PATH]
 //! cws-bench --service [--quick] [--out PATH]
 //! ```
 //!
@@ -50,6 +58,7 @@ use cws_dag::Workflow;
 use cws_platform::Platform;
 use cws_workloads::random::{layered_dag, LayeredShape};
 use cws_workloads::{epigenomics, paper_workflows, DataSizeModel, EpigenomicsShape, Scenario};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -133,8 +142,48 @@ fn replay(wf: &Workflow, platform: &Platform, plans: &[Schedule], reps: usize) -
 }
 
 fn usage() -> ! {
-    eprintln!("usage: cws-bench [--service] [--quick] [--out PATH]");
+    eprintln!("usage: cws-bench [--service] [--quick] [--check] [--out PATH]");
     std::process::exit(2);
+}
+
+/// The counters of the report at `path`, or exit 1 if it cannot be read.
+fn committed_counters(path: &PathBuf) -> BTreeMap<String, u64> {
+    let read = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| cws_obs::MetricsSnapshot::from_json(&doc));
+    match read {
+        Ok(snapshot) => snapshot.counters,
+        Err(e) => {
+            eprintln!(
+                "FAIL cannot read the counter profile of {}: {e}",
+                path.display()
+            );
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Every counter whose name or value differs between the two profiles,
+/// as `name: committed -> measured` lines (`-` for an absent counter).
+fn counter_drift(
+    committed: &BTreeMap<String, u64>,
+    measured: &BTreeMap<String, u64>,
+) -> Vec<String> {
+    let show = |v: Option<&u64>| v.map_or_else(|| "-".to_string(), u64::to_string);
+    committed
+        .keys()
+        .chain(measured.keys())
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .filter(|name| committed.get(*name) != measured.get(*name))
+        .map(|name| {
+            format!(
+                "{name}: {} -> {}",
+                show(committed.get(name)),
+                show(measured.get(name))
+            )
+        })
+        .collect()
 }
 
 /// One scale point of the service-engine benchmark.
@@ -260,23 +309,29 @@ fn service_bench(quick: bool, out: &PathBuf) {
 
 fn main() {
     let mut quick = false;
+    let mut check = false;
     let mut service = false;
     let mut out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
+            "--check" => check = true,
             "--service" => service = true,
             "--out" => out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             _ => usage(),
         }
     }
     if service {
+        if check {
+            usage();
+        }
         let out = out.unwrap_or_else(|| PathBuf::from("BENCH_service.json"));
         service_bench(quick, &out);
         return;
     }
     let out = out.unwrap_or_else(|| PathBuf::from("BENCH_kernel.json"));
+    let committed = check.then(|| committed_counters(&out));
     let reps = if quick { 1 } else { 3 };
 
     let platform = Platform::ec2_paper();
@@ -416,6 +471,22 @@ fn main() {
     // would churn the artifact on every machine, so drop them before
     // embedding.
     snapshot.histograms.clear();
+
+    if let Some(committed) = committed {
+        let drift = counter_drift(&committed, &snapshot.counters);
+        if !drift.is_empty() {
+            for line in &drift {
+                eprintln!("FAIL counter drift against {}: {line}", out.display());
+            }
+            std::process::exit(1);
+        }
+        println!(
+            "counter profile matches {} ({} counters)",
+            out.display(),
+            committed.len()
+        );
+        return;
+    }
 
     let json = format!(
         "{{\n  \"bench\": \"kernel\",\n  \"quick\": {},\n  \"reps\": {},\n  \"pairings\": {},\n  \

@@ -8,12 +8,12 @@
 //! of the cost of HEFT + OneVMperTask on small instances — four times,
 //! per Sect. IV.
 
+use super::rent::{exec_and_rent_rows, RentLedger, N_TYPES};
 use crate::schedule::Schedule;
 use crate::state::{KernelTables, ScheduleBuilder};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
-
-const N_TYPES: usize = InstanceType::ALL.len();
+use std::cmp::Ordering;
 
 /// Per-task rental cost of a one-VM-per-task assignment: each task rents
 /// its own VM for `ceil(exec / BTU)` BTUs at its type's price.
@@ -92,267 +92,338 @@ pub fn cpa_eager_types_with(
     if crate::state::naive::reference_kernel_enabled() {
         return cpa_eager_types_reference(wf, platform, budget);
     }
-    // Per-(task, type) execution time and BTU rent plus the per-type-pair
-    // bandwidth, hoisted out of the upgrade loop. Every value below is
-    // computed exactly as the direct `execution_time` / `transfer_time` /
-    // `one_vm_per_task_cost` calls compute it, so the loop's decisions
-    // are unchanged.
-    let owned_et: Vec<[f64; N_TYPES]>;
-    let et: &[[f64; N_TYPES]] = match tables {
-        Some(t) => t.exec_rows(),
-        None => {
-            owned_et = wf
-                .ids()
-                .map(|t| {
-                    let base = wf.task(t).base_time;
-                    let mut row = [0.0; N_TYPES];
-                    for (j, it) in InstanceType::ALL.iter().enumerate() {
-                        row[j] = it.execution_time(base);
-                    }
-                    row
-                })
-                .collect();
-            &owned_et
-        }
-    };
-    let term: Vec<[f64; N_TYPES]> = et
-        .iter()
-        .map(|row| {
-            let mut out = [0.0; N_TYPES];
-            for (j, &it) in InstanceType::ALL.iter().enumerate() {
-                out[j] = btus_for_span(row[j]) as f64 * platform.price(it);
-            }
-            out
-        })
-        .collect();
-    let mut bw = [[0.0; N_TYPES]; N_TYPES];
-    for (i, &a) in InstanceType::ALL.iter().enumerate() {
-        for (j, &b) in InstanceType::ALL.iter().enumerate() {
-            bw[i][j] = platform.network.path_bandwidth_mbps(a, b);
-        }
-    }
-    let lat = platform
-        .network
-        .path_latency_s(platform.default_region, platform.default_region);
-
-    // Successor CSR with a per-edge communication-cost cache. Each
-    // cached entry is exactly what the reference's comm closure computes
-    // — `data_mb / bw[from][to] + lat` — and an upgrade changes the
-    // operands of only the upgraded task's incident edges, so only those
-    // entries are recomputed. The per-round critical-path walk below
-    // replicates `cws_dag::critical_path` on the CSR: same edge order,
-    // same `f64::max` fold, same `max_by` keep-on-Greater tie-breaks —
-    // every comparison sees bit-identical keys in the identical order.
-    let n = wf.len();
-    let mut succ_off: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut edge_from: Vec<u32> = Vec::new();
-    let mut edge_to: Vec<u32> = Vec::new();
-    let mut edge_data: Vec<f64> = Vec::new();
-    succ_off.push(0);
-    for t in wf.ids() {
-        for e in wf.successors(t) {
-            edge_from.push(t.0);
-            edge_to.push(e.to.0);
-            edge_data.push(e.data_mb);
-        }
-        succ_off.push(edge_to.len() as u32);
-    }
-    // Flat in-edge CSR (edge ids grouped by target, ascending within
-    // each group) — one contiguous lane instead of a Vec per node.
-    let mut in_off: Vec<u32> = vec![0; n + 1];
-    for &to in &edge_to {
-        in_off[to as usize + 1] += 1;
-    }
-    for i in 0..n {
-        in_off[i + 1] += in_off[i];
-    }
-    let mut in_edge: Vec<u32> = vec![0; edge_to.len()];
-    let mut in_cursor = in_off.clone();
-    for (k, &to) in edge_to.iter().enumerate() {
-        let c = &mut in_cursor[to as usize];
-        in_edge[*c as usize] = k as u32;
-        *c += 1;
-    }
-    let comm_val = |k: usize, types: &[InstanceType]| -> f64 {
-        edge_data[k]
-            / bw[types[edge_from[k] as usize] as usize][types[edge_to[k] as usize] as usize]
-            + lat
-    };
-
+    let (et, term) = exec_and_rent_rows(wf, platform, tables);
     let mut types = vec![InstanceType::Small; wf.len()];
-    let mut comm: Vec<f64> = (0..edge_data.len()).map(|k| comm_val(k, &types)).collect();
-    let mut terms: Vec<f64> = term.iter().map(|row| row[0]).collect();
-    let mut prefix = vec![0.0; wf.len()];
-    let mut rank = vec![0.0; n];
-    let mut tail = vec![0.0; n];
-    let mut contrib = vec![0.0; edge_data.len()];
-    let mut dirty = vec![false; n];
+    let mut ranks = Ranks::new(wf, platform, &et, &types);
+    let mut rent = RentLedger::new(term.iter().map(|row| row[0]).collect(), budget);
     let entries = wf.entries();
-    let order = wf.topological_order();
-    // Position of each task in the *reverse* topological order, so an
-    // incremental rank refresh can start its sweep at the upgraded task
-    // (every task's predecessors sit strictly later in that order).
-    let mut rev_pos = vec![0u32; n];
-    for (idx, &id) in order.iter().rev().enumerate() {
-        rev_pos[id.index()] = idx as u32;
-    }
-    // Initial upward ranks, as `cws_dag::upward_ranks` computes them: a
-    // reverse-topological sweep folding `comm + rank[succ]` with
-    // `f64::max` from 0.0 in successor order. Two caches make the
-    // per-upgrade refresh incremental: `contrib[k] = comm[k] +
-    // rank[to]` per edge and `tail[i] = max(0, contribs of i)` per
-    // node. All contributions are positive finite floats, for which
-    // `f64::max` is order-independent in value, so a tail recomputed
-    // from cached contributions — or left untouched because a changed
-    // contribution neither was nor beats the cached max — is bitwise
-    // the value the full fold would produce.
-    for &id in order.iter().rev() {
-        let i = id.index();
-        let mut t = 0.0_f64;
-        for k in succ_off[i] as usize..succ_off[i + 1] as usize {
-            contrib[k] = comm[k] + rank[edge_to[k] as usize];
-            t = t.max(contrib[k]);
-        }
-        tail[i] = t;
-        rank[i] = et[i][types[i] as usize] + t;
-    }
+    let mut candidates: Vec<(TaskId, InstanceType)> = Vec::new();
     loop {
         // Entry with the largest rank; `max_by` keeps the accumulator
         // only on Greater, so ties fall to the reversed-id order (the
         // smaller id wins), exactly as in `critical_path`.
         let mut start = entries[0];
         for &a in &entries[1..] {
-            let ord = rank[start.index()]
-                .total_cmp(&rank[a.index()])
+            let ord = ranks.rank[start.index()]
+                .total_cmp(&ranks.rank[a.index()])
                 .then(a.0.cmp(&start.0));
-            if ord != std::cmp::Ordering::Greater {
+            if ord != Ordering::Greater {
                 start = a;
             }
         }
-        // Walk the path, collecting the upgradeable tasks on it
-        // (`cp.tasks` filtered, in path order).
-        let mut candidates: Vec<TaskId> = Vec::new();
-        let mut cur = start;
-        loop {
-            if types[cur.index()].next_faster().is_some() {
-                candidates.push(cur);
+        // The upgradeable tasks on the path, in path order
+        // (`cp.tasks` filtered), each with its next faster type.
+        candidates.clear();
+        let mut cur = Some(start);
+        while let Some(t) = cur {
+            if let Some(faster) = types[t.index()].next_faster() {
+                candidates.push((t, faster));
             }
-            let ci = cur.index();
-            let mut next: Option<(f64, u32)> = None;
-            for k in succ_off[ci] as usize..succ_off[ci + 1] as usize {
-                // `contrib` is kept exactly at `comm + rank[to]`, so the
-                // cached entry carries the same bits the sum would.
-                let key = contrib[k];
-                let to = edge_to[k];
-                next = match next {
-                    Some((bk, bt))
-                        if bk.total_cmp(&key).then(to.cmp(&bt)) == std::cmp::Ordering::Greater =>
-                    {
-                        Some((bk, bt))
-                    }
-                    _ => Some((key, to)),
-                };
-            }
-            match next {
-                Some((_, t)) => cur = TaskId(t),
-                None => break,
-            }
+            cur = ranks.path_successor(t);
         }
         // Candidate upgrades on the critical path, slowest task first.
-        candidates.sort_by(|a, b| {
+        candidates.sort_by(|(a, _), (b, _)| {
             let ea = et[a.index()][types[a.index()] as usize];
             let eb = et[b.index()][types[b.index()] as usize];
             eb.total_cmp(&ea).then(a.0.cmp(&b.0))
         });
-        // prefix[i] = the rent sum over tasks 0..i, accumulated left to
-        // right exactly as `one_vm_per_task_cost` does.
-        let mut acc = 0.0;
-        for (p, &x) in prefix.iter_mut().zip(&terms) {
-            *p = acc;
-            acc += x;
-        }
-        let mut upgraded = false;
-        for t in candidates {
-            let faster = types[t.index()]
-                .next_faster()
-                // Candidates are pre-filtered to types with a faster tier.
-                // cws-lint: allow(unwrap-in-kernel)
-                .expect("filtered to upgradeable");
-            let i = t.index();
-            // Total rent with the trial type in slot i, in the exact
-            // task order of `one_vm_per_task_cost`.
-            let mut cost = prefix[i] + term[i][faster as usize];
-            for &x in &terms[i + 1..] {
-                cost += x;
-            }
-            if cost <= budget + 1e-9 {
-                types[i] = faster;
-                terms[i] = term[i][faster as usize];
-                // Only edges touching the upgraded task see different
-                // bandwidth operands; refresh those comm entries, then
-                // chase the change up the reverse-topological order. A
-                // predecessor is re-examined only when a refreshed
-                // contribution could move its tail — it beats the cached
-                // max or the stale value *was* the max — which prunes
-                // the ancestor region whose max path avoids the
-                // upgraded task.
-                for k in succ_off[i] as usize..succ_off[i + 1] as usize {
-                    comm[k] = comm_val(k, &types);
-                    contrib[k] = comm[k] + rank[edge_to[k] as usize];
-                }
-                let mut t0 = 0.0_f64;
-                for &c in &contrib[succ_off[i] as usize..succ_off[i + 1] as usize] {
-                    t0 = t0.max(c);
-                }
-                tail[i] = t0;
-                rank[i] = et[i][types[i] as usize] + t0;
-                for &k in &in_edge[in_off[i] as usize..in_off[i + 1] as usize] {
-                    let k = k as usize;
-                    comm[k] = comm_val(k, &types);
-                    let old = contrib[k];
-                    let new = comm[k] + rank[i];
-                    if new != old {
-                        contrib[k] = new;
-                        let p = edge_from[k] as usize;
-                        if new > tail[p] || old == tail[p] {
-                            dirty[p] = true;
-                        }
-                    }
-                }
-                for idx in rev_pos[i] as usize + 1..n {
-                    let j = order[n - 1 - idx].index();
-                    if !std::mem::replace(&mut dirty[j], false) {
-                        continue;
-                    }
-                    let mut t = 0.0_f64;
-                    for &c in &contrib[succ_off[j] as usize..succ_off[j + 1] as usize] {
-                        t = t.max(c);
-                    }
-                    tail[j] = t;
-                    let new = et[j][types[j] as usize] + t;
-                    if new != rank[j] {
-                        rank[j] = new;
-                        for &k in &in_edge[in_off[j] as usize..in_off[j + 1] as usize] {
-                            let k = k as usize;
-                            let old = contrib[k];
-                            let c = comm[k] + new;
-                            if c != old {
-                                contrib[k] = c;
-                                let p = edge_from[k] as usize;
-                                if c > tail[p] || old == tail[p] {
-                                    dirty[p] = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                upgraded = true;
-                break;
-            }
-        }
-        if !upgraded {
+        let Some(&(t, faster)) = candidates
+            .iter()
+            .find(|(t, faster)| rent.fits(t.index(), term[t.index()][*faster as usize]))
+        else {
             return types;
+        };
+        let i = t.index();
+        rent.set(i, term[i][faster as usize]);
+        types[i] = faster;
+        ranks.upgrade(i, &et, &types);
+    }
+}
+
+/// Upward ranks under the current type assignment, kept bitwise equal to
+/// what `cws_dag::upward_ranks` would compute from scratch, and updated
+/// per upgrade only where they change.
+///
+/// `rank[i] = et[i] + tail[i]`, where `tail[i]` folds every successor
+/// contribution `comm + rank[succ]` with `f64::max` from 0.0. Every rank
+/// is at least +0.0, so no contribution is −0.0; `f64::max` skips NaN
+/// and, over the other values, returns the largest one whatever the
+/// order. A tail kept as a running maximum therefore holds the fold's
+/// bits. `ties[i]` counts the contributions equal to `tail[i]`, so a
+/// lowered contribution forces a refold only when it was the last of
+/// them.
+struct Ranks {
+    rank: Vec<f64>,
+    tail: Vec<f64>,
+    ties: Vec<u32>,
+    /// Successor CSR, each list sorted by target id, with the data size
+    /// and the current `comm` per out-edge, and each out-edge's slot in
+    /// its target's in-lane.
+    succ_off: Vec<u32>,
+    succ_to: Vec<u32>,
+    out_data: Vec<f64>,
+    out_comm: Vec<f64>,
+    out_slot: Vec<u32>,
+    /// In-lanes grouped by target: the source and a copy of the edge's
+    /// `comm`, plus the out-edge each slot mirrors.
+    in_off: Vec<u32>,
+    in_src: Vec<u32>,
+    in_comm: Vec<f64>,
+    in_edge: Vec<u32>,
+    /// Each task's position in the reverse topological order, where
+    /// every predecessor sits after its successors, and that order.
+    rev_pos: Vec<u32>,
+    rev_order: Vec<u32>,
+    /// Tasks whose tail moved or lost its last tie and whose rank still
+    /// has to be refreshed, as a bitset over reverse-topological
+    /// positions, and how many bits are set.
+    dirty: Vec<u64>,
+    pending: usize,
+    bw: [[f64; N_TYPES]; N_TYPES],
+    lat: f64,
+    /// Every data size and the latency are `>= 0.0`, so every
+    /// contribution is a non-negative number, never NaN or −0.0, and the
+    /// tail is the largest contribution (or 0.0 with no successors).
+    plain: bool,
+}
+
+impl Ranks {
+    fn new(
+        wf: &Workflow,
+        platform: &Platform,
+        et: &[[f64; N_TYPES]],
+        types: &[InstanceType],
+    ) -> Self {
+        let n = wf.len();
+        let mut bw = [[0.0; N_TYPES]; N_TYPES];
+        for (i, &a) in InstanceType::ALL.iter().enumerate() {
+            for (j, &b) in InstanceType::ALL.iter().enumerate() {
+                bw[i][j] = platform.network.path_bandwidth_mbps(a, b);
+            }
         }
+        let lat = platform
+            .network
+            .path_latency_s(platform.default_region, platform.default_region);
+        let mut succ_off = Vec::with_capacity(n + 1);
+        let mut succ: Vec<(u32, f64)> = Vec::with_capacity(wf.edge_count());
+        succ_off.push(0);
+        for t in wf.ids() {
+            let from = succ.len();
+            succ.extend(wf.successors(t).iter().map(|e| (e.to.0, e.data_mb)));
+            succ[from..].sort_unstable_by_key(|&(to, _)| to);
+            succ_off.push(succ.len() as u32);
+        }
+        let succ_to: Vec<u32> = succ.iter().map(|&(to, _)| to).collect();
+        let out_data: Vec<f64> = succ.iter().map(|&(_, d)| d).collect();
+        drop(succ);
+        let plain = lat >= 0.0 && out_data.iter().all(|&d| d >= 0.0);
+        let mut in_off = vec![0u32; n + 1];
+        for &to in &succ_to {
+            in_off[to as usize + 1] += 1;
+        }
+        for i in 0..n {
+            in_off[i + 1] += in_off[i];
+        }
+        let m = succ_to.len();
+        let mut out_slot = vec![0u32; m];
+        let mut in_src = vec![0u32; m];
+        let mut in_edge = vec![0u32; m];
+        let mut cursor = in_off.clone();
+        for from in 0..n {
+            for k in succ_off[from] as usize..succ_off[from + 1] as usize {
+                let to = succ_to[k] as usize;
+                let slot = cursor[to] as usize;
+                cursor[to] += 1;
+                out_slot[k] = slot as u32;
+                in_src[slot] = from as u32;
+                in_edge[slot] = k as u32;
+            }
+        }
+        let order = wf.topological_order();
+        let rev_order: Vec<u32> = order.iter().rev().map(|t| t.0).collect();
+        let mut rev_pos = vec![0u32; n];
+        for (pos, &t) in rev_order.iter().enumerate() {
+            rev_pos[t as usize] = pos as u32;
+        }
+        let mut ranks = Ranks {
+            rank: vec![0.0; n],
+            tail: vec![0.0; n],
+            ties: vec![0; n],
+            succ_off,
+            succ_to,
+            out_data,
+            out_comm: vec![0.0; m],
+            out_slot,
+            in_off,
+            in_src,
+            in_comm: vec![0.0; m],
+            in_edge,
+            rev_pos,
+            rev_order,
+            dirty: vec![0; n.div_ceil(64)],
+            pending: 0,
+            bw,
+            lat,
+            plain,
+        };
+        for k in 0..m {
+            let slot = ranks.out_slot[k] as usize;
+            let from = types[ranks.in_src[slot] as usize];
+            let to = types[ranks.succ_to[k] as usize];
+            ranks.set_comm(k, from, to);
+        }
+        for pos in 0..n {
+            let i = ranks.rev_order[pos] as usize;
+            ranks.refold(i);
+            ranks.rank[i] = et[i][types[i] as usize] + ranks.tail[i];
+        }
+        ranks
+    }
+
+    /// Set both copies of out-edge `k`'s `comm` for a transfer between
+    /// these types: `data_mb / bw + lat`, exactly what the reference's
+    /// comm closure computes, and return it.
+    fn set_comm(&mut self, k: usize, from: InstanceType, to: InstanceType) -> f64 {
+        let c = self.out_data[k] / self.bw[from as usize][to as usize] + self.lat;
+        self.out_comm[k] = c;
+        self.in_comm[self.out_slot[k] as usize] = c;
+        c
+    }
+
+    fn out_edges(&self, i: usize) -> std::ops::Range<usize> {
+        self.succ_off[i] as usize..self.succ_off[i + 1] as usize
+    }
+
+    fn in_slots(&self, i: usize) -> std::ops::Range<usize> {
+        self.in_off[i] as usize..self.in_off[i + 1] as usize
+    }
+
+    /// Recompute `tail[i]` and `ties[i]` from every successor. The
+    /// selects stay branch-free: on distinct runtimes the running maximum
+    /// moves unpredictably, and branches cost more than the arithmetic.
+    fn refold(&mut self, i: usize) {
+        let edges = self.out_edges(i);
+        let (mut tail, mut ties) = (0.0_f64, 0u32);
+        for (&comm, &to) in self.out_comm[edges.clone()]
+            .iter()
+            .zip(&self.succ_to[edges])
+        {
+            let c = comm + self.rank[to as usize];
+            let above = c > tail;
+            ties = if above {
+                1
+            } else {
+                ties + u32::from(c == tail)
+            };
+            tail = if above { c } else { tail };
+        }
+        self.tail[i] = tail;
+        self.ties[i] = ties;
+    }
+
+    /// One contribution to `p`'s tail went from `old` to `new`.
+    fn note(&mut self, p: usize, old: f64, new: f64) {
+        let tail = self.tail[p];
+        if new > tail {
+            self.tail[p] = new;
+            self.ties[p] = 1;
+            self.mark(p);
+            return;
+        }
+        if new == tail {
+            self.ties[p] += 1;
+        }
+        if old == tail {
+            self.ties[p] -= 1;
+            if self.ties[p] == 0 {
+                self.mark(p);
+            }
+        }
+    }
+
+    fn mark(&mut self, p: usize) {
+        let pos = self.rev_pos[p] as usize;
+        let bit = 1u64 << (pos % 64);
+        if self.dirty[pos / 64] & bit == 0 {
+            self.dirty[pos / 64] |= bit;
+            self.pending += 1;
+        }
+    }
+
+    /// Task `i` was just upgraded to `types[i]`: refresh the `comm` of
+    /// its edges, then every rank that changes, in reverse topological
+    /// order from `i`.
+    fn upgrade(&mut self, i: usize, et: &[[f64; N_TYPES]], types: &[InstanceType]) {
+        for k in self.out_edges(i) {
+            self.set_comm(k, types[i], types[self.succ_to[k] as usize]);
+        }
+        self.refold(i);
+        let old = self.rank[i];
+        let new = et[i][types[i] as usize] + self.tail[i];
+        self.rank[i] = new;
+        for slot in self.in_slots(i) {
+            let p = self.in_src[slot] as usize;
+            let before = self.in_comm[slot] + old;
+            let c = self.set_comm(self.in_edge[slot] as usize, types[p], types[i]);
+            self.note(p, before, c + new);
+        }
+        // A mark always lands after the position that set it, so one
+        // forward scan from `i` visits every dirty task once, after all
+        // of its successors.
+        let mut pos = self.rev_pos[i] as usize + 1;
+        while self.pending > 0 {
+            let mut word = pos / 64;
+            let mut bits = self.dirty[word] & (!0u64 << (pos % 64));
+            while bits == 0 {
+                word += 1;
+                bits = self.dirty[word];
+            }
+            let bit = bits.trailing_zeros();
+            self.dirty[word] &= !(1u64 << bit);
+            pos = word * 64 + bit as usize;
+            self.pending -= 1;
+            let j = self.rev_order[pos] as usize;
+            if self.ties[j] == 0 {
+                self.refold(j);
+            }
+            let old = self.rank[j];
+            let new = et[j][types[j] as usize] + self.tail[j];
+            if new != old {
+                self.rank[j] = new;
+                for slot in self.in_slots(j) {
+                    let c = self.in_comm[slot];
+                    self.note(self.in_src[slot] as usize, c + old, c + new);
+                }
+            }
+            pos += 1;
+        }
+    }
+
+    /// The successor `cws_dag::critical_path` steps to from `t`: the
+    /// largest `comm + rank`, ties to the smaller id. Under `plain` that
+    /// is the first successor by id whose contribution equals the
+    /// cached tail; otherwise, or if none does, the full argmax with the
+    /// reference's comparator.
+    fn path_successor(&self, t: TaskId) -> Option<TaskId> {
+        let i = t.index();
+        let edges = self.out_edges(i);
+        let key = |k: usize| self.out_comm[k] + self.rank[self.succ_to[k] as usize];
+        if self.plain {
+            if let Some(k) = edges.clone().find(|&k| key(k) == self.tail[i]) {
+                return Some(TaskId(self.succ_to[k]));
+            }
+        }
+        let mut next: Option<(f64, u32)> = None;
+        for k in edges {
+            let (c, to) = (key(k), self.succ_to[k]);
+            next = match next {
+                Some((bk, bt)) if bk.total_cmp(&c).then(to.cmp(&bt)) == Ordering::Greater => {
+                    Some((bk, bt))
+                }
+                _ => Some((c, to)),
+            };
+        }
+        next.map(|(_, to)| TaskId(to))
     }
 }
 

@@ -11,14 +11,13 @@
 //! small-instance cost, per Sect. IV.
 
 use super::cpa::{baseline_cost, schedule_one_vm_per_task_with};
+use super::rent::{exec_and_rent_rows, RentLedger, N_TYPES};
 use crate::schedule::Schedule;
 use crate::state::KernelTables;
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-const N_TYPES: usize = InstanceType::ALL.len();
 
 /// One entry of the gain matrix: upgrading `task` to `to` yields
 /// `gain` seconds of speed-up per extra dollar.
@@ -136,9 +135,11 @@ fn push_row(
 /// Equivalent to recomputing and sorting the full [`gain_matrix`] every
 /// iteration (the rows of unchanged tasks are bit-identical across
 /// iterations, so a heap keyed on the sort order pops the same
-/// sequence), but only the upgraded task's row is recomputed and the
-/// budget check reuses the exact left-to-right prefix of the rent sum
-/// that the changed slot cannot affect.
+/// sequence), but only the upgraded task's row is recomputed. The budget
+/// check moves a running rent total by the trial's one changed term and
+/// decides in O(1) when that total clears the limit by more than its
+/// written-down float-error bound; a trial within the bound re-sums the
+/// rent left to right, exactly as `one_vm_per_task_cost` does.
 #[must_use]
 pub fn gain_types(wf: &Workflow, platform: &Platform, budget: f64) -> Vec<InstanceType> {
     gain_types_with(wf, platform, budget, None)
@@ -157,40 +158,9 @@ pub fn gain_types_with(
     if crate::state::naive::reference_kernel_enabled() {
         return gain_types_reference(wf, platform, budget);
     }
-    // Per-(task, type) execution time and BTU rent, hoisted out of the
-    // loop. Values are computed exactly as `gain_matrix` and
-    // `one_vm_per_task_cost` compute them.
-    let owned_et: Vec<[f64; N_TYPES]>;
-    let et: &[[f64; N_TYPES]] = match tables {
-        Some(t) => t.exec_rows(),
-        None => {
-            owned_et = wf
-                .ids()
-                .map(|t| {
-                    let base = wf.task(t).base_time;
-                    let mut row = [0.0; N_TYPES];
-                    for (j, it) in InstanceType::ALL.iter().enumerate() {
-                        row[j] = it.execution_time(base);
-                    }
-                    row
-                })
-                .collect();
-            &owned_et
-        }
-    };
-    let term: Vec<[f64; N_TYPES]> = et
-        .iter()
-        .map(|row| {
-            let mut out = [0.0; N_TYPES];
-            for (j, &it) in InstanceType::ALL.iter().enumerate() {
-                out[j] = btus_for_span(row[j]) as f64 * platform.price(it);
-            }
-            out
-        })
-        .collect();
-
+    let (et, term) = exec_and_rent_rows(wf, platform, tables);
     let mut types = vec![InstanceType::Small; wf.len()];
-    let mut terms: Vec<f64> = term.iter().map(|row| row[0]).collect();
+    let mut rent = RentLedger::new(term.iter().map(|row| row[0]).collect(), budget);
     let mut versions = vec![0u32; wf.len()];
     let mut heap = BinaryHeap::with_capacity((N_TYPES - 1) * wf.len());
     for t in wf.ids() {
@@ -203,16 +173,8 @@ pub fn gain_types_with(
             0,
         );
     }
-    let mut prefix = vec![0.0; wf.len()];
     let mut tried: Vec<RankedEntry> = Vec::new();
     loop {
-        // prefix[i] = the rent sum over tasks 0..i, accumulated left to
-        // right exactly as `one_vm_per_task_cost` does.
-        let mut acc = 0.0;
-        for (p, &x) in prefix.iter_mut().zip(&terms) {
-            *p = acc;
-            acc += x;
-        }
         tried.clear();
         let mut applied = None;
         while let Some(e) = heap.pop() {
@@ -220,30 +182,7 @@ pub fn gain_types_with(
             if versions[i] != e.version {
                 continue;
             }
-            let new_term = term[i][e.to as usize];
-            // O(1) reject for trials far over budget. `acc` is the
-            // left-to-right rent sum of the current assignment; swapping
-            // slot i's term associatively approximates the trial's exact
-            // sequential re-sum to within the standard float-summation
-            // error bound — all terms are positive, so `n·ε·(acc +
-            // new_term)`, inflated 64× for slack, dominates the
-            // divergence. When even `approx − margin` exceeds the
-            // accepted threshold the exact sum must too, so skipping it
-            // changes no decision; anything closer falls through to the
-            // exact sequential sum below.
-            let approx = acc - terms[i] + new_term;
-            let margin = 64.0 * wf.len() as f64 * f64::EPSILON * (acc + new_term);
-            if approx - margin > budget + 1e-9 {
-                tried.push(e);
-                continue;
-            }
-            // Total rent with the trial type in slot i, in the exact
-            // task order of `one_vm_per_task_cost`.
-            let mut cost = prefix[i] + new_term;
-            for &x in &terms[i + 1..] {
-                cost += x;
-            }
-            if cost <= budget + 1e-9 {
+            if rent.fits(i, term[i][e.to as usize]) {
                 applied = Some(e);
                 break;
             }
@@ -252,7 +191,7 @@ pub fn gain_types_with(
         let Some(e) = applied else { return types };
         let i = e.task.index();
         types[i] = e.to;
-        terms[i] = term[i][e.to as usize];
+        rent.set(i, term[i][e.to as usize]);
         versions[i] += 1;
         // Failed candidates stay candidates next iteration — except the
         // upgraded task's, whose row is recomputed at its new type.

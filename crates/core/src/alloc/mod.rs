@@ -31,6 +31,7 @@ pub mod minmin;
 pub mod onelns;
 pub mod pch;
 pub mod ranking;
+pub(crate) mod rent;
 pub mod sheft;
 pub mod spot_heft;
 

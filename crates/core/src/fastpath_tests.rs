@@ -11,6 +11,9 @@
 //! compared with `==` (exact f64 equality on every start/finish time, VM
 //! meter and placement).
 
+use crate::alloc::cpa::{baseline_cost, cpa_eager_types, one_vm_per_task_cost};
+use crate::alloc::gain::gain_types;
+use crate::alloc::rent::budget_for_limit;
 use crate::alloc::{heft_insertion, heft_pool, list_schedule, ListRule, PoolSpec};
 use crate::pooled::{pooled_static, WarmVm};
 use crate::schedule::Schedule;
@@ -66,8 +69,11 @@ fn assert_kernels_agree(
         .unwrap_or_else(|e| panic!("{label}: invalid schedule: {e}"));
 }
 
+/// Random layered DAGs. One draw in three keeps the generator's equal
+/// 100 s runtimes, whose exact rank ties leave every critical-path step
+/// and every CPA-Eager and GAIN pick to a tie-break.
 fn arb_layered() -> impl proptest::strategy::Strategy<Value = Workflow> {
-    (2usize..6, 1usize..5, 0.05f64..0.9, 0u64..1000).prop_map(|(l, w, p, s)| {
+    (2usize..6, 1usize..5, 0.05f64..0.9, 0u64..1000, 0u32..3).prop_map(|(l, w, p, s, arm)| {
         let wf = layered_dag(LayeredShape {
             levels: l,
             min_width: 1,
@@ -75,9 +81,16 @@ fn arb_layered() -> impl proptest::strategy::Strategy<Value = Workflow> {
             edge_prob: p,
             seed: s,
         });
-        Scenario::Pareto { seed: s }.apply(&wf)
+        if arm == 0 {
+            wf
+        } else {
+            Scenario::Pareto { seed: s }.apply(&wf)
+        }
     })
 }
+
+/// A budget-driven type loop: CPA-Eager's or GAIN's.
+type TypesFor = fn(&Workflow, &Platform, f64) -> Vec<InstanceType>;
 
 fn arb_fork_join() -> impl proptest::strategy::Strategy<Value = Workflow> {
     (1usize..4, 1usize..5, 0u64..1000).prop_map(|(stages, fanout, seed)| {
@@ -238,6 +251,36 @@ proptest! {
         // 19 fast schedules used the tables; the reference runs ignore
         // offered tables by design, so they add nothing here.
         prop_assert_eq!(tables.uses(), 19);
+    }
+
+    /// CPA-Eager and GAIN type vectors at budgets that do not saturate
+    /// an equal-runtime DAG, and at budgets set from the rent of the
+    /// reference's own result: that rent itself, the budget whose limit
+    /// `budget + 1e-9` is exactly that rent, so the last accepted upgrade
+    /// lands on the limit and the rent ledger must decide it by the exact
+    /// sum, and the budget whose limit is one ulp under it.
+    #[test]
+    fn budget_loops_are_bit_identical_at_the_limit(wf in arb_layered(), peg in arb_pegasus()) {
+        let p = Platform::ec2_paper();
+        let loops: [(&str, TypesFor); 2] = [("CPA-Eager", cpa_eager_types), ("GAIN", gain_types)];
+        for wf in [&wf, &peg] {
+            for (label, types_for) in loops {
+                for mult in [1.5, 3.0] {
+                    let budget = mult * baseline_cost(wf, &p);
+                    let reference = with_reference_kernel(|| types_for(wf, &p, budget));
+                    prop_assert_eq!(&types_for(wf, &p, budget), &reference, "{} at {}x", label, mult);
+                    let rent = one_vm_per_task_cost(wf, &p, &reference);
+                    for budget in [rent, budget_for_limit(rent), budget_for_limit(rent.next_down())] {
+                        let at_limit = with_reference_kernel(|| types_for(wf, &p, budget));
+                        prop_assert_eq!(
+                            &types_for(wf, &p, budget),
+                            &at_limit,
+                            "{} at {} from the rent of its {}x result", label, budget, mult
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// [`ScheduleBuilder::probe_all`] answers exactly what a fresh

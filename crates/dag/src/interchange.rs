@@ -53,6 +53,15 @@ pub const TASK_FIELDS: &[&str] = &["deps", "id", "input_mb", "runtime_s", "type"
 /// Fields accepted on object-form `deps` entries.
 pub const DEP_FIELDS: &[&str] = &["data_mb", "task"];
 
+/// The largest summed `runtime_s` a document may declare, in seconds.
+/// Schedules hold every task to its duration within 1e-6 s, and from
+/// about 1.6·10¹⁰ s on, a start time's rounding alone exceeds that.
+pub const MAX_TOTAL_RUNTIME_S: f64 = 1e9;
+
+/// The largest summed `data_mb` a document may declare, in megabytes:
+/// at the slowest link, 125 MB/s, its transfers add at most 8·10⁸ s.
+pub const MAX_TOTAL_DATA_MB: f64 = 1e11;
+
 /// An interchange parse/validation failure: the JSON path of the
 /// offending element plus a human-readable message.
 ///
@@ -233,6 +242,7 @@ pub fn from_json_value(v: &Value) -> Result<Workflow, InterchangeError> {
     // First pass: declare every task, so deps can reference any task
     // regardless of declaration order (forward references included).
     let mut ids: BTreeMap<&str, TaskId> = BTreeMap::new();
+    let mut total_runtime = 0.0;
     for (i, t) in tasks.iter().enumerate() {
         let path = format!("workflow.tasks[{i}]");
         let Some(fields) = t.as_obj() else {
@@ -255,6 +265,13 @@ pub fn from_json_value(v: &Value) -> Result<Workflow, InterchangeError> {
             Some(x) => finite_non_negative(x)
                 .ok_or_else(|| non_negative_err(format!("{path}.runtime_s")))?,
         };
+        total_runtime += runtime;
+        if total_runtime > MAX_TOTAL_RUNTIME_S {
+            return Err(InterchangeError::new(
+                format!("{path}.runtime_s"),
+                format!("summed runtime_s exceeds the horizon of {MAX_TOTAL_RUNTIME_S:e} s"),
+            ));
+        }
         let input_mb = match t.get("input_mb") {
             None => 0.0,
             Some(x) => finite_non_negative(x)
@@ -280,6 +297,7 @@ pub fn from_json_value(v: &Value) -> Result<Workflow, InterchangeError> {
     }
 
     // Second pass: edges.
+    let mut total_data = 0.0;
     for (i, t) in tasks.iter().enumerate() {
         // Invariant: the first pass over `tasks` already rejected any
         // task whose `id` is missing or not a string.
@@ -313,6 +331,15 @@ pub fn from_json_value(v: &Value) -> Result<Workflow, InterchangeError> {
                         Some(x) => finite_non_negative(x)
                             .ok_or_else(|| non_negative_err(format!("{path}.data_mb")))?,
                     };
+                    total_data += mb;
+                    if total_data > MAX_TOTAL_DATA_MB {
+                        return Err(InterchangeError::new(
+                            format!("{path}.data_mb"),
+                            format!(
+                                "summed data_mb exceeds the horizon of {MAX_TOTAL_DATA_MB:e} MB"
+                            ),
+                        ));
+                    }
                     (from, mb)
                 }
                 _ => {

@@ -15,7 +15,8 @@ pub const BTU_EPSILON: f64 = 1e-6;
 /// Number of BTUs billed for a rental spanning `span` seconds.
 ///
 /// Zero-length rentals are billed one BTU (a booted VM is paid for at
-/// least one unit, matching EC2 semantics).
+/// least one unit, matching EC2 semantics). Spans too long to count in a
+/// `u64` saturate at `u64::MAX` BTUs.
 ///
 /// # Examples
 /// ```
@@ -31,7 +32,8 @@ pub fn btus_for_span(span: f64) -> u64 {
     if span <= BTU_EPSILON {
         return 1;
     }
-    ((span - BTU_EPSILON) / BTU_SECONDS).floor() as u64 + 1
+    // `as u64` saturates, so only the `+ 1` can overflow.
+    (((span - BTU_EPSILON) / BTU_SECONDS).floor() as u64).saturating_add(1)
 }
 
 /// Remaining seconds until the end of the BTU that `elapsed` seconds of
@@ -204,6 +206,15 @@ mod tests {
     fn just_over_boundary_bills_next() {
         assert_eq!(btus_for_span(3600.01), 2);
         assert_eq!(btus_for_span(7200.5), 3);
+    }
+
+    #[test]
+    fn spans_past_u64_btus_saturate() {
+        // (7e22 − ε) / 3600 rounds past u64::MAX; the `+ 1` used to
+        // overflow (a debug panic, zero BTUs in release).
+        assert_eq!(btus_for_span(7e22), u64::MAX);
+        assert_eq!(btus_for_span(f64::MAX), u64::MAX);
+        assert_eq!(btus_for_span(f64::INFINITY), u64::MAX);
     }
 
     #[test]

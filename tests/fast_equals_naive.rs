@@ -1,13 +1,15 @@
 //! Fast kernel == naive reference kernel, at the workspace gate: all 19
-//! paper pairings on three WfCommons shapes must build exactly the
-//! schedules `cws_core::state::naive` builds. The fast side borrows one
-//! shared `KernelTables` per workflow, as every sweep does. The crate's
-//! property suite covers random and small shapes; this pins the larger
-//! pipeline, broadcast and join shapes the kernel's shortcuts target.
+//! paper pairings on three WfCommons shapes and an equal-runtime layered
+//! DAG must build exactly the schedules `cws_core::state::naive` builds.
+//! The fast side borrows one shared `KernelTables` per workflow, as
+//! every sweep does. The crate's property suite covers random and small
+//! shapes; this pins the larger pipeline, broadcast and join shapes the
+//! kernel's shortcuts target, and the exact rank ties of equal runtimes.
 
 use cloud_workflow_sched::core::state::naive;
-use cloud_workflow_sched::core::KernelTables;
+use cloud_workflow_sched::core::{DynamicBudgets, KernelTables};
 use cloud_workflow_sched::prelude::*;
+use cloud_workflow_sched::workloads::random::{layered_dag, LayeredShape};
 use cloud_workflow_sched::workloads::{CyberShakeShape, EpigenomicsShape};
 
 /// Run `f` on the naive reference kernel, switching back even on panic.
@@ -26,25 +28,44 @@ fn on_reference_kernel<T>(f: impl FnOnce() -> T) -> T {
 #[test]
 fn paper_set_fast_equals_naive_on_wfcommons_shapes() {
     let platform = Platform::ec2_paper();
+    let pareto = |wf: Workflow| Scenario::Pareto { seed: 42 }.apply(&wf);
     let workflows = [
-        epigenomics(EpigenomicsShape {
+        pareto(epigenomics(EpigenomicsShape {
             lanes: 10,
             chunks_per_lane: 20,
+        })),
+        pareto(cybershake(CyberShakeShape { synthesis: 200 })),
+        pareto(montage_24()),
+        // The generator's runtimes: every task takes 100 s, so rank ties
+        // and the smallest-id tie-break decide each CPA-Eager round.
+        layered_dag(LayeredShape {
+            levels: 6,
+            min_width: 30,
+            max_width: 30,
+            edge_prob: 0.2,
+            seed: 42,
         }),
-        cybershake(CyberShakeShape { synthesis: 200 }),
-        montage_24(),
     ];
-    for base in &workflows {
-        let wf = Scenario::Pareto { seed: 42 }.apply(base);
-        let tables = KernelTables::build(&wf, &platform);
-        for strategy in Strategy::paper_set() {
-            let fast = strategy.schedule_with(&wf, &platform, Some(&tables));
-            let reference = on_reference_kernel(|| strategy.schedule(&wf, &platform));
+    // Besides the paper's 2x, budgets an equal-runtime DAG cannot
+    // saturate: 2x and 4x upgrade every task whatever the order.
+    let budgets = [1.5, 3.0].map(|m| DynamicBudgets {
+        cpa_multiplier: m,
+        gain_multiplier: m,
+    });
+    for wf in &workflows {
+        let tables = KernelTables::build(wf, &platform);
+        let strategies = Strategy::paper_set().into_iter().chain(
+            budgets
+                .iter()
+                .flat_map(|&b| [Strategy::CpaEager(b), Strategy::Gain(b)]),
+        );
+        for strategy in strategies {
+            let fast = strategy.schedule_with(wf, &platform, Some(&tables));
+            let reference = on_reference_kernel(|| strategy.schedule(wf, &platform));
             assert_eq!(
                 fast,
                 reference,
-                "{} on {}: fast kernel diverged from the naive reference",
-                strategy.label(),
+                "{strategy:?} on {}: fast kernel diverged from the naive reference",
                 wf.name()
             );
         }

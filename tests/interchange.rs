@@ -4,7 +4,9 @@
 //! spec-vs-parser field-list agreement that keeps `docs/interchange.md`
 //! from drifting.
 
-use cws_dag::interchange::{validate, DEP_FIELDS, TASK_FIELDS, WORKFLOW_FIELDS};
+use cws_dag::interchange::{
+    validate, DEP_FIELDS, MAX_TOTAL_RUNTIME_S, TASK_FIELDS, WORKFLOW_FIELDS,
+};
 use cws_dag::Workflow;
 use cws_experiments::trace_sweep::trace_sweep;
 use cws_experiments::ExperimentConfig;
@@ -238,4 +240,48 @@ fn corpus_error_documents_fail_validation_with_paths() {
         doc.contains(&line_limit),
         "docs/interchange.md must state `{line_limit}`"
     );
+}
+
+/// Documents whose times outrun the 1e-6 s a schedule holds each task's
+/// duration to. Before the horizon, both passed `validate`, and then
+/// `cws-exp sweep --workflow` exited 101 with "StartParNotExceed-s
+/// produced an invalid schedule: task t1 runs for 0.09999847412109375s,
+/// expected 0.1s".
+const PAST_THE_HORIZON: [(&str, &str); 2] = [
+    (
+        r#"{"name":"x","tasks":[{"id":"a","runtime_s":3e10},
+            {"id":"b","runtime_s":0.1,"deps":["a"]}]}"#,
+        "workflow.tasks[0].runtime_s: summed runtime_s exceeds the horizon of 1e9 s",
+    ),
+    (
+        r#"{"name":"x","tasks":[{"id":"a","runtime_s":10},
+            {"id":"b","runtime_s":0.1,"deps":[{"task":"a","data_mb":1e13}]}]}"#,
+        "workflow.tasks[1].deps[0].data_mb: summed data_mb exceeds the horizon of 1e11 MB",
+    ),
+];
+
+#[test]
+fn documents_past_the_horizon_are_rejected_by_every_reader() {
+    for (doc, message) in PAST_THE_HORIZON {
+        let err = Workflow::from_json(doc).expect_err("past the horizon");
+        assert_eq!(err.to_string(), message);
+        let line = format!(r#"{{"tenant":"t","workflow":{doc}}}"#).replace('\n', "");
+        assert_eq!(cws_serve::parse_request(&line), Err(message.to_string()));
+    }
+}
+
+#[test]
+fn a_document_at_the_horizon_sweeps_cleanly() {
+    // Both sums sit on their horizon: 10⁹ s of runtime, and 10¹¹ MB on
+    // one edge, whose transfer at 125 MB/s adds 8·10⁸ s before `b`.
+    let wf = Workflow::from_json(
+        r#"{"name":"at-horizon","tasks":[{"id":"a","runtime_s":999999999.8},
+            {"id":"b","runtime_s":0.1,"deps":[{"task":"a","data_mb":1e11}]},
+            {"id":"c","runtime_s":0.1,"deps":["b"]}]}"#,
+    )
+    .expect("at the horizon");
+    assert!((wf.total_work() - MAX_TOTAL_RUNTIME_S).abs() < 1.0);
+    // Every schedule is checked and replayed; a divergence panics.
+    let sweep = trace_sweep(&ExperimentConfig::default(), &wf, 1);
+    assert_eq!(sweep.results.len(), 19);
 }
