@@ -281,6 +281,9 @@ impl WorkflowBuilder {
 
     /// Validate and freeze the workflow.
     ///
+    /// Of several bad edges, the error names the first in insertion
+    /// order. Building takes O(E log E) time, however the edges fan out.
+    ///
     /// # Errors
     /// Returns a [`DagError`] if the graph is empty, references unknown
     /// tasks, contains self-loops, duplicate edges, or a cycle.
@@ -291,21 +294,24 @@ impl WorkflowBuilder {
         }
         let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); n];
         let mut preds: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            if e.from.index() >= n {
-                return Err(DagError::UnknownTask(e.from));
-            }
-            if e.to.index() >= n {
-                return Err(DagError::UnknownTask(e.to));
-            }
-            if e.from == e.to {
-                return Err(DagError::SelfLoop(e.from));
-            }
-            if succs[e.from.index()].iter().any(|x| x.to == e.to) {
-                return Err(DagError::DuplicateEdge(e.from, e.to));
-            }
-            succs[e.from.index()].push(*e);
-            preds[e.to.index()].push(*e);
+        // Wire edges up to the first that names an unknown task or
+        // loops; whether an earlier one repeats another is only known
+        // once the lists are sorted.
+        let mut bad = None;
+        for (i, e) in self.edges.iter().enumerate() {
+            let err = if e.from.index() >= n {
+                DagError::UnknownTask(e.from)
+            } else if e.to.index() >= n {
+                DagError::UnknownTask(e.to)
+            } else if e.from == e.to {
+                DagError::SelfLoop(e.from)
+            } else {
+                succs[e.from.index()].push(*e);
+                preds[e.to.index()].push(*e);
+                continue;
+            };
+            bad = Some((i, err));
+            break;
         }
         // Canonicalize adjacency order so two workflows with the same
         // structure compare equal regardless of edge insertion order
@@ -315,6 +321,19 @@ impl WorkflowBuilder {
         }
         for p in &mut preds {
             p.sort_by_key(|e| e.from);
+        }
+        // A repeated edge now sits beside its twin.
+        if succs
+            .iter()
+            .any(|s| s.windows(2).any(|w| w[0].to == w[1].to))
+        {
+            let wired = bad.as_ref().map_or(self.edges.len(), |&(i, _)| i);
+            if let Some(repeat) = first_repeat(&self.edges[..wired]) {
+                return Err(repeat);
+            }
+        }
+        if let Some((_, err)) = bad {
+            return Err(err);
         }
 
         // Kahn's algorithm; deterministic because the ready set is a
@@ -369,6 +388,18 @@ impl WorkflowBuilder {
             levels,
         })
     }
+}
+
+/// The first edge, in insertion order, that repeats an earlier one.
+fn first_repeat(edges: &[Edge]) -> Option<DagError> {
+    let mut order: Vec<usize> = (0..edges.len()).collect();
+    order.sort_unstable_by_key(|&i| (edges[i].from, edges[i].to, i));
+    order
+        .windows(2)
+        .filter(|w| edges[w[0]].from == edges[w[1]].from && edges[w[0]].to == edges[w[1]].to)
+        .map(|w| w[1])
+        .min()
+        .map(|i| DagError::DuplicateEdge(edges[i].from, edges[i].to))
 }
 
 #[cfg(test)]
@@ -467,6 +498,42 @@ mod tests {
         let c = b.task("c", 1.0);
         b.edge(a, c).edge(a, c);
         assert_eq!(b.build().unwrap_err(), DagError::DuplicateEdge(a, c));
+    }
+
+    #[test]
+    fn the_first_bad_edge_in_insertion_order_is_named() {
+        let (a, c, d, ghost) = (TaskId(0), TaskId(1), TaskId(2), TaskId(9));
+        for (edges, first) in [
+            (
+                vec![(a, c), (a, c), (a, ghost)],
+                DagError::DuplicateEdge(a, c),
+            ),
+            (
+                vec![(a, c), (a, ghost), (a, c)],
+                DagError::UnknownTask(ghost),
+            ),
+            (vec![(ghost, a), (d, d)], DagError::UnknownTask(ghost)),
+            (vec![(a, c), (d, d), (a, c)], DagError::SelfLoop(d)),
+            (vec![(a, c), (a, c), (d, d)], DagError::DuplicateEdge(a, c)),
+            // The repeat that comes first, not the lowest source.
+            (
+                vec![(a, c), (d, c), (d, c), (a, c)],
+                DagError::DuplicateEdge(d, c),
+            ),
+            (
+                vec![(c, d), (a, d), (a, c), (a, c), (c, d)],
+                DagError::DuplicateEdge(a, c),
+            ),
+        ] {
+            let mut b = WorkflowBuilder::new("bad");
+            for name in ["a", "c", "d"] {
+                b.task(name, 1.0);
+            }
+            for &(from, to) in &edges {
+                b.edge(from, to);
+            }
+            assert_eq!(b.build().unwrap_err(), first, "{edges:?}");
+        }
     }
 
     #[test]

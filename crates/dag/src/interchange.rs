@@ -27,13 +27,21 @@
 //! Every structural error the [`WorkflowBuilder`] can detect is caught
 //! here first with a better path; the builder re-validates as a
 //! defense-in-depth backstop.
+//!
+//! A document goes from text to workflow in two steps, with no JSON
+//! tree between them. [`Document::read`] pulls it through the
+//! workspace's one JSON reader (`cws_obs::json::Reader`) into flat
+//! records that borrow their strings from the source; then
+//! [`Document::into_workflow`] runs every check over those records and
+//! feeds the builder. Files and daemon request lines take the same two
+//! steps, so they get the same errors.
 
 use crate::error::DagError;
 use crate::graph::{Workflow, WorkflowBuilder};
 use crate::task::TaskId;
-use cws_obs::json::{json_f64, json_str, parse, Value};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use cws_obs::json::{push_json_f64, push_json_str, Reader, Token, Value};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// The value of the optional `format` discriminator field.
 pub const FORMAT_NAME: &str = "cws-dag";
@@ -159,269 +167,524 @@ pub fn validate(src: &str) -> Result<Summary, InterchangeError> {
 }
 
 fn parse_document(src: &str) -> Result<(Workflow, u64), InterchangeError> {
-    let v = parse(src).map_err(|e| InterchangeError::new("", format!("malformed JSON: {e}")))?;
-    let version = document_version(&v)?;
-    Ok((from_json_value(&v)?, version))
+    let mut r = Reader::new(src);
+    Document::read(&mut r)
+        .and_then(|doc| r.finish().map(|()| doc))
+        .map_err(|e| InterchangeError::new("", format!("malformed JSON: {e}")))?
+        .build()
 }
 
-fn document_version(v: &Value) -> Result<u64, InterchangeError> {
-    match v.get("version") {
-        None => Ok(FORMAT_VERSION),
-        Some(x) => x
-            .as_u64()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| InterchangeError::new("workflow.version", "must be a positive integer")),
+/// A workflow value as read, before any check: each accepted field's
+/// first occurrence with its JSON kind, the first field the schema
+/// rejects, and the tasks and their dependencies as flat records that
+/// borrow their strings from the source.
+///
+/// Reading fails only on malformed JSON. Every schema and structure
+/// check runs afterwards, in [`Document::into_workflow`], so a document
+/// gets the same error whether it arrives as a file or inside a
+/// `cws-serve` request line, and whatever order its fields come in.
+#[derive(Debug)]
+pub struct Document<'a> {
+    /// The value is an object. Nothing else is read otherwise.
+    object: bool,
+    bad_field: Option<BadField<'a>>,
+    format: Option<Token<'a>>,
+    version: Option<Token<'a>>,
+    name: Option<Token<'a>>,
+    /// `tasks`; when it is an array, its entries are `tasks_read`.
+    tasks: Option<Token<'a>>,
+    tasks_read: Vec<TaskRecord<'a>>,
+    /// Every task's `deps` entries, task after task.
+    deps: Vec<DepRecord<'a>>,
+}
+
+/// The first field of an object that its schema rejects: a name it
+/// does not accept, or one that came before.
+#[derive(Debug)]
+struct BadField<'a> {
+    name: Cow<'a, str>,
+    repeated: bool,
+}
+
+impl BadField<'_> {
+    fn error(&self, path: impl Into<String>, accepted: &[&str]) -> InterchangeError {
+        let name = &self.name;
+        if self.repeated {
+            return InterchangeError::new(path, format!("duplicate field {name:?}"));
+        }
+        let list = accepted
+            .iter()
+            .map(|f| format!("{f:?}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        InterchangeError::new(path, format!("unknown field {name:?} (accepted: {list})"))
     }
 }
 
-/// Build a [`Workflow`] from an already-parsed JSON [`Value`] (the
-/// path the `cws-serve` wire layer takes: the workflow object arrives
-/// nested inside a submission line).
-///
-/// # Errors
-/// Returns an [`InterchangeError`] naming the exact JSON path of the
-/// first schema or structural violation.
-pub fn from_json_value(v: &Value) -> Result<Workflow, InterchangeError> {
-    let Some(fields) = v.as_obj() else {
-        return Err(InterchangeError::new("workflow", "expected a JSON object"));
-    };
-    check_fields("workflow", fields, WORKFLOW_FIELDS)?;
+/// One entry of `tasks`, as read.
+#[derive(Debug)]
+struct TaskRecord<'a> {
+    /// The entry is an object. Nothing else is read otherwise.
+    object: bool,
+    bad_field: Option<BadField<'a>>,
+    id: Option<Token<'a>>,
+    runtime_s: Option<Token<'a>>,
+    input_mb: Option<Token<'a>>,
+    kind: Option<Token<'a>>,
+    /// `deps`; when it is an array, its entries are
+    /// `Document::deps[deps_from..deps_to]`.
+    deps: Option<Token<'a>>,
+    deps_from: usize,
+    deps_to: usize,
+}
 
-    if let Some(fmt) = v.get("format") {
-        match fmt.as_str() {
-            Some(FORMAT_NAME) => {}
-            Some(other) => {
+/// One entry of `deps`, as read: the predecessor it names and its
+/// payload, or what is wrong with the entry on its own.
+#[derive(Debug)]
+struct DepRecord<'a> {
+    /// The bare string, or the object entry's `task`.
+    task: Result<Cow<'a, str>, DepFault<'a>>,
+    /// The object entry's `data_mb`; 0 when absent or for a bare
+    /// string.
+    data_mb: f64,
+}
+
+/// Why a `deps` entry names no predecessor, in the order the checks
+/// run.
+#[derive(Debug)]
+enum DepFault<'a> {
+    Field(Box<BadField<'a>>),
+    MissingTask,
+    TaskNotString,
+    DataMb,
+    /// Neither a string nor an object.
+    Kind,
+}
+
+impl<'a> Document<'a> {
+    /// Read one workflow value from `r`: the whole value, however
+    /// malformed its contents are as a workflow.
+    ///
+    /// # Errors
+    /// The reader's message on malformed JSON, the only failure here.
+    pub fn read(r: &mut Reader<'a>) -> Result<Self, String> {
+        let mut doc = Document {
+            object: r.enter_object()?,
+            bad_field: None,
+            format: None,
+            version: None,
+            name: None,
+            tasks: None,
+            tasks_read: Vec::new(),
+            deps: Vec::new(),
+        };
+        if doc.object {
+            read_fields(r, WORKFLOW_FIELDS, &mut doc.bad_field, |r, field| {
+                let slot = match field {
+                    "tasks" => {
+                        let tasks = read_array(r, |r| {
+                            let task = TaskRecord::read(r, &mut doc.deps)?;
+                            doc.tasks_read.push(task);
+                            Ok(())
+                        })?;
+                        doc.tasks = Some(tasks);
+                        return Ok(());
+                    }
+                    "format" => &mut doc.format,
+                    "name" => &mut doc.name,
+                    _ => &mut doc.version,
+                };
+                *slot = Some(r.skim()?);
+                Ok(())
+            })?;
+        }
+        Ok(doc)
+    }
+
+    /// Check the document and build its workflow.
+    ///
+    /// The checks run in a fixed order, and the first to fail is the
+    /// error: the workflow object's fields, then each task in order,
+    /// then each task's deps in order, then a cycle.
+    ///
+    /// # Errors
+    /// An [`InterchangeError`] naming the exact JSON path of the first
+    /// schema or structural violation.
+    pub fn into_workflow(self) -> Result<Workflow, InterchangeError> {
+        self.build().map(|(wf, _)| wf)
+    }
+
+    /// [`Document::into_workflow`], also returning the version the
+    /// document declared.
+    fn build(self) -> Result<(Workflow, u64), InterchangeError> {
+        if !self.object {
+            return Err(InterchangeError::new("workflow", "expected a JSON object"));
+        }
+        if let Some(bad) = &self.bad_field {
+            return Err(bad.error("workflow", WORKFLOW_FIELDS));
+        }
+        match &self.format {
+            None => {}
+            Some(Token::Str(s)) if s == FORMAT_NAME => {}
+            Some(Token::Str(other)) => {
                 return Err(InterchangeError::new(
                     "workflow.format",
                     format!("expected {FORMAT_NAME:?}, found {other:?}"),
                 ))
             }
-            None => return Err(InterchangeError::new("workflow.format", "must be a string")),
+            Some(_) => return Err(InterchangeError::new("workflow.format", "must be a string")),
         }
-    }
-    let version = document_version(v)?;
-    if version > FORMAT_VERSION {
-        return Err(InterchangeError::new(
-            "workflow.version",
-            format!(
-                "unsupported version {version} (this parser implements version {FORMAT_VERSION})"
-            ),
-        ));
-    }
-
-    let name = match v.get("name") {
-        None => {
+        let version = match self.version {
+            None => Some(FORMAT_VERSION),
+            Some(Token::Num(x)) => Value::Num(x).as_u64().filter(|&n| n >= 1),
+            Some(_) => None,
+        }
+        .ok_or_else(|| InterchangeError::new("workflow.version", "must be a positive integer"))?;
+        if version > FORMAT_VERSION {
             return Err(InterchangeError::new(
-                "workflow",
-                "missing required field \"name\"",
-            ))
+                "workflow.version",
+                format!(
+                    "unsupported version {version} (this parser implements version {FORMAT_VERSION})"
+                ),
+            ));
         }
-        Some(n) => n
-            .as_str()
-            .ok_or_else(|| InterchangeError::new("workflow.name", "must be a string"))?,
-    };
-    let tasks = match v.get("tasks") {
-        None => {
-            return Err(InterchangeError::new(
-                "workflow",
-                "missing required field \"tasks\"",
-            ))
-        }
-        Some(t) => t
-            .as_arr()
-            .ok_or_else(|| InterchangeError::new("workflow.tasks", "must be an array"))?,
-    };
-    if tasks.is_empty() {
-        return Err(InterchangeError::new(
-            "workflow.tasks",
-            "workflow has no tasks",
-        ));
-    }
-
-    let mut builder = WorkflowBuilder::new(name);
-    // First pass: declare every task, so deps can reference any task
-    // regardless of declaration order (forward references included).
-    let mut ids: BTreeMap<&str, TaskId> = BTreeMap::new();
-    let mut total_runtime = 0.0;
-    for (i, t) in tasks.iter().enumerate() {
-        let path = format!("workflow.tasks[{i}]");
-        let Some(fields) = t.as_obj() else {
-            return Err(InterchangeError::new(path, "each task must be an object"));
-        };
-        check_fields(&path, fields, TASK_FIELDS)?;
-        let id = match t.get("id") {
-            None => return Err(InterchangeError::new(path, "missing required field \"id\"")),
-            Some(x) => x.as_str().filter(|s| !s.is_empty()).ok_or_else(|| {
-                InterchangeError::new(format!("{path}.id"), "must be a non-empty string")
-            })?,
-        };
-        let runtime = match t.get("runtime_s") {
+        let name = match self.name {
             None => {
                 return Err(InterchangeError::new(
-                    path,
-                    "missing required field \"runtime_s\"",
+                    "workflow",
+                    "missing required field \"name\"",
                 ))
             }
-            Some(x) => finite_non_negative(x)
-                .ok_or_else(|| non_negative_err(format!("{path}.runtime_s")))?,
+            Some(Token::Str(s)) => s.into_owned(),
+            Some(_) => return Err(InterchangeError::new("workflow.name", "must be a string")),
         };
-        total_runtime += runtime;
-        if total_runtime > MAX_TOTAL_RUNTIME_S {
+        match self.tasks {
+            None => {
+                return Err(InterchangeError::new(
+                    "workflow",
+                    "missing required field \"tasks\"",
+                ))
+            }
+            Some(Token::Arr) => {}
+            Some(_) => return Err(InterchangeError::new("workflow.tasks", "must be an array")),
+        }
+        let tasks = &self.tasks_read;
+        if tasks.is_empty() {
             return Err(InterchangeError::new(
-                format!("{path}.runtime_s"),
-                format!("summed runtime_s exceeds the horizon of {MAX_TOTAL_RUNTIME_S:e} s"),
+                "workflow.tasks",
+                "workflow has no tasks",
             ));
         }
-        let input_mb = match t.get("input_mb") {
-            None => 0.0,
-            Some(x) => finite_non_negative(x)
-                .ok_or_else(|| non_negative_err(format!("{path}.input_mb")))?,
-        };
-        let kind = match t.get("type") {
-            None => None,
-            Some(x) => Some(
-                x.as_str()
-                    .ok_or_else(|| {
-                        InterchangeError::new(format!("{path}.type"), "must be a string")
-                    })?
-                    .to_string(),
-            ),
-        };
-        let task_id = builder.task_detailed(id, runtime, input_mb, kind);
-        if ids.insert(id, task_id).is_some() {
-            return Err(InterchangeError::new(
-                format!("{path}.id"),
-                format!("duplicate task id {id:?}"),
-            ));
-        }
-    }
 
-    // Second pass: edges.
-    let mut total_data = 0.0;
-    for (i, t) in tasks.iter().enumerate() {
-        // Invariant: the first pass over `tasks` already rejected any
-        // task whose `id` is missing or not a string.
-        // cws-lint: allow(unwrap-in-kernel)
-        let to_id = t.get("id").and_then(Value::as_str).expect("checked above");
-        let to = ids[to_id];
-        let Some(deps) = t.get("deps") else { continue };
-        let deps = deps.as_arr().ok_or_else(|| {
-            InterchangeError::new(format!("workflow.tasks[{i}].deps"), "must be an array")
-        })?;
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        for (j, dep) in deps.iter().enumerate() {
-            let path = format!("workflow.tasks[{i}].deps[{j}]");
-            let (from_id, data_mb) = match dep {
-                Value::Str(s) => (s.as_str(), 0.0),
-                Value::Obj(fields) => {
-                    check_fields(&path, fields, DEP_FIELDS)?;
-                    let from = match dep.get("task") {
-                        None => {
-                            return Err(InterchangeError::new(
-                                path,
-                                "missing required field \"task\"",
-                            ))
-                        }
-                        Some(x) => x.as_str().ok_or_else(|| {
-                            InterchangeError::new(format!("{path}.task"), "must be a string")
-                        })?,
-                    };
-                    let mb = match dep.get("data_mb") {
-                        None => 0.0,
-                        Some(x) => finite_non_negative(x)
-                            .ok_or_else(|| non_negative_err(format!("{path}.data_mb")))?,
-                    };
-                    total_data += mb;
-                    if total_data > MAX_TOTAL_DATA_MB {
-                        return Err(InterchangeError::new(
-                            format!("{path}.data_mb"),
-                            format!(
-                                "summed data_mb exceeds the horizon of {MAX_TOTAL_DATA_MB:e} MB"
-                            ),
-                        ));
-                    }
-                    (from, mb)
-                }
-                _ => {
+        let mut builder = WorkflowBuilder::new(name);
+        // First pass: declare every task, so deps can reference any task
+        // regardless of declaration order (forward references included).
+        let mut ids: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut total_runtime = 0.0;
+        for (i, t) in tasks.iter().enumerate() {
+            let path = |field: &str| format!("workflow.tasks[{i}]{field}");
+            if !t.object {
+                return Err(InterchangeError::new(
+                    path(""),
+                    "each task must be an object",
+                ));
+            }
+            if let Some(bad) = &t.bad_field {
+                return Err(bad.error(path(""), TASK_FIELDS));
+            }
+            let id = match &t.id {
+                None => {
                     return Err(InterchangeError::new(
-                        path,
-                        "entries are task-id strings or {\"task\", \"data_mb\"} objects",
+                        path(""),
+                        "missing required field \"id\"",
+                    ))
+                }
+                Some(Token::Str(s)) if !s.is_empty() => s.as_ref(),
+                Some(_) => {
+                    return Err(InterchangeError::new(
+                        path(".id"),
+                        "must be a non-empty string",
                     ))
                 }
             };
-            let Some(&from) = ids.get(from_id) else {
-                return Err(InterchangeError::new(
-                    path,
-                    format!("depends on unknown task {from_id:?}"),
-                ));
+            let runtime = match &t.runtime_s {
+                None => {
+                    return Err(InterchangeError::new(
+                        path(""),
+                        "missing required field \"runtime_s\"",
+                    ))
+                }
+                Some(x) => {
+                    finite_non_negative(x).ok_or_else(|| non_negative_err(path(".runtime_s")))?
+                }
             };
-            if from == to {
+            total_runtime += runtime;
+            if total_runtime > MAX_TOTAL_RUNTIME_S {
                 return Err(InterchangeError::new(
-                    path,
-                    format!("task {to_id:?} depends on itself"),
+                    path(".runtime_s"),
+                    format!("summed runtime_s exceeds the horizon of {MAX_TOTAL_RUNTIME_S:e} s"),
                 ));
             }
-            if !seen.insert(from_id) {
+            let input_mb = match &t.input_mb {
+                None => 0.0,
+                Some(x) => {
+                    finite_non_negative(x).ok_or_else(|| non_negative_err(path(".input_mb")))?
+                }
+            };
+            let kind = match &t.kind {
+                None => None,
+                Some(Token::Str(s)) => Some(s.to_string()),
+                Some(_) => return Err(InterchangeError::new(path(".type"), "must be a string")),
+            };
+            builder.task_detailed(id, runtime, input_mb, kind);
+            if ids.insert(id, i).is_some() {
                 return Err(InterchangeError::new(
-                    path,
-                    format!("duplicate dependency on task {from_id:?}"),
+                    path(".id"),
+                    format!("duplicate task id {id:?}"),
                 ));
             }
-            builder.data_edge(from, to, data_mb);
         }
-    }
 
-    // Structural backstop. Every reachable error already produced a
-    // better path above except cycles, which need the whole graph.
-    builder.build().map_err(|e| match e {
-        DagError::Cycle { cycle_witness } => InterchangeError::new(
-            "workflow.tasks",
-            format!(
-                "workflow contains a cycle through task {:?}",
-                tasks[cycle_witness.index()]
-                    .get("id")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-            ),
-        ),
-        other => InterchangeError::new("workflow", format!("invalid DAG: {other}")),
-    })
+        // Second pass: edges. `listed[p] == i` once task `i` names `p`.
+        let mut listed = vec![usize::MAX; tasks.len()];
+        let mut total_data = 0.0;
+        for (i, t) in tasks.iter().enumerate() {
+            let to = TaskId(i as u32);
+            match t.deps {
+                None => continue,
+                Some(Token::Arr) => {}
+                Some(_) => {
+                    return Err(InterchangeError::new(
+                        format!("workflow.tasks[{i}].deps"),
+                        "must be an array",
+                    ))
+                }
+            }
+            for (j, dep) in self.deps[t.deps_from..t.deps_to].iter().enumerate() {
+                let path = |field: &str| format!("workflow.tasks[{i}].deps[{j}]{field}");
+                let from_id = match &dep.task {
+                    Ok(id) => id.as_ref(),
+                    Err(fault) => return Err(fault.error(path)),
+                };
+                // A bare string adds 0, which cannot cross the horizon.
+                total_data += dep.data_mb;
+                if total_data > MAX_TOTAL_DATA_MB {
+                    return Err(InterchangeError::new(
+                        path(".data_mb"),
+                        format!("summed data_mb exceeds the horizon of {MAX_TOTAL_DATA_MB:e} MB"),
+                    ));
+                }
+                let Some(&from) = ids.get(from_id) else {
+                    return Err(InterchangeError::new(
+                        path(""),
+                        format!("depends on unknown task {from_id:?}"),
+                    ));
+                };
+                if from == i {
+                    return Err(InterchangeError::new(
+                        path(""),
+                        format!("task {from_id:?} depends on itself"),
+                    ));
+                }
+                if listed[from] == i {
+                    return Err(InterchangeError::new(
+                        path(""),
+                        format!("duplicate dependency on task {from_id:?}"),
+                    ));
+                }
+                listed[from] = i;
+                builder.data_edge(TaskId(from as u32), to, dep.data_mb);
+            }
+        }
+
+        // Structural backstop. Every reachable error already produced a
+        // better path above except cycles, which need the whole graph.
+        let wf = builder.build().map_err(|e| match e {
+            DagError::Cycle { cycle_witness } => {
+                let witness = match tasks.get(cycle_witness.index()).and_then(|t| t.id.as_ref()) {
+                    Some(Token::Str(s)) => s.as_ref(),
+                    _ => "?",
+                };
+                InterchangeError::new(
+                    "workflow.tasks",
+                    format!("workflow contains a cycle through task {witness:?}"),
+                )
+            }
+            other => InterchangeError::new("workflow", format!("invalid DAG: {other}")),
+        })?;
+        Ok((wf, version))
+    }
 }
 
-fn finite_non_negative(x: &Value) -> Option<f64> {
-    x.as_f64().filter(|m| m.is_finite() && *m >= 0.0)
+impl<'a> TaskRecord<'a> {
+    /// Read one entry of `tasks`, appending its deps to `deps`.
+    fn read(r: &mut Reader<'a>, deps: &mut Vec<DepRecord<'a>>) -> Result<Self, String> {
+        let mut t = TaskRecord {
+            object: r.enter_object()?,
+            bad_field: None,
+            id: None,
+            runtime_s: None,
+            input_mb: None,
+            kind: None,
+            deps: None,
+            deps_from: deps.len(),
+            deps_to: deps.len(),
+        };
+        if t.object {
+            read_fields(r, TASK_FIELDS, &mut t.bad_field, |r, field| {
+                let slot = match field {
+                    "deps" => {
+                        let entries = read_array(r, |r| {
+                            deps.push(DepRecord::read(r)?);
+                            Ok(())
+                        })?;
+                        t.deps = Some(entries);
+                        t.deps_to = deps.len();
+                        return Ok(());
+                    }
+                    "id" => &mut t.id,
+                    "input_mb" => &mut t.input_mb,
+                    "runtime_s" => &mut t.runtime_s,
+                    _ => &mut t.kind,
+                };
+                *slot = Some(r.skim()?);
+                Ok(())
+            })?;
+        }
+        Ok(t)
+    }
+}
+
+impl<'a> DepRecord<'a> {
+    /// Read one entry of `deps`.
+    fn read(r: &mut Reader<'a>) -> Result<Self, String> {
+        let fault = |fault| DepRecord {
+            task: Err(fault),
+            data_mb: 0.0,
+        };
+        match r.value()? {
+            Token::Str(id) => {
+                return Ok(DepRecord {
+                    task: Ok(id),
+                    data_mb: 0.0,
+                })
+            }
+            Token::Obj => {}
+            Token::Arr => {
+                r.skip_container()?;
+                return Ok(fault(DepFault::Kind));
+            }
+            _ => return Ok(fault(DepFault::Kind)),
+        }
+        let (mut bad_field, mut task, mut data_mb) = (None, None, None);
+        read_fields(r, DEP_FIELDS, &mut bad_field, |r, field| {
+            let value = Some(r.skim()?);
+            if field == "task" {
+                task = value;
+            } else {
+                data_mb = value;
+            }
+            Ok(())
+        })?;
+        if let Some(bad) = bad_field {
+            return Ok(fault(DepFault::Field(Box::new(bad))));
+        }
+        let task = match task {
+            None => return Ok(fault(DepFault::MissingTask)),
+            Some(Token::Str(id)) => id,
+            Some(_) => return Ok(fault(DepFault::TaskNotString)),
+        };
+        let data_mb = match data_mb {
+            None => 0.0,
+            Some(x) => match finite_non_negative(&x) {
+                Some(mb) => mb,
+                None => return Ok(fault(DepFault::DataMb)),
+            },
+        };
+        Ok(DepRecord {
+            task: Ok(task),
+            data_mb,
+        })
+    }
+}
+
+impl DepFault<'_> {
+    /// The error for an entry at `path("")`.
+    fn error(&self, path: impl Fn(&str) -> String) -> InterchangeError {
+        match self {
+            DepFault::Field(bad) => bad.error(path(""), DEP_FIELDS),
+            DepFault::MissingTask => {
+                InterchangeError::new(path(""), "missing required field \"task\"")
+            }
+            DepFault::TaskNotString => InterchangeError::new(path(".task"), "must be a string"),
+            DepFault::DataMb => non_negative_err(path(".data_mb")),
+            DepFault::Kind => InterchangeError::new(
+                path(""),
+                "entries are task-id strings or {\"task\", \"data_mb\"} objects",
+            ),
+        }
+    }
+}
+
+/// Read the fields of the object `r` just entered. The first
+/// occurrence of each `accepted` field goes to `read`, with its name;
+/// the first field that is not accepted, or that repeats one, goes to
+/// `bad`. Every other value is read whole and dropped.
+fn read_fields<'a>(
+    r: &mut Reader<'a>,
+    accepted: &'static [&'static str],
+    bad: &mut Option<BadField<'a>>,
+    mut read: impl FnMut(&mut Reader<'a>, &'static str) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut seen = 0u32;
+    while let Some(key) = r.next_key()? {
+        match accepted.iter().position(|field| *field == key) {
+            Some(k) if seen & 1 << k == 0 => {
+                seen |= 1 << k;
+                read(r, accepted[k])?;
+            }
+            known => {
+                if bad.is_none() {
+                    *bad = Some(BadField {
+                        name: key,
+                        repeated: known.is_some(),
+                    });
+                }
+                r.skim()?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Read one value: each entry through `entry` if it is an array, and
+/// whole otherwise. Returns the value's token.
+fn read_array<'a>(
+    r: &mut Reader<'a>,
+    mut entry: impl FnMut(&mut Reader<'a>) -> Result<(), String>,
+) -> Result<Token<'a>, String> {
+    let token = r.value()?;
+    match token {
+        Token::Arr => {
+            while r.next_item()? {
+                entry(r)?;
+            }
+        }
+        Token::Obj => r.skip_container()?,
+        _ => {}
+    }
+    Ok(token)
+}
+
+fn finite_non_negative(x: &Token<'_>) -> Option<f64> {
+    match *x {
+        Token::Num(m) if m.is_finite() && m >= 0.0 => Some(m),
+        _ => None,
+    }
 }
 
 fn non_negative_err(path: String) -> InterchangeError {
     InterchangeError::new(path, "must be a finite number >= 0")
-}
-
-/// Reject unknown and duplicated fields on `obj`, naming `path`.
-fn check_fields(
-    path: &str,
-    fields: &[(String, Value)],
-    accepted: &[&str],
-) -> Result<(), InterchangeError> {
-    for (i, (name, _)) in fields.iter().enumerate() {
-        if !accepted.contains(&name.as_str()) {
-            let list = accepted
-                .iter()
-                .map(|f| format!("{f:?}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            return Err(InterchangeError::new(
-                path,
-                format!("unknown field {name:?} (accepted: {list})"),
-            ));
-        }
-        if fields[..i].iter().any(|(n, _)| n == name) {
-            return Err(InterchangeError::new(
-                path,
-                format!("duplicate field {name:?}"),
-            ));
-        }
-    }
-    Ok(())
 }
 
 impl Workflow {
@@ -479,38 +742,46 @@ impl Workflow {
         for t in self.tasks() {
             *counts.entry(t.name.as_str()).or_insert(0) += 1;
         }
-        let id_of = |id: TaskId| -> String {
-            let t = self.task(id);
+        // Every task's id, escaped once: task `i` writes
+        // `ids[ends[i - 1]..ends[i]]` wherever it is named.
+        let mut ids = String::new();
+        let mut ends = Vec::with_capacity(self.len());
+        for t in self.tasks() {
             if counts[t.name.as_str()] > 1 {
-                format!("{}#{}", t.name, t.id.0)
+                push_json_str(&mut ids, &format!("{}#{}", t.name, t.id.0));
             } else {
-                t.name.clone()
+                push_json_str(&mut ids, &t.name);
             }
+            ends.push(ids.len());
+        }
+        let id_of = |id: TaskId| {
+            let i = id.index();
+            &ids[if i == 0 { 0 } else { ends[i - 1] }..ends[i]]
         };
 
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"format\":{},\"version\":{FORMAT_VERSION},\"name\":{},\"tasks\":[",
-            json_str(FORMAT_NAME),
-            json_str(self.name())
-        );
+        let mut out = String::from("{\"format\":");
+        push_json_str(&mut out, FORMAT_NAME);
+        out.push_str(",\"version\":");
+        out.push_str(&FORMAT_VERSION.to_string());
+        out.push_str(",\"name\":");
+        push_json_str(&mut out, self.name());
+        out.push_str(",\"tasks\":[");
         for (i, id) in self.ids().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let task = self.task(id);
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"runtime_s\":{}",
-                json_str(&id_of(id)),
-                json_f64(task.base_time)
-            );
+            out.push_str("{\"id\":");
+            out.push_str(id_of(id));
+            out.push_str(",\"runtime_s\":");
+            push_json_f64(&mut out, task.base_time);
             if let Some(kind) = &task.kind {
-                let _ = write!(out, ",\"type\":{}", json_str(kind));
+                out.push_str(",\"type\":");
+                push_json_str(&mut out, kind);
             }
             if task.input_mb != 0.0 {
-                let _ = write!(out, ",\"input_mb\":{}", json_f64(task.input_mb));
+                out.push_str(",\"input_mb\":");
+                push_json_f64(&mut out, task.input_mb);
             }
             let preds = self.predecessors(id);
             if !preds.is_empty() {
@@ -519,16 +790,14 @@ impl Workflow {
                     if j > 0 {
                         out.push(',');
                     }
-                    let from = json_str(&id_of(e.from));
                     if e.data_mb > 0.0 {
-                        let _ = write!(
-                            out,
-                            "{{\"task\":{},\"data_mb\":{}}}",
-                            from,
-                            json_f64(e.data_mb)
-                        );
+                        out.push_str("{\"task\":");
+                        out.push_str(id_of(e.from));
+                        out.push_str(",\"data_mb\":");
+                        push_json_f64(&mut out, e.data_mb);
+                        out.push('}');
                     } else {
-                        out.push_str(&from);
+                        out.push_str(id_of(e.from));
                     }
                 }
                 out.push(']');

@@ -19,7 +19,7 @@
 //! (e.g. `workflow.tasks[3].deps[1]: depends on unknown task "x"`).
 
 use cws_dag::{interchange, Workflow};
-use cws_obs::json::Value;
+use cws_obs::json::{Reader, Token};
 
 /// The longest request line the daemon reads, in bytes, not counting
 /// its terminating newline: 64 MiB, four times the largest interchange
@@ -54,40 +54,59 @@ pub enum Request {
 
 /// Parse one JSON-line request.
 ///
+/// The whole line is read first, its `workflow` member straight into
+/// the interchange's records, so malformed JSON anywhere on the line is
+/// the error before anything the envelope or the workflow says. Of a
+/// repeated envelope field, the first counts.
+///
 /// # Errors
 /// Returns a human-readable message for malformed JSON, an unknown
 /// `cmd`, or an invalid workflow (unknown dep, duplicate id, cycle…)
 /// — workflow messages include the precise JSON path.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = cws_obs::json::parse(line)?;
-    if let Some(cmd) = v.get("cmd") {
-        return match cmd.as_str() {
-            Some("report") => Ok(Request::Report),
-            Some("shutdown") => Ok(Request::Shutdown),
-            Some(other) => Err(format!("unknown cmd {other:?}")),
-            None => Err("cmd must be a string".to_string()),
+    let mut r = Reader::new(line);
+    let (mut cmd, mut tenant, mut time, mut workflow) = (None, None, None, None);
+    if r.enter_object()? {
+        while let Some(key) = r.next_key()? {
+            match key.as_ref() {
+                "cmd" if cmd.is_none() => cmd = Some(r.skim()?),
+                "tenant" if tenant.is_none() => tenant = Some(r.skim()?),
+                "time" if time.is_none() => time = Some(r.skim()?),
+                "workflow" if workflow.is_none() => {
+                    workflow = Some(interchange::Document::read(&mut r)?);
+                }
+                _ => {
+                    r.skim()?;
+                }
+            }
+        }
+    }
+    r.finish()?;
+
+    if let Some(cmd) = cmd {
+        return match cmd {
+            Token::Str(c) if c == "report" => Ok(Request::Report),
+            Token::Str(c) if c == "shutdown" => Ok(Request::Shutdown),
+            Token::Str(other) => Err(format!("unknown cmd {other:?}")),
+            _ => Err("cmd must be a string".to_string()),
         };
     }
-    let tenant = v
-        .get("tenant")
-        .and_then(Value::as_str)
-        .ok_or("submission needs a \"tenant\" string")?
-        .to_string();
-    let time = match v.get("time") {
-        None | Some(Value::Null) => None,
-        Some(t) => {
-            let t = t.as_f64().ok_or("\"time\" must be a number")?;
-            if !t.is_finite() || t < 0.0 {
-                return Err("\"time\" must be finite and >= 0".to_string());
-            }
-            Some(t)
-        }
+    let Some(Token::Str(tenant)) = tenant else {
+        return Err("submission needs a \"tenant\" string".to_string());
     };
-    let wf = v.get("workflow").ok_or("submission needs a \"workflow\"")?;
+    let time = match time {
+        None | Some(Token::Null) => None,
+        Some(Token::Num(t)) if !t.is_finite() || t < 0.0 => {
+            return Err("\"time\" must be finite and >= 0".to_string())
+        }
+        Some(Token::Num(t)) => Some(t),
+        Some(_) => return Err("\"time\" must be a number".to_string()),
+    };
+    let workflow = workflow.ok_or("submission needs a \"workflow\"")?;
     Ok(Request::Submit {
-        tenant,
+        tenant: tenant.into_owned(),
         time,
-        workflow: interchange::from_json_value(wf).map_err(|e| e.to_string())?,
+        workflow: workflow.into_workflow().map_err(|e| e.to_string())?,
     })
 }
 

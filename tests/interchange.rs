@@ -271,6 +271,27 @@ fn documents_past_the_horizon_are_rejected_by_every_reader() {
 }
 
 #[test]
+fn every_reader_checks_the_fields_before_the_version() {
+    // Files used to have their `version` checked before their fields,
+    // request lines after: one object, two different errors.
+    for (doc, message) in [
+        (
+            r#"{"version":0,"bogus":1,"name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
+            r#"workflow: unknown field "bogus" (accepted: "format", "name", "tasks", "version")"#,
+        ),
+        (
+            r#"{"version":"x","format":"pegasus","name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
+            r#"workflow.format: expected "cws-dag", found "pegasus""#,
+        ),
+    ] {
+        assert_eq!(Workflow::from_json(doc).unwrap_err().to_string(), message);
+        assert_eq!(validate(doc).unwrap_err().to_string(), message);
+        let line = format!(r#"{{"tenant":"t","workflow":{doc}}}"#);
+        assert_eq!(cws_serve::parse_request(&line), Err(message.to_string()));
+    }
+}
+
+#[test]
 fn a_document_at_the_horizon_sweeps_cleanly() {
     // Both sums sit on their horizon: 10⁹ s of runtime, and 10¹¹ MB on
     // one edge, whose transfer at 125 MB/s adds 8·10⁸ s before `b`.

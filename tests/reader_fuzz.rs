@@ -3,17 +3,27 @@
 //! lines, the trace reducer behind `cws-exp trace-report` and the
 //! metrics-snapshot decoder it reads manifests with.
 //!
-//! Each case overwrites a few bytes of a valid seed document and feeds
-//! the result to the reader. The invariant is that no reader panics or
+//! Each case overwrites a few bytes of a seed document and feeds the
+//! result to the reader. The invariant is that no reader panics or
 //! aborts: bad input is an error or a violation. Documents a reader
 //! accepts must also survive a round trip through their canonical
 //! writer, and the trace report's JSON must stay parseable.
+//!
+//! The JSON parser, the interchange and the request parser must also
+//! return exactly what the readers they replaced return
+//! (`tests/support/reference.rs`), and every interchange error must
+//! match a row of `docs/interchange.md`'s validation table.
+
+mod support;
 
 use cws_dag::Workflow;
 use cws_obs::report::{self, TraceReducer, TraceReport};
 use cws_obs::{MetricsRegistry, MetricsSnapshot};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
+use support::error_table::{self, Row};
+use support::reference;
 
 /// Bytes the JSON grammar turns on. A drawn byte past 255 picks one of
 /// these, so mutations reach past the tokenizer more often than
@@ -50,9 +60,96 @@ const DIAMOND: &str = r#"{"format":"cws-dag","version":1,"name":"diamond","tasks
     {"id":"c","runtime_s":30.75,"deps":[{"task":"a","data_mb":5.5}]},
     {"id":"d","runtime_s":1e2,"deps":["b",{"task":"c","data_mb":0}]}]}"#;
 
+/// Escaped keys and ids: `"a\u0062"` names the task `"ab"`.
+const ESCAPED: &str = r#"{"n\u0061me":"esc","tasks":[{"id":"ab","runtime_s":1},{"id":"c\"d","runtime_s":1,"deps":["a\u0062"]},{"id":"e","runtime_s":1,"type":"t\\u","deps":[{"t\u0061sk":"c\"d","data_mb":1}]}]}"#;
+
+/// Numbers and escapes at the edge of the grammar that the reader
+/// accepts: `01`, `1.` and `\u+abc`.
+const EDGE_OF_GRAMMAR: &str = r#"{"name":"\u+abc","tasks":[{"id":"a","runtime_s":01},{"id":"b","runtime_s":1.,"deps":["a"]}]}"#;
+
+/// Documents byte overwrites rarely reach from the valid seeds: field
+/// orders, repeated keys, escapes, every kind of dep, nesting at and
+/// past the limit, and numbers and escapes at the edge of the grammar.
+fn edge_workflow_seeds() -> Vec<String> {
+    let wf =
+        |tasks: &str| format!(r#"{{"name":"e","tasks":[{{"id":"a","runtime_s":1}},{tasks}]}}"#);
+    let mut seeds: Vec<String> = [
+        r#"{"tasks":[{"deps":["a"],"runtime_s":2,"id":"b"},{"id":"a","runtime_s":1}],"version":1,"name":"late"}"#,
+        r#"{"name":"d","name":"e","tasks":[{"id":"a","runtime_s":1}]}"#,
+        r#"{"name":"d","tasks":[{"id":"a","runtime_s":1}],"tasks":[]}"#,
+        ESCAPED,
+        EDGE_OF_GRAMMAR,
+        r#"{"name":"n","tasks":[{"id":"a","runtime_s":1,"input_mb":1e999}]}"#,
+        r#"{"name":"n","tasks":[{"id":"a","runtime_s":-}]}"#,
+        r#"{"version":0,"bogus":1,"name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
+        r#"{"version":"x","format":"pegasus","name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
+    ]
+    .map(String::from)
+    .into();
+    for tasks in [
+        r#"{"id":"b","id":"c","runtime_s":1}"#,
+        r#"{"id":"b","runtime_s":1,"deps":["a"],"deps":["a"]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[{"task":"a","task":"a"}]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[{"data_mb":2,"data_mb":1,"task":"a"}]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[{"task":"a"},"a"]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[null,true,1.5,"a",[],{}]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[{"task":7},{"task":"a","data_mb":-1}]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":{"task":"a"}}"#,
+        r#"{"id":"b","runtime_s":1,"deps":"a"}"#,
+        r#"[{"id":"b"}]"#,
+        // Two faults in one object: the check that runs first names it.
+        r#"{"id":"b","runtime_s":1,"deps":[{"data_mb":-1,"task":7}]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[{"data_mb":-1,"x":0}]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[{"data_mb":null}]}"#,
+        r#"{"x":0,"runtime_s":-1}"#,
+        r#"{"type":7,"input_mb":-1,"runtime_s":-1,"id":""}"#,
+        r#"{"type":7,"input_mb":-1,"id":"b"}"#,
+        r#"{"type":7,"input_mb":-1,"id":"a","runtime_s":1}"#,
+        r#"{"id":"a","type":7,"runtime_s":1}"#,
+        r#"{"deps":7,"id":"b","runtime_s":1e10}"#,
+    ] {
+        seeds.push(wf(tasks));
+    }
+    // Faults in different tasks and passes: every task's fields are
+    // checked before any task's deps, and deps task by task.
+    for tasks in [
+        r#"{"id":"b","runtime_s":1,"deps":["ghost"]},{"id":"c","runtime_s":-1}"#,
+        r#"{"id":"b","runtime_s":1,"deps":["ghost"]},{"id":"c","runtime_s":1,"deps":7}"#,
+        r#"{"id":"b","runtime_s":1,"deps":7},{"id":"c","runtime_s":1,"deps":["ghost"]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":["c"]},{"id":"c","runtime_s":1,"deps":["b","b"]}"#,
+    ] {
+        seeds.push(format!(r#"{{"name":"e","tasks":[{tasks}]}}"#));
+    }
+    for fields in [
+        r#""format":7,"version":0"#,
+        r#""version":2,"name":7"#,
+        r#""name":7,"tasks":7"#,
+        r#""tasks":7"#,
+        r#""name":"e","tasks":[],"format":"cws-dag""#,
+    ] {
+        seeds.push(format!("{{{fields}}}"));
+    }
+    // A dep of junk at the nesting limit, which reads; and one level
+    // past it, which is malformed JSON.
+    for levels in [124, 125] {
+        let junk = format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        seeds.push(wf(&format!(
+            r#"{{"id":"b","runtime_s":1,"deps":[{junk}]}}"#
+        )));
+    }
+    seeds
+}
+
+/// Valid documents: their mutations are the ones that reach the
+/// round-trip and fixed-point checks.
 fn workflow_seeds() -> Vec<String> {
     let cybershake = cws_workloads::cybershake(cws_workloads::CyberShakeShape { synthesis: 2 });
     vec![DIAMOND.to_string(), cybershake.to_json()]
+}
+
+/// `wf` as a daemon submission.
+fn submit(wf: &str) -> String {
+    format!(r#"{{"tenant":"astro","time":12.5,"workflow":{wf}}}"#)
 }
 
 fn request_seeds() -> Vec<String> {
@@ -60,11 +157,24 @@ fn request_seeds() -> Vec<String> {
         r#"{"cmd":"report"}"#.to_string(),
         r#"{"cmd":"shutdown"}"#.to_string(),
     ];
-    for wf in workflow_seeds() {
-        seeds.push(format!(
-            r#"{{"tenant":"astro","time":12.5,"workflow":{wf}}}"#
-        ));
-    }
+    seeds.extend(workflow_seeds().iter().map(|wf| submit(wf)));
+    seeds
+}
+
+/// Envelopes with repeated and out-of-order members (the first of a
+/// repeated member counts, and `cmd` wins wherever it stands), then
+/// every edge workflow seed as a submission.
+fn edge_request_seeds() -> Vec<String> {
+    let wf = r#"{"name":"w","tasks":[{"id":"t","runtime_s":1}]}"#;
+    let mut seeds: Vec<String> = [
+        format!(r#"{{"tenant":"a","tenant":7,"time":1,"time":"x","workflow":{wf},"workflow":7}}"#),
+        format!(r#"{{"workflow":{wf},"time":null,"ten\u0061nt":"a"}}"#),
+        format!(r#"{{"tenant":"a","workflow":{wf},"cmd":"shutdown","cmd":"report"}}"#),
+        format!(r#"[{{"tenant":"a","workflow":{wf}}}]"#),
+        r#"{"tenant":"a","workflow":{"version":0,"bogus":1,"name":"v","tasks":[]}}"#.to_string(),
+    ]
+    .into();
+    seeds.extend(edge_workflow_seeds().iter().map(|wf| submit(wf)));
     seeds
 }
 
@@ -122,25 +232,69 @@ fn render_and_check(report: &TraceReport, manifest: &MetricsSnapshot) {
     let _ = report::check(report, manifest);
 }
 
+/// The validation table of `docs/interchange.md`.
+fn error_table() -> &'static [Row] {
+    static ROWS: OnceLock<Vec<Row>> = OnceLock::new();
+    ROWS.get_or_init(error_table::rows)
+}
+
+/// `cws_obs::json::parse` returns what the recursive reference parser
+/// returns.
+fn parse_as_the_reference(doc: &str) {
+    assert_eq!(
+        cws_obs::json::parse(doc),
+        reference::parse(doc),
+        "parse differs from the reference"
+    );
+}
+
 fn read_workflow(doc: &str) {
-    if let Ok(wf) = Workflow::from_json(doc) {
-        let json = wf.to_json();
-        let back = Workflow::from_json(&json).expect("an export parses");
-        assert_eq!(back, wf, "accepted documents round-trip");
-        assert_eq!(back.to_json(), json, "the export is a fixed point");
+    parse_as_the_reference(doc);
+    let got = Workflow::from_json(doc);
+    assert_eq!(
+        got,
+        reference::from_json(doc),
+        "from_json differs from the reference"
+    );
+    match got {
+        Ok(wf) => {
+            let json = wf.to_json();
+            let back = Workflow::from_json(&json).expect("an export parses");
+            assert_eq!(back, wf, "accepted documents round-trip");
+            assert_eq!(back.to_json(), json, "the export is a fixed point");
+        }
+        Err(e) => assert!(
+            error_table::documented(error_table(), &e.path, &e.message),
+            "undocumented interchange error: {e}"
+        ),
     }
 }
 
 fn read_request(line: &str) {
-    let _ = cws_serve::parse_request(line);
+    let got = cws_serve::parse_request(line);
+    assert_eq!(
+        got,
+        reference::parse_request(line),
+        "parse_request differs from the reference"
+    );
+    if let Err(e) = got {
+        assert!(
+            error_table::documented_on_the_wire(error_table(), &e),
+            "undocumented workflow error: {e}"
+        );
+    }
 }
 
 fn read_trace(trace: &str) {
+    for line in trace.lines() {
+        parse_as_the_reference(line);
+    }
     let manifest = MetricsSnapshot::from_json(&manifest_seed()).expect("seed manifest");
     render_and_check(&reduce(trace), &manifest);
 }
 
 fn read_manifest(doc: &str) {
+    parse_as_the_reference(doc);
     if let Ok(snap) = MetricsSnapshot::from_json(doc) {
         render_and_check(&reduce(TRACE), &snap);
         assert_eq!(
@@ -196,6 +350,113 @@ proptest! {
     fn mutated_manifests_never_panic_the_snapshot_decoder(n in 1usize..5, edits in edits()) {
         let doc = mutate(&manifest_seed(), &edits[..n]);
         survives("MetricsSnapshot::from_json", &doc, read_manifest);
+    }
+}
+
+// The edge seeds are each read unmutated by
+// `edge_seeds_read_as_the_reference_reads_them`; their mutations get
+// fewer cases than the valid seeds'.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn mutated_edge_workflows_read_as_the_reference_reads_them(
+        seed in 0..edge_workflow_seeds().len(), n in 1usize..5, edits in edits(),
+    ) {
+        let doc = mutate(&edge_workflow_seeds()[seed], &edits[..n]);
+        survives("Workflow::from_json", &doc, read_workflow);
+    }
+
+    #[test]
+    fn mutated_edge_request_lines_read_as_the_reference_reads_them(
+        seed in 0..edge_request_seeds().len(), n in 1usize..5, edits in edits(),
+    ) {
+        let line = mutate(&edge_request_seeds()[seed], &edits[..n]);
+        survives("parse_request", &line, read_request);
+    }
+}
+
+#[test]
+fn edge_seeds_read_as_the_reference_reads_them() {
+    for doc in workflow_seeds().into_iter().chain(edge_workflow_seeds()) {
+        read_workflow(&doc);
+    }
+    for line in request_seeds().into_iter().chain(edge_request_seeds()) {
+        read_request(&line);
+    }
+    // An escaped id names the task its unescaped text does, and the
+    // first of a repeated envelope member counts.
+    let esc = Workflow::from_json(ESCAPED).expect("escaped ids resolve");
+    assert_eq!((esc.name(), esc.edge_count()), ("esc", 2));
+    let odd = Workflow::from_json(EDGE_OF_GRAMMAR).expect("01 and 1. read as numbers");
+    assert_eq!(odd.name(), "\u{abc}");
+    match cws_serve::parse_request(&edge_request_seeds()[0]) {
+        Ok(cws_serve::Request::Submit { tenant, time, .. }) => {
+            assert_eq!((tenant.as_str(), time), ("a", Some(1.0)));
+        }
+        other => panic!("expected the first members to count, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_row_of_the_error_table_is_reachable() {
+    let wf =
+        |tasks: &str| format!(r#"{{"name":"e","tasks":[{{"id":"a","runtime_s":1}},{tasks}]}}"#);
+    let mut docs: Vec<String> = [
+        "{",
+        "[]",
+        r#"{"nom":"e","tasks":[]}"#,
+        r#"{"name":"e","name":"f","tasks":[]}"#,
+        r#"{"format":"pegasus","name":"e","tasks":[]}"#,
+        r#"{"version":0,"name":"e","tasks":[]}"#,
+        r#"{"tasks":[]}"#,
+        r#"{"name":7,"tasks":[]}"#,
+        r#"{"name":"e","tasks":{}}"#,
+        r#"{"name":"e","tasks":[]}"#,
+        r#"{"name":"e","tasks":[7]}"#,
+        r#"{"name":"e","tasks":[{"id":"","runtime_s":1}]}"#,
+        r#"{"name":"e","tasks":[{"id":"a","runtime_s":1e10}]}"#,
+        r#"{"name":"e","tasks":[{"id":"a","runtime_s":1,"deps":["a"]}]}"#,
+    ]
+    .map(String::from)
+    .into();
+    for tasks in [
+        r#"{"id":"a","runtime_s":1}"#,
+        r#"{"id":"b","runtime_s":-1}"#,
+        r#"{"id":"b","runtime_s":1,"deps":[7]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":["z"]}"#,
+        r#"{"id":"b","runtime_s":1,"deps":["a","a"]}"#,
+    ] {
+        docs.push(wf(tasks));
+    }
+    docs.push(
+        r#"{"name":"e","tasks":[{"id":"a","runtime_s":1,"deps":["b"]},{"id":"b","runtime_s":1,"deps":["a"]}]}"#
+            .to_string(),
+    );
+    let errors: Vec<_> = docs
+        .iter()
+        .map(|d| Workflow::from_json(d).expect_err(d))
+        .collect();
+    assert!(!error_table::documented(
+        error_table(),
+        "workflow",
+        "made up"
+    ));
+    assert!(!error_table::documented(
+        error_table(),
+        "workflow.tasks[0]",
+        "must be a string"
+    ));
+    for row in error_table() {
+        assert!(
+            errors.iter().any(|e| error_table::documented(
+                std::slice::from_ref(row),
+                &e.path,
+                &e.message
+            )),
+            "no document reaches the row {:?}",
+            row.rule
+        );
     }
 }
 

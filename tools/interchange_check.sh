@@ -2,7 +2,7 @@
 # Interchange-format gate (ROADMAP: real-trace workload frontier; run
 # by the `interchange` CI job, or locally as tools/interchange_check.sh).
 #
-# Four legs:
+# Six legs:
 #
 #   1. Corpus validation — every vendored interchange document under
 #      tests/data/ must pass `cws-exp validate` (exit 0); a malformed
@@ -22,6 +22,16 @@
 #   4. Hostile trace-report inputs — a manifest with an empty histogram
 #      bucket pair, and a VM lease and a pool lease at the largest id,
 #      must give exit 0 or 1 (a failed --check), never a panic or abort.
+#
+#   5. A wide document — one task with 500 000 children (23 MB) must
+#      pass `cws-exp validate` within 60 s. Reading takes time within a
+#      log factor of the document's size; a builder that compared each
+#      edge with every earlier sibling of its source needed minutes here.
+#
+#   6. Colliding ids — 131 072 task ids whose FNV-1a 64 hashes agree in
+#      their low 24 bits must pass `cws-exp validate` within 60 s. An id
+#      index that picked a slot from those bits would probe one cluster
+#      for every id and need minutes; the ordered index does not care.
 #
 # Environment overrides:
 #   TRACE  — corpus trace for the sweep leg (default: montage-166.json)
@@ -151,8 +161,86 @@ for f in manifest vm-lease pool-lease; do
   done
 done
 
+# 5. A 500 000-child fan-out validates within 60 s. `timeout` needs
+#    the binary itself, not `cargo run`, so that it stops what it times.
+wide="$OUTDIR/wide-fan-out.json"
+awk 'BEGIN {
+  printf "{\"name\":\"wide\",\"tasks\":[{\"id\":\"root\",\"runtime_s\":1}"
+  for (i = 0; i < 500000; i++) printf ",{\"id\":\"c%d\",\"runtime_s\":1,\"deps\":[\"root\"]}", i
+  print "]}"
+}' > "$wide"
+set +e
+timeout 60 "${CARGO_TARGET_DIR:-target}/release/cws-exp" validate "$wide" >/dev/null
+rc=$?
+set -e
+if [ "$rc" -ne 0 ]; then
+  echo "WIDE: validate on a 500 000-child fan-out exited $rc (want 0 within 60 s; 124 is the timeout)" >&2
+  fail=1
+else
+  echo "ok: validate on a 500 000-child fan-out within 60 s"
+fi
+rm -f "$wide"
+
+# 6. Ids that all collide in the low 24 bits of FNV-1a 64 validate
+#    within 60 s. Those bits depend only on the low 24 bits of the
+#    state, where FNV's prime is 435, so awk's doubles hold every
+#    product exactly. Each block is two 4-character strings that reach
+#    the same state from the one before (a birthday search over random
+#    strings); choosing either string of each of 17 blocks gives 2^17
+#    distinct ids with one hash. Every odd task depends on the one
+#    before it, so lookups are tested as well as inserts.
+collide="$OUTDIR/colliding-ids.json"
+awk -v blocks=17 'BEGIN {
+  M = 16777216; P = 435; h = 2237221
+  alpha = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+  for (i = 0; i < 256; i++) ord[sprintf("%c", i)] = i
+  # X[lo, c]: what XOR with character c adds to a low byte lo.
+  for (c = 1; c <= 62; c++) {
+    b = ord[substr(alpha, c, 1)]
+    for (lo = 0; lo < 256; lo++) {
+      x = 0
+      for (bit = 1; bit < 256; bit *= 2) if ((int(lo / bit) + int(b / bit)) % 2) x += bit
+      X[lo, c] = x - lo
+    }
+  }
+  srand(1)
+  for (k = 0; k < blocks; k++) {
+    split("", seen)
+    while (!(k in A)) {
+      g = h; s = ""
+      for (j = 0; j < 4; j++) {
+        c = 1 + int(rand() * 62)
+        g = ((g + X[g % 256, c]) * P) % M
+        s = s substr(alpha, c, 1)
+      }
+      if ((g in seen) && seen[g] != s) { A[k] = seen[g]; B[k] = s; h = g }
+      seen[g] = s
+    }
+  }
+  printf "{\"name\":\"collide\",\"tasks\":["
+  for (i = 0; i < 2 ^ blocks; i++) {
+    id = ""
+    for (k = 0; k < blocks; k++) id = id (int(i / 2 ^ k) % 2 ? B[k] : A[k])
+    if (i % 2) printf ",{\"id\":\"%s\",\"runtime_s\":1,\"deps\":[\"%s\"]}", id, prev
+    else printf "%s{\"id\":\"%s\",\"runtime_s\":1}", (i ? "," : ""), id
+    prev = id
+  }
+  print "]}"
+}' > "$collide"
+set +e
+timeout 60 "${CARGO_TARGET_DIR:-target}/release/cws-exp" validate "$collide" >/dev/null
+rc=$?
+set -e
+if [ "$rc" -ne 0 ]; then
+  echo "COLLIDE: validate on 131 072 ids with one FNV-1a low-bit hash exited $rc (want 0 within 60 s; 124 is the timeout)" >&2
+  fail=1
+else
+  echo "ok: validate on 131 072 ids with one FNV-1a low-bit hash within 60 s"
+fi
+rm -f "$collide"
+
 if [ "$fail" -ne 0 ]; then
   echo "interchange check FAILED — see lines above" >&2
   exit 1
 fi
-echo "interchange check clean: corpus + importer + real-trace sweep + hostile trace-report"
+echo "interchange check clean: corpus + importer + real-trace sweep + hostile trace-report + wide fan-out + colliding ids"
