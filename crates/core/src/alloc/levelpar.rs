@@ -9,7 +9,7 @@
 
 use crate::provisioning::ProvisioningPolicy;
 use crate::schedule::Schedule;
-use crate::state::{KernelTables, ScheduleBuilder};
+use crate::state::{KernelTables, LevelIndex, ScheduleBuilder};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{InstanceType, Platform};
 
@@ -65,18 +65,18 @@ pub fn all_par_with(
         "all_par requires an AllPar* policy, got {policy}"
     );
     let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
-    let mut used_in_level = crate::vm::VmSet::new();
+    let mut in_level = LevelIndex::new();
     for level in wf.levels() {
-        used_in_level.clear();
+        in_level.begin(&sb);
         for task in level_et_descending(wf, level) {
-            let vm = match policy.pick_vm_in_level(&sb, task, &used_in_level) {
+            let vm = match policy.pick_vm_in_level(&sb, task, &mut in_level) {
                 Some(vm) => {
                     sb.place_on(task, vm);
                     vm
                 }
                 None => sb.place_on_new(task, itype),
             };
-            used_in_level.insert(vm);
+            in_level.claim(vm);
         }
     }
     sb.build(format!("{}-{}", policy.name(), itype.suffix()))

@@ -18,7 +18,7 @@
 //! runs out.
 
 use crate::schedule::Schedule;
-use crate::state::{KernelTables, ScheduleBuilder};
+use crate::state::{KernelTables, LevelIndex, ScheduleBuilder};
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
 
@@ -119,13 +119,14 @@ fn reduce_level_with(wf: &Workflow, level: &[TaskId], ready: impl Fn(TaskId) -> 
 /// claimed by another chain of this level, if the whole chain fits in
 /// the VM's already-paid BTUs (checked against the chain's summed
 /// duration at the VM's speed); otherwise a fresh VM of `itype(chain)`
-/// is rented.
+/// is rented. `in_level` is the schedule's one index, begun here.
 fn place_level_chains(
     sb: &mut ScheduleBuilder<'_>,
     chains: &[Chain],
+    in_level: &mut LevelIndex,
     itype_of: impl Fn(usize) -> InstanceType,
 ) {
-    let mut used_in_level = crate::vm::VmSet::new();
+    in_level.begin(sb);
     for (ci, chain) in chains.iter().enumerate() {
         let want = itype_of(ci);
         // Execute the chain's tasks in readiness order (earliest maximal
@@ -142,8 +143,7 @@ fn place_level_chains(
         keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1 .0.cmp(&b.1 .0)));
         let chain_order: Vec<TaskId> = keyed.into_iter().map(|(_, t)| t).collect();
         let first = chain_order[0];
-        let candidate =
-            sb.earliest_start_vm_where(first, |v| v.itype == want && !used_in_level.contains(v.id));
+        let candidate = sb.earliest_start_vm_in_level(first, in_level, Some(want), |_| true);
         let vm = match candidate {
             Some(vm) => {
                 let duration: f64 = chain.tasks.iter().map(|&t| sb.exec_time(t, want)).sum();
@@ -164,7 +164,7 @@ fn place_level_chains(
         for &t in &chain_order[1..] {
             sb.place_on(t, vm);
         }
-        used_in_level.insert(vm);
+        in_level.claim(vm);
     }
 }
 
@@ -200,9 +200,10 @@ pub fn all_par_1lns_with(
     tables: Option<&KernelTables>,
 ) -> Schedule {
     let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut in_level = LevelIndex::new();
     for level in wf.levels() {
         let chains = reduce_level_scheduled(wf, level, |t| placed_ready(&sb, t));
-        place_level_chains(&mut sb, &chains, |_| InstanceType::Small);
+        place_level_chains(&mut sb, &chains, &mut in_level, |_| InstanceType::Small);
     }
     sb.build("AllPar1LnS")
 }
@@ -315,11 +316,12 @@ pub fn all_par_1lns_dyn_with(
     tables: Option<&KernelTables>,
 ) -> Schedule {
     let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut in_level = LevelIndex::new();
     for level in wf.levels() {
         let chains = reduce_level_scheduled(wf, level, |t| placed_ready(&sb, t));
         let budget = level_budget(wf, platform, level);
         let types = optimize_level_types(platform, &chains, budget);
-        place_level_chains(&mut sb, &chains, |c| types[c]);
+        place_level_chains(&mut sb, &chains, &mut in_level, |c| types[c]);
     }
     sb.build("AllPar1LnSDyn")
 }

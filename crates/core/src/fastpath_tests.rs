@@ -13,13 +13,14 @@
 
 use crate::alloc::cpa::{baseline_cost, cpa_eager_types, one_vm_per_task_cost};
 use crate::alloc::gain::gain_types;
+use crate::alloc::levelpar::level_et_descending;
 use crate::alloc::rent::budget_for_limit;
 use crate::alloc::{heft_insertion, heft_pool, list_schedule, ListRule, PoolSpec};
 use crate::pooled::{pooled_static, WarmVm};
 use crate::schedule::Schedule;
-use crate::state::{naive, KernelTables, ScheduleBuilder};
+use crate::state::{naive, KernelTables, LevelIndex, ScheduleBuilder};
 use crate::strategy::{StaticAlloc, Strategy};
-use crate::vm::Vm;
+use crate::vm::{Vm, VmId};
 use cws_dag::Workflow;
 use cws_platform::{InstanceType, Platform, Region};
 // This module is compiled only behind `#[cfg(test)]` in lib.rs, so the
@@ -317,6 +318,90 @@ proptest! {
                     .unwrap();
                 sb.place_on(task, best);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// [`ScheduleBuilder::earliest_start_vm_in_level`] picks what the
+    /// naive scan picks with the filter the level stands for, at every
+    /// step of a level-by-level schedule, at boot 0 and 120 s. Each step
+    /// asks for the AllParExceed pick, the AllParNotExceed pick (BTU
+    /// fit) and an AllPar1LnS pick (one type), then places the task on
+    /// one of them, on a fresh VM of a drawn type, or on a warm slot:
+    /// the slots sit in two regions, hold two types and carry busy time,
+    /// so each key's pack order differs from id order and changes from
+    /// level to level.
+    #[test]
+    fn level_picker_matches_the_naive_scan(
+        layered in arb_layered(),
+        pegasus in arb_pegasus(),
+        seed in 0u64..1000,
+    ) {
+        for (wf, boot) in [(&layered, 0.0), (&pegasus, 0.0), (&layered, 120.0), (&pegasus, 120.0)] {
+            let p = Platform::ec2_paper().with_boot_time(boot);
+            let warm: Vec<WarmVm> = (0..10)
+                .map(|i| WarmVm {
+                    itype: InstanceType::ALL[i % 2],
+                    region: [p.default_region, Region::EuDublin][(i / 2) % 2],
+                    available_rel: 30.0 * (i % 3) as f64,
+                    btu_elapsed: 700.0 * (i % 5) as f64,
+                })
+                .collect();
+            let mut sb = ScheduleBuilder::with_warm_pool(wf, &p, &warm);
+            let mut level = LevelIndex::new();
+            let (mut step, mut next_slot) = (seed, 0);
+            for tasks in wf.levels() {
+                level.begin(&sb);
+                let mut used: Vec<VmId> = Vec::new();
+                for task in level_et_descending(wf, tasks) {
+                    step += 1;
+                    let draw = step.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                    let itype = InstanceType::ALL[draw as usize % InstanceType::ALL.len()];
+                    let picks = {
+                        let free = |v: &Vm| !used.contains(&v.id);
+                        let fits = |v: &Vm| sb.fits_on(task, v.id);
+                        [
+                            (
+                                sb.earliest_start_vm_in_level(task, &mut level, None, |_| true),
+                                naive::earliest_start_vm_where(&sb, task, free),
+                            ),
+                            (
+                                sb.earliest_start_vm_in_level(task, &mut level, None, fits),
+                                naive::earliest_start_vm_where(&sb, task, |v| free(v) && fits(v)),
+                            ),
+                            (
+                                sb.earliest_start_vm_in_level(task, &mut level, Some(itype), |_| true),
+                                naive::earliest_start_vm_where(&sb, task, |v| {
+                                    free(v) && v.itype == itype
+                                }),
+                            ),
+                        ]
+                    };
+                    for (filter, (fast, reference)) in picks.iter().enumerate() {
+                        prop_assert_eq!(
+                            fast, reference,
+                            "filter {} for {:?} of {} at boot {}", filter, task, wf.name(), boot
+                        );
+                    }
+                    let vm = match picks[(draw / 4) as usize % 3].0 {
+                        Some(vm) if !draw.is_multiple_of(4) => {
+                            sb.place_on(task, vm);
+                            vm
+                        }
+                        _ if draw % 8 < 4 && next_slot < warm.len() => {
+                            next_slot += 1;
+                            sb.claim_warm(task, next_slot - 1)
+                        }
+                        _ => sb.place_on_new(task, itype),
+                    };
+                    level.claim(vm);
+                    used.push(vm);
+                }
+            }
+            sb.build("levels").validate(wf, &p).unwrap();
         }
     }
 }

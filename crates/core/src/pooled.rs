@@ -27,7 +27,7 @@
 use crate::alloc::heft::heft_order;
 use crate::alloc::levelpar::level_et_descending;
 use crate::schedule::Schedule;
-use crate::state::ScheduleBuilder;
+use crate::state::{LevelIndex, ScheduleBuilder};
 use crate::strategy::StaticAlloc;
 use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
@@ -132,18 +132,18 @@ pub fn pooled_static(
             }
         }
     } else {
-        let mut used_in_level = crate::vm::VmSet::new();
+        let mut in_level = LevelIndex::new();
         for level in wf.levels() {
-            used_in_level.clear();
+            in_level.begin(&sb);
             for task in level_et_descending(wf, level) {
-                let vm = match policy.pick_vm_in_level(&sb, task, &used_in_level) {
+                let vm = match policy.pick_vm_in_level(&sb, task, &mut in_level) {
                     Some(vm) => {
                         sb.place_on(task, vm);
                         vm
                     }
                     None => place_fresh_or_warm(&mut sb, task, itype, require_fit),
                 };
-                used_in_level.insert(vm);
+                in_level.claim(vm);
             }
         }
     }

@@ -5,8 +5,8 @@
 //! decide the task visit order; the policy decides the VM. The shared
 //! decision procedure lives in [`ProvisioningPolicy::pick_vm`].
 
-use crate::state::ScheduleBuilder;
-use crate::vm::{VmId, VmSet};
+use crate::state::{LevelIndex, ScheduleBuilder};
+use crate::vm::VmId;
 use cws_dag::TaskId;
 
 /// One of the paper's five provisioning policies.
@@ -113,9 +113,9 @@ impl ProvisioningPolicy {
     }
 
     /// Decide the host VM for `task` inside a level of parallel tasks
-    /// (the AllPar pairing of Table I). `used_in_level` marks VMs already
-    /// claimed by other tasks of the same level — parallel tasks must not
-    /// share a VM, so those are excluded. Each parallel task goes to "its
+    /// (the AllPar pairing of Table I). `level` marks VMs already claimed
+    /// by other tasks of the same level — parallel tasks must not share a
+    /// VM, so those are excluded. Each parallel task goes to "its
     /// own VM — existing or new": among the free VMs the one that lets
     /// the task start earliest is chosen (typically the VM hosting its
     /// predecessor, which keeps the AllPar makespan at the pure speed-up
@@ -128,16 +128,15 @@ impl ProvisioningPolicy {
         self,
         sb: &ScheduleBuilder<'_>,
         task: TaskId,
-        used_in_level: &VmSet,
+        level: &mut LevelIndex,
     ) -> Option<VmId> {
-        let reusable = |v: &crate::vm::Vm| !used_in_level.contains(v.id);
         match self {
             ProvisioningPolicy::OneVmPerTask => None,
             ProvisioningPolicy::AllParExceed | ProvisioningPolicy::StartParExceed => {
-                sb.earliest_start_vm_where(task, reusable)
+                sb.earliest_start_vm_in_level(task, level, None, |_| true)
             }
             ProvisioningPolicy::AllParNotExceed | ProvisioningPolicy::StartParNotExceed => {
-                sb.earliest_start_vm_where(task, |v| reusable(v) && sb.fits_on(task, v.id))
+                sb.earliest_start_vm_in_level(task, level, None, |v| sb.fits_on(task, v.id))
             }
         }
     }
@@ -248,15 +247,17 @@ mod tests {
         let p = Platform::ec2_paper();
         let mut sb = ScheduleBuilder::new(&wf, &p);
         let vm = sb.place_on_new(TaskId(0), InstanceType::Small);
+        let mut level = LevelIndex::new();
+        level.begin(&sb);
         // p1 may reuse the entry's VM…
         assert_eq!(
-            ProvisioningPolicy::AllParExceed.pick_vm_in_level(&sb, TaskId(1), &VmSet::new()),
+            ProvisioningPolicy::AllParExceed.pick_vm_in_level(&sb, TaskId(1), &mut level),
             Some(vm)
         );
         // …but p2 must not share with p1 if p1 claimed it
-        let claimed: VmSet = [vm].into_iter().collect();
+        level.claim(vm);
         assert_eq!(
-            ProvisioningPolicy::AllParExceed.pick_vm_in_level(&sb, TaskId(2), &claimed),
+            ProvisioningPolicy::AllParExceed.pick_vm_in_level(&sb, TaskId(2), &mut level),
             None
         );
     }
@@ -271,13 +272,15 @@ mod tests {
         let p = Platform::ec2_paper();
         let mut sb = ScheduleBuilder::new(&wf, &p);
         sb.place_on_new(TaskId(0), InstanceType::Small);
+        let mut level = LevelIndex::new();
+        level.begin(&sb);
         assert_eq!(
-            ProvisioningPolicy::AllParNotExceed.pick_vm_in_level(&sb, TaskId(1), &VmSet::new()),
+            ProvisioningPolicy::AllParNotExceed.pick_vm_in_level(&sb, TaskId(1), &mut level),
             None,
             "500s does not fit the 200s left"
         );
         assert!(ProvisioningPolicy::AllParExceed
-            .pick_vm_in_level(&sb, TaskId(1), &VmSet::new())
+            .pick_vm_in_level(&sb, TaskId(1), &mut level)
             .is_some());
     }
 

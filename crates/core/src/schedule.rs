@@ -163,6 +163,12 @@ impl Schedule {
     /// bracket rule.
     #[must_use]
     pub fn transfer_cost(&self, wf: &Workflow, platform: &Platform) -> f64 {
+        // Every edge below stays inside one region and adds nothing.
+        if let Some(first) = self.vms.first() {
+            if self.vms.iter().all(|v| v.region == first.region) {
+                return 0.0;
+            }
+        }
         let mut monthly: std::collections::BTreeMap<cws_platform::Region, f64> =
             std::collections::BTreeMap::new();
         let mut cost = 0.0;
@@ -518,6 +524,25 @@ mod tests {
         let wf = two_task_chain();
         let p = Platform::ec2_paper();
         assert_eq!(valid_schedule().transfer_cost(&wf, &p), 0.0);
+    }
+
+    #[test]
+    fn transfer_cost_bills_edges_between_regions() {
+        let mut b = WorkflowBuilder::new("two-regions");
+        let a = b.task("a", 100.0);
+        let c = b.task("c", 200.0);
+        b.data_edge(a, c, 2048.0);
+        let wf = b.build().unwrap();
+        let p = Platform::ec2_paper();
+        let mut sb = crate::state::ScheduleBuilder::new(&wf, &p);
+        sb.place_on_new_in(a, InstanceType::Small, Region::UsEastVirginia);
+        sb.place_on_new_in(c, InstanceType::Small, Region::EuDublin);
+        let cost = sb.build("hand").transfer_cost(&wf, &p);
+        let expected = p
+            .prices
+            .transfer_cost(Region::UsEastVirginia, Region::EuDublin, 2.0, 0.0);
+        assert!(expected > 0.0);
+        assert_eq!(cost, expected);
     }
 
     #[test]

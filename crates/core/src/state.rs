@@ -55,24 +55,50 @@
 //!
 //! # Kernel round 3
 //!
-//! [`ScheduleBuilder::earliest_start_vm_where`], the VM picker of the
-//! AllPar and AllPar1LnS policies, no longer always computes a start for
-//! every kept VM. A VM of (region, type) key k reads `top_k`, the
-//! largest transfer-adjusted arrival into k, as its cross-host arrival —
-//! unless it is the host contributing it (`KeyReady::top_vm`), which
-//! reads the runner-up. So every VM of key k but that top starts at or
-//! after `max(top_k, 0)`, and since `top_vm` is always a predecessor
-//! host, the only VMs that can start below their own key's bound are
-//! kept hosts that top their own key. The picker folds those in first.
-//! When the best of them starts strictly below `max(top_k, 0)` for every
-//! key k with a rented VM (`key_rented`), no other VM can tie or win, and
-//! it is the answer. Otherwise the original fused scan runs over every
-//! kept VM under the same (start, busy desc, id) order — a total order,
-//! since ids are unique, so folding the tops first cannot change the
-//! winner. A pipeline stage whose single parent VM is free when the
-//! parent ends thus costs O(preds + keys) instead of O(preds + V); joins
-//! whose hosts tie at `top_k`, and tasks whose host is already taken in
-//! the level, still pay the O(V) scan.
+//! The AllPar and AllPar1LnS pick
+//! ([`ScheduleBuilder::earliest_start_vm_in_level`]) does not always
+//! compute a start for every kept VM. A VM of (region, type) key k reads
+//! `top_k`, the largest transfer-adjusted arrival into k, as its
+//! cross-host arrival — unless it is the host contributing it
+//! (`KeyReady::top_vm`), which reads the runner-up. So every VM of key k
+//! but that top starts at or after `max(top_k, 0)`, and since `top_vm` is
+//! always a predecessor host, the only VMs that can start below their own
+//! key's bound are kept hosts that top their own key. The picker folds
+//! those in first. When the best of them starts strictly below
+//! `max(top_k, 0)` for every key k with a rented VM (`key_rented`), no
+//! other VM can tie or win, and it is the answer. Otherwise the other
+//! kept VMs are folded under the same (start, busy desc, id) order — a
+//! total order, since ids are unique, so folding the tops first cannot
+//! change the winner. A pipeline stage whose single parent VM is free
+//! when the parent ends thus costs O(preds + keys); joins whose hosts tie
+//! at `top_k`, and tasks whose host is already taken in the level, go on
+//! to the walk of round 5.
+//!
+//! # Kernel round 5
+//!
+//! Past the round-3 bound, the pick walks a [`LevelIndex`] instead of
+//! scanning every kept VM. Once per level, the first time a pick gets
+//! past the bound, the index sorts every key's unused VMs into *pack
+//! order* — busy time descending, then id ascending, the picker's own
+//! tie-break after the start time. Inside the level only the VMs the
+//! level uses change, and those leave the candidate set, so the order
+//! stays valid; a per-key cursor skips the used prefix. The pick walks
+//! each key k that holds a kept, unused VM in pack order, folds each kept
+//! VM's exact start (the one [`ScheduleBuilder::probe_all`] computes,
+//! `cross.max(0).max(local).max(avail)`), and leaves the key at the first
+//! one whose start is at most `B_k = max(top_k, 0)` under `total_cmp`.
+//! That is exact: every VM of k but `top_vm(k)` reads `top_k` as its
+//! cross arrival, so it starts at or after `B_k` and, if it ties, comes
+//! later in pack order and loses the (start, busy desc, id) comparison;
+//! `top_vm(k)` is a kept host, and the bound has already folded it if it
+//! starts below `B_k`. A key whose walk finds no such VM is walked in
+//! full. A key's ready reduction is built once a kept VM is found in it —
+//! exactly when a scan over every kept VM builds it — so schedules,
+//! traces and the `kernel.*` counters are those of that scan. On layered
+//! DAGs, whose joins tie at `top_k`, the front of each key is free at its
+//! bound, and a pick costs O(preds + keys) instead of O(preds + V).
+//! [`ScheduleBuilder::earliest_start_vm_where`] is the same pick on a
+//! fresh index, on which no VM is used yet.
 //!
 //! The fast path performs the *same floating-point operations* as the
 //! naive code: `f64::max` is exact, so regrouping the ready-time
@@ -434,7 +460,7 @@ pub struct ScheduleBuilder<'a> {
     /// candidate key as a [`key_idx`] code, for the batched probe pass.
     vm_key: Vec<u16>,
     /// `key_rented[k]`: some VM of [`key_idx`] code `k` has been rented
-    /// — the keys whose bound [`Self::earliest_start_vm_where`] checks.
+    /// — the keys whose bound [`Self::earliest_start_vm_in_level`] checks.
     key_rented: [bool; N_KEYS],
     /// Per-VM idle-window index, in lock-step with `vms`.
     gaps: Vec<VmGaps>,
@@ -829,20 +855,7 @@ impl<'a> ScheduleBuilder<'a> {
                 probe.scratch.starts.resize(self.vms.len(), 0.0);
             }
             for i in 0..self.vms.len() {
-                let ki = self.vm_key[i] as usize;
-                let key = probe.key_ready_idx(ki);
-                let cross = if key.top_vm == VmId(i as u32) {
-                    key.second
-                } else {
-                    key.top
-                };
-                let local = if probe.scratch.local_epoch[i] == probe.scratch.epoch {
-                    probe.scratch.local_ready[i]
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let ready = cross.max(0.0).max(local);
-                probe.scratch.starts[i] = ready.max(self.vm_avail[i]);
+                probe.scratch.starts[i] = probe.fast_start_at(i);
             }
         }
         BatchProbe { probe }
@@ -1174,16 +1187,41 @@ impl<'a> ScheduleBuilder<'a> {
     /// foreign VM to free up. Ties break towards the largest accumulated
     /// execution time (pack BTUs), then the smaller VM id.
     ///
-    /// All of `task`'s predecessors must already be placed.
+    /// All of `task`'s predecessors must already be placed. This is
+    /// [`Self::earliest_start_vm_in_level`] at the start of a level, on
+    /// a fresh [`LevelIndex`]; a caller that picks repeatedly keeps one
+    /// index instead.
     #[must_use]
     pub fn earliest_start_vm_where(
         &self,
         task: TaskId,
+        keep: impl FnMut(&Vm) -> bool,
+    ) -> Option<VmId> {
+        let mut level = LevelIndex::new();
+        level.begin(self);
+        self.earliest_start_vm_in_level(task, &mut level, None, keep)
+    }
+
+    /// [`Self::earliest_start_vm_where`] over the VMs `level` has not
+    /// used, restricted to instance type `itype` when one is given: the
+    /// AllPar and AllPar1LnS pick. The answer, and every ready
+    /// reduction built on the way, are those of the naive scan with a
+    /// filter that keeps a VM when it is unused, of type `itype` and
+    /// accepted by `keep`; the index only lets the pick stop walking a
+    /// key early (module doc, round 5).
+    #[must_use]
+    pub fn earliest_start_vm_in_level(
+        &self,
+        task: TaskId,
+        level: &mut LevelIndex,
+        itype: Option<InstanceType>,
         mut keep: impl FnMut(&Vm) -> bool,
     ) -> Option<VmId> {
         #[cfg(any(test, feature = "naive"))]
         if self.kernel_naive {
-            return naive::earliest_start_vm_where(self, task, keep);
+            return naive::earliest_start_vm_where(self, task, |v| {
+                level.admits(v, itype) && keep(v)
+            });
         }
         // The comparator is the sequential `min_by`'s — earliest start,
         // then largest busy time, then smallest id. Ids are unique, so the
@@ -1208,11 +1246,11 @@ impl<'a> ScheduleBuilder<'a> {
         // Only a kept host that tops its own key can start below the key
         // bounds `max(top_k, 0)` (module doc, round 3). One that misses
         // its own key's bound cannot win outright, so it is left to the
-        // scan rather than costing the other keys' builds below.
+        // walk rather than costing the other keys' builds below.
         let mut best = None;
         for h in 0..probe.scratch.hosts.len() {
             let v = &self.vms[probe.scratch.hosts[h].vm.index()];
-            if !keep(v) {
+            if !level.admits(v, itype) || !keep(v) {
                 continue;
             }
             let key = probe.key_ready_idx(self.vm_key[v.id.index()] as usize);
@@ -1232,25 +1270,44 @@ impl<'a> ScheduleBuilder<'a> {
         if host_wins {
             return best.map(|(id, _, _)| id);
         }
-        // One fused pass: each kept VM's start time is computed inline
-        // (the same per-key lazy ready reduction `probe_all` performs,
-        // producing the same bits) and folded into the running min.
-        for v in &self.vms {
-            if !keep(v) {
+        // Each key's unused VMs in pack order, the tie-break's own order.
+        // A VM of key k other than `top_vm(k)` starts at or after
+        // `B_k = max(top_k, 0)`, and `top_vm(k)`, when it starts below
+        // `B_k`, was folded by the host pass. So the first kept VM that
+        // starts at or below `B_k` beats every VM of k after it, and the
+        // walk leaves the key there; a key none reaches is walked in
+        // full. A key is built only once a kept VM is found in it, as a
+        // scan over every kept VM builds it.
+        if !level.sorted {
+            level.sort(self);
+        }
+        for group in &mut level.groups {
+            let ki = usize::from(group.key);
+            if itype.is_some_and(|t| t != InstanceType::ALL[ki % N_TYPES]) {
                 continue;
             }
-            let i = v.id.index();
-            let key = probe.key_ready_idx(self.vm_key[i] as usize);
-            let cross = if key.top_vm == v.id {
-                key.second
-            } else {
-                key.top
-            };
-            let start = cross
-                .max(0.0)
-                .max(probe.local_ready_at(i))
-                .max(self.vm_avail[i]);
-            best = fold(best, v, start);
+            let end = group.end as usize;
+            let mut pos = group.cursor as usize;
+            while pos < end && level.used[level.order[pos].index()] {
+                pos += 1;
+            }
+            group.cursor = pos as u32;
+            for &id in &level.order[pos..end] {
+                let v = &self.vms[id.index()];
+                if level.used[id.index()] || !keep(v) {
+                    continue;
+                }
+                #[cfg(test)]
+                {
+                    level.starts_computed += 1;
+                }
+                let start = probe.fast_start_at(id.index());
+                best = fold(best, v, start);
+                let bound = probe.key_ready_idx(ki).top.max(0.0);
+                if start.total_cmp(&bound).is_le() {
+                    break;
+                }
+            }
         }
         best.map(|(id, _, _)| id)
     }
@@ -1281,6 +1338,107 @@ impl<'a> ScheduleBuilder<'a> {
             vms: self.vms,
             placements,
         }
+    }
+}
+
+/// The fleet as one level of the AllPar policies sees it: the VMs
+/// rented before the level began, which of them the level has used, and
+/// the unused ones grouped by (region, type) key, each key in *pack
+/// order* (busy time descending, then id ascending). A VM rented after
+/// [`LevelIndex::begin`] counts as used: the level rented it for one of
+/// its own tasks. Inside a level only the VMs it uses change, so the
+/// order stays valid until the next `begin`; a per-key cursor skips the
+/// used prefix. [`ScheduleBuilder::earliest_start_vm_in_level`] walks
+/// it, and sorts it the first time a pick in the level gets past the
+/// host-first bound, so a level whose picks its hosts win pays no sort.
+/// One index serves a whole schedule and allocates nothing once the
+/// fleet stops growing.
+#[derive(Debug, Clone, Default)]
+pub struct LevelIndex {
+    /// `used[vm]` for the VMs rented before `begin`.
+    used: Vec<bool>,
+    /// Whether `order` and `groups` index the current level.
+    sorted: bool,
+    /// The VMs unused when the level was sorted, grouped by key code
+    /// (ascending), each group in pack order.
+    order: Vec<VmId>,
+    /// One entry per key that holds a VM in `order`.
+    groups: Vec<KeyGroup>,
+    /// Starts the walk has computed, for the test that pins where it
+    /// stops.
+    #[cfg(test)]
+    starts_computed: usize,
+}
+
+/// One key's run of [`LevelIndex::order`].
+#[derive(Debug, Clone, Copy)]
+struct KeyGroup {
+    /// The key code.
+    key: u16,
+    /// Every VM of the run before this position in `order` is used.
+    cursor: u32,
+    /// End of the run in `order`.
+    end: u32,
+}
+
+impl LevelIndex {
+    /// An empty index; call [`Self::begin`] at each level's start.
+    #[must_use]
+    pub fn new() -> Self {
+        LevelIndex::default()
+    }
+
+    /// Start a level over the VMs `sb` has rented, none of them used.
+    pub fn begin(&mut self, sb: &ScheduleBuilder<'_>) {
+        self.used.clear();
+        self.used.resize(sb.vms.len(), false);
+        self.sorted = false;
+    }
+
+    /// Record that the level placed a task on `vm`.
+    pub fn claim(&mut self, vm: VmId) {
+        if let Some(used) = self.used.get_mut(vm.index()) {
+            *used = true;
+        }
+    }
+
+    /// Whether a pick in this level may land on `v`: unused (neither
+    /// claimed nor rented after `begin`), and of type `itype` when one
+    /// is given.
+    fn admits(&self, v: &Vm, itype: Option<InstanceType>) -> bool {
+        self.used.get(v.id.index()) == Some(&false) && itype.is_none_or(|t| v.itype == t)
+    }
+
+    /// Group the unused VMs by key, each key in pack order. The busy
+    /// time of an unused VM has not changed since `begin`, so sorting
+    /// mid-level gives the order `begin` would have.
+    fn sort(&mut self, sb: &ScheduleBuilder<'_>) {
+        self.order.clear();
+        self.order.extend(
+            (0..self.used.len())
+                .filter(|&i| !self.used[i])
+                .map(|i| VmId(i as u32)),
+        );
+        self.order.sort_unstable_by(|a, b| {
+            let busy = |id: &VmId| sb.vms[id.index()].busy_seconds();
+            sb.vm_key[a.index()]
+                .cmp(&sb.vm_key[b.index()])
+                .then(busy(b).total_cmp(&busy(a)))
+                .then(a.0.cmp(&b.0))
+        });
+        self.groups.clear();
+        for (pos, id) in self.order.iter().enumerate() {
+            let key = sb.vm_key[id.index()];
+            match self.groups.last_mut() {
+                Some(g) if g.key == key => g.end += 1,
+                _ => self.groups.push(KeyGroup {
+                    key,
+                    cursor: pos as u32,
+                    end: pos as u32 + 1,
+                }),
+            }
+        }
+        self.sorted = true;
     }
 }
 
@@ -1423,6 +1581,29 @@ impl TaskProbe<'_, '_> {
         }
     }
 
+    /// Fast-path ready time on VM slot `i`: the cross-host arrival of
+    /// its key (the runner-up when the VM itself tops the key), floored
+    /// at 0, then the local predecessors. NEG_INFINITY (no local
+    /// predecessor) is the identity of the max, matching the "host not
+    /// found" case of a scan.
+    #[inline]
+    fn fast_ready_at(&mut self, i: usize) -> f64 {
+        let key = self.key_ready_idx(self.sb.vm_key[i] as usize);
+        let cross = if key.top_vm.index() == i {
+            key.second
+        } else {
+            key.top
+        };
+        cross.max(0.0).max(self.local_ready_at(i))
+    }
+
+    /// Fast-path start on VM slot `i` (append policy): every batched
+    /// pass and VM picker computes a start with these operations.
+    #[inline]
+    fn fast_start_at(&mut self, i: usize) -> f64 {
+        self.fast_ready_at(i).max(self.sb.vm_avail[i])
+    }
+
     /// Ready time of the task on candidate VM `vm` (intra-VM edges cost
     /// zero). Equals `ScheduleBuilder::ready_time(task, Some(vm), ..)`.
     pub fn ready_on(&mut self, vm: VmId) -> f64 {
@@ -1431,16 +1612,7 @@ impl TaskProbe<'_, '_> {
             let v = &self.sb.vms[vm.index()];
             return naive::ready_time(self.sb, self.task, Some(vm), v.itype, v.region);
         }
-        let ki = self.sb.vm_key[vm.index()] as usize;
-        let key = self.key_ready_idx(ki);
-        let cross = if key.top_vm == vm {
-            key.second
-        } else {
-            key.top
-        };
-        // NEG_INFINITY (no local predecessor) is the identity of the
-        // max, matching the "host not found" case of a scan.
-        cross.max(0.0).max(self.local_ready_at(vm.index()))
+        self.fast_ready_at(vm.index())
     }
 
     /// Ready time on a *new* VM of `itype` in `region` (every transfer
@@ -1460,8 +1632,7 @@ impl TaskProbe<'_, '_> {
             let available = self.sb.vms[vm.index()].available_at();
             return self.ready_on(vm).max(available);
         }
-        let available = self.sb.vm_avail[vm.index()];
-        self.ready_on(vm).max(available)
+        self.fast_start_at(vm.index())
     }
 
     /// Finish time the task would get on `vm` (append policy).
@@ -1633,7 +1804,7 @@ pub mod naive {
             .map(|v| v.id)
     }
 
-    pub(super) fn earliest_start_vm_where(
+    pub(crate) fn earliest_start_vm_where(
         sb: &ScheduleBuilder<'_>,
         task: TaskId,
         mut keep: impl FnMut(&Vm) -> bool,
@@ -1917,6 +2088,37 @@ mod tests {
                 naive::insertion_start_on(&sb, TaskId(3), vm)
             );
         }
+    }
+
+    /// A join whose eight hosts finish together: every VM of the key
+    /// reads the same arrival, so all tie at the key's bound, no host
+    /// wins outright, and the walk leaves the key at its first VM in pack
+    /// order — the one the naive scan's tie-break picks.
+    #[test]
+    fn level_walk_stops_at_the_first_vm_on_its_bound() {
+        let mut b = WorkflowBuilder::new("join");
+        let roots: Vec<TaskId> = (0..8).map(|i| b.task(format!("r{i}"), 100.0)).collect();
+        let join = b.task("join", 50.0);
+        for &r in &roots {
+            b.data_edge(r, join, 125.0);
+        }
+        let wf = b.build().unwrap();
+        let p = Platform::ec2_paper();
+        let mut sb = ScheduleBuilder::new(&wf, &p);
+        for &r in &roots {
+            sb.place_on_new(r, InstanceType::Small);
+        }
+        let mut level = LevelIndex::new();
+        level.begin(&sb);
+        let pick = sb.earliest_start_vm_in_level(join, &mut level, None, |_| true);
+        assert_eq!(pick, naive::earliest_start_vm_where(&sb, join, |_| true));
+        assert_eq!(pick, Some(VmId(0)));
+        assert_eq!(level.starts_computed, 1);
+        // Once the level has used it, the next VM in pack order is the pick.
+        level.claim(VmId(0));
+        let pick = sb.earliest_start_vm_in_level(join, &mut level, None, |_| true);
+        assert_eq!(pick, Some(VmId(1)));
+        assert_eq!(level.starts_computed, 2);
     }
 
     #[test]

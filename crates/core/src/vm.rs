@@ -21,69 +21,6 @@ impl std::fmt::Display for VmId {
     }
 }
 
-/// A dense set of [`VmId`]s with O(1) insert and membership, indexed by
-/// the id itself. Level-based allocators use one per workflow to mark
-/// the VMs claimed inside the current level: a `Vec<VmId>` scan there is
-/// O(level width) *per candidate VM*, which dominated the `AllPar*`
-/// profile on wide DAGs.
-#[derive(Debug, Clone, Default)]
-pub struct VmSet {
-    bits: Vec<bool>,
-    len: usize,
-}
-
-impl VmSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        VmSet::default()
-    }
-
-    /// Remove every member, keeping the backing storage.
-    pub fn clear(&mut self) {
-        self.bits.iter_mut().for_each(|b| *b = false);
-        self.len = 0;
-    }
-
-    /// Add `vm` to the set.
-    pub fn insert(&mut self, vm: VmId) {
-        if self.bits.len() <= vm.index() {
-            self.bits.resize(vm.index() + 1, false);
-        }
-        if !std::mem::replace(&mut self.bits[vm.index()], true) {
-            self.len += 1;
-        }
-    }
-
-    /// Whether `vm` is in the set.
-    #[must_use]
-    pub fn contains(&self, vm: VmId) -> bool {
-        self.bits.get(vm.index()).copied().unwrap_or(false)
-    }
-
-    /// Number of members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl FromIterator<VmId> for VmSet {
-    fn from_iter<I: IntoIterator<Item = VmId>>(iter: I) -> Self {
-        let mut set = VmSet::new();
-        for vm in iter {
-            set.insert(vm);
-        }
-        set
-    }
-}
-
 /// A rented VM and the tasks placed on it, in execution order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vm {

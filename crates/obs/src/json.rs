@@ -110,11 +110,13 @@ impl Value {
         }
     }
 
-    /// The number as a `u64`, if it is a non-negative integer.
+    /// The number as a `u64`, if it is a non-negative integer below
+    /// 2^64. `u64::MAX as f64` rounds up to 2^64, which `as u64` would
+    /// saturate, so the bound is strict.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < u64::MAX as f64 => {
                 Some(*x as u64)
             }
             _ => None,
@@ -590,6 +592,22 @@ mod tests {
         let arr = v.get("k").unwrap().as_arr().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[2].get("x"), Some(&Value::Bool(false)));
+    }
+
+    #[test]
+    fn as_u64_takes_only_integers_below_two_to_the_64() {
+        let below = 2f64.powi(64).next_down();
+        assert_eq!(Value::Num(below).as_u64(), Some(below as u64));
+        // `u64::MAX` itself reads as 2^64, one past the range.
+        for text in [
+            "18446744073709551616",
+            "18446744073709551615",
+            "1e20",
+            "-1",
+            "0.5",
+        ] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
     }
 
     #[test]

@@ -643,10 +643,12 @@ mod tests {
         // Regression: `cws-exp trace-report` indexed the empty bucket
         // pair as `p[0]` and panicked.
         let snap = MetricsSnapshot::from_json(
-            r#"{"counters":{"c":-1,"d":2},"gauges":{"g":"x","k":0.5},"histograms":{"h":
+            r#"{"counters":{"c":-1,"d":2,"e":18446744073709551615},"gauges":{"g":"x","k":0.5},"histograms":{"h":
                 {"count":1,"sum":1,"buckets":[[],[3],["x",1],[65,1],[4,5,6],[2,7]]}}}"#,
         )
         .expect("well-formed JSON");
+        // `u64::MAX` parses as 2^64, past the range: skipped, not
+        // saturated back to `u64::MAX`.
         assert_eq!(snap.counters, BTreeMap::from([("d".to_string(), 2)]));
         assert_eq!(snap.gauges, BTreeMap::from([("k".to_string(), 0.5)]));
         assert_eq!(snap.histograms["h"].nonzero_buckets(), vec![(2, 7)]);

@@ -219,6 +219,16 @@ fn corpus_error_documents_fail_validation_with_paths() {
         err.to_string(),
         "workflow.version: unsupported version 3 (this parser implements version 1)"
     );
+    // 2^64 is no u64: it used to saturate and be named as the version
+    // 18446744073709551615, which the document never declared.
+    let err = validate(
+        r#"{"version":18446744073709551616,"name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
+    )
+    .expect_err("version past u64");
+    assert_eq!(
+        err.to_string(),
+        "workflow.version: must be a positive integer"
+    );
     // The nesting limit the spec states is the parser's.
     let doc = read(&Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/interchange.md"));
     let limit = format!("nesting deeper than {} levels", cws_obs::json::MAX_DEPTH);

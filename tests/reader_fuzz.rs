@@ -83,6 +83,7 @@ fn edge_workflow_seeds() -> Vec<String> {
         r#"{"name":"n","tasks":[{"id":"a","runtime_s":-}]}"#,
         r#"{"version":0,"bogus":1,"name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
         r#"{"version":"x","format":"pegasus","name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
+        r#"{"version":18446744073709551616,"name":"v","tasks":[{"id":"a","runtime_s":1}]}"#,
     ]
     .map(String::from)
     .into();
