@@ -90,25 +90,38 @@ fn reduce_level_with(wf: &Workflow, level: &[TaskId], ready: impl Fn(TaskId) -> 
             .fold(0.0_f64, |end, &t| end.max(ready(t)) + wf.task(t).base_time)
     };
     let mut chains: Vec<Chain> = Vec::new();
+    // Runtime of the newest chain's head. Tasks arrive in descending
+    // runtime, so it is the smallest head, and every chain's total is
+    // at least its head (runtimes are non-negative and IEEE addition is
+    // monotone): when `et` overflows even that, it overflows every
+    // chain, and the first-fit scan would open a new one.
+    let mut newest_head = f64::INFINITY;
     for t in order {
         let et = wf.task(t).base_time;
-        let slot = chains.iter_mut().find(|c| {
-            if c.total + et > capacity + EPS {
-                return false;
-            }
-            let mut merged = c.tasks.clone();
-            merged.push(t);
-            chain_end(&merged) <= horizon + EPS
-        });
+        let slot = if newest_head + et > capacity + EPS {
+            None
+        } else {
+            chains.iter_mut().find(|c| {
+                if c.total + et > capacity + EPS {
+                    return false;
+                }
+                let mut merged = c.tasks.clone();
+                merged.push(t);
+                chain_end(&merged) <= horizon + EPS
+            })
+        };
         match slot {
             Some(c) => {
                 c.tasks.push(t);
                 c.total += et;
             }
-            None => chains.push(Chain {
-                tasks: vec![t],
-                total: et,
-            }),
+            None => {
+                newest_head = et;
+                chains.push(Chain {
+                    tasks: vec![t],
+                    total: et,
+                });
+            }
         }
     }
     chains

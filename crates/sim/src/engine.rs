@@ -1,13 +1,23 @@
-//! The discrete-event replay engine.
+//! The replay engine: one pass in dependency order, or the event queue.
 //!
-//! Three kinds of event drive a replay: a VM finishes booting, a task
-//! finishes, and a finished task's outputs arrive at its successors.
-//! The outputs of one finished task travel as **one** heap entry, an
-//! `Ev::Arrivals` batch, rather than one entry per edge:
+//! A replay runs each task on the VM whose `tasks` list holds it, in
+//! that list's order. A task starts once its VM has booted
+//! (`meter.start + boot_time_s`), the VM's previous planned task has
+//! finished and every input has arrived: the predecessor's finish plus
+//! zero on the same VM, or plus the platform's transfer time across
+//! VMs. Two engines compute this, and both report bit-identical times
+//! and [`SimReport::events_processed`] (one per VM boot, per started
+//! task and per out-edge of a started task).
 //!
-//! 1. On a task's finish, each successor's arrival time is computed
-//!    (zero delay on the same VM, the platform's transfer time across
-//!    VMs), `TransferStart` is emitted in successor order, and the
+//! # The event queue
+//!
+//! Three kinds of event drive the queue engine: a VM finishes booting,
+//! a task finishes, and a finished task's outputs arrive at its
+//! successors. The outputs of one finished task travel as **one** heap
+//! entry, an `Ev::Arrivals` batch, rather than one entry per edge:
+//!
+//! 1. On a task's finish, each successor's arrival time is computed,
+//!    `TransferStart` is emitted in successor order, and the
 //!    `(time, successor)` pairs are appended to one arrival arena per
 //!    replay. The new slice is sorted stably by time, so equal times
 //!    keep successor order, and the batch is pushed once, at its
@@ -32,11 +42,39 @@
 //! * Every state change tries to start its VM's next task, so after
 //!   each event no booted, idle VM has a startable head. An arrival
 //!   that leaves inputs missing therefore cannot start anything, and
-//!   only a task's last arrival tries to start its VM.
+//!   only a task's last arrival tries to start its VM — the VM its
+//!   placement names.
 //!
-//! Each delivered arrival counts as one processed event, so
-//! [`SimReport::events_processed`] stays one per VM boot, task finish
-//! and edge.
+//! Each delivered arrival counts as one processed event. The queue
+//! engine is the one that emits the replay's trace events, so it runs
+//! whenever a trace sink is installed.
+//!
+//! # One pass in dependency order
+//!
+//! With no trace sink installed nothing reads the chronology. A plan
+//! is *consistent* when every task sits in exactly one VM's `tasks`
+//! list, the one its placement names (and every VM sits at its own
+//! id's index). A consistent plan replays without the queue: Kahn's
+//! algorithm over the DAG's edges plus each VM's planned chain, with a
+//! worklist of the VMs whose next planned task has all its inputs,
+//! starts each task at the latest, under `total_cmp`, of its VM's boot
+//! time, the VM's previous finish and its inputs' arrivals.
+//!
+//! This is exact, not an approximation. In the queue engine a task of
+//! a consistent plan can start only in the handler of its VM's boot,
+//! of its VM's previous finish or of its own last arrival, since each
+//! of those tries exactly that VM's head, and by the invariant above
+//! it starts in whichever of them pops last, at that event's time: the
+//! `total_cmp` maximum, which is the order the queue pops in. Each
+//! arrival is delivered at its own time, so the pass's maximum is the
+//! same value, bit for bit. A task the pass never reaches waits on a
+//! predecessor or an earlier task of its VM that never starts, which
+//! is exactly a task the queue deadlocks on. In an inconsistent plan a
+//! last arrival tries a different VM's head than the one whose list
+//! holds the task, and what starts then depends on the chronology, so
+//! such a plan keeps the queue. The two engines share the perturbation
+//! check, `check_time` on every boot, finish and arrival time, the
+//! NaN fill, the makespan fold and the `sim.events_processed` counter.
 
 use crate::queue::{check_time, EventQueue};
 use crate::report::{ObservedTask, SimReport};
@@ -44,7 +82,7 @@ use cws_core::{Schedule, VmId};
 use cws_dag::{TaskId, Workflow};
 use cws_obs as obs;
 use cws_platform::billing::{btus_for_span, BTU_EPSILON, BTU_SECONDS};
-use cws_platform::Platform;
+use cws_platform::{InstanceType, Platform, Region};
 
 /// Internal event payloads.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,11 +117,29 @@ pub struct Simulator<'a> {
     schedule: &'a Schedule,
 }
 
-/// The mutable state of one replay.
+/// A consistent plan's VM lists, flattened: VM `v` runs
+/// `order[first[v]..first[v + 1]]`, in that order.
+struct Chains {
+    order: Vec<TaskId>,
+    first: Vec<usize>,
+}
+
+/// A task the one-pass replay has not started yet.
+#[derive(Clone, Copy)]
+struct Pending {
+    /// Its latest input arrival so far.
+    ready: f64,
+    /// Its inputs still missing.
+    missing: usize,
+    /// The VM that runs it.
+    vm: VmId,
+}
+
+/// The mutable state of one event-queue replay.
 struct Replay<'s> {
     schedule: &'s Schedule,
     /// Effective duration per task.
-    durations: Vec<f64>,
+    durations: &'s [f64],
     /// Per VM, the position in its planned task order of the next task
     /// to start.
     next_task: Vec<usize>,
@@ -91,7 +147,7 @@ struct Replay<'s> {
     missing_inputs: Vec<usize>,
     vm_busy: Vec<bool>,
     vm_booted: Vec<bool>,
-    observed: Vec<Option<ObservedTask>>,
+    observed: &'s mut [ObservedTask],
     queue: EventQueue<Ev>,
 }
 
@@ -112,11 +168,11 @@ impl Replay<'_> {
         self.next_task[v] += 1;
         self.vm_busy[v] = true;
         let duration = self.durations[head.index()];
-        self.observed[head.index()] = Some(ObservedTask {
+        self.observed[head.index()] = ObservedTask {
             start: now,
             finish: now + duration,
             vm,
-        });
+        };
         obs::emit(|| obs::TraceEvent::TaskStart {
             task: head.index() as u32,
             vm: vm.0,
@@ -148,29 +204,226 @@ impl<'a> Simulator<'a> {
     /// plan's task order and VM mapping are kept — this is how a *static*
     /// schedule behaves when reality diverges from the estimates, the
     /// robustness question behind [`crate::jitter`].
+    ///
+    /// With no trace sink installed, a consistent plan replays in one
+    /// pass in dependency order; otherwise the event queue runs (see the
+    /// module docs). Both give the same report, bit for bit.
     #[must_use]
     pub fn run_perturbed(&self, perturb: impl Fn(cws_dag::TaskId, f64) -> f64) -> SimReport {
-        let n = self.wf.len();
+        let placements = &self.schedule.placements;
+        let links = self.links();
+        // Planned duration through the perturbation hook.
+        let durations: Vec<f64> = self
+            .wf
+            .ids()
+            .map(|t| {
+                let itype = links[placements[t.index()].vm.index()].1;
+                let planned = itype.execution_time(self.wf.task(t).base_time);
+                let d = perturb(t, planned);
+                assert!(
+                    d.is_finite() && d >= 0.0,
+                    "perturbed duration must be finite and non-negative, got {d}"
+                );
+                d
+            })
+            .collect();
+        // Tasks that never start keep NaN times, which verify_against
+        // reports as a deadlock.
+        let mut tasks: Vec<ObservedTask> = (0..self.wf.len())
+            .map(|i| ObservedTask {
+                start: f64::NAN,
+                finish: f64::NAN,
+                vm: placements[i].vm,
+            })
+            .collect();
+        // Captured once per replay: a disabled trace costs one branch on
+        // a local per event (same pattern as the kernel's flags).
+        let trace_on = obs::trace_enabled();
+        let chains = if trace_on {
+            None
+        } else {
+            self.consistent_chains()
+        };
+        let processed = match chains {
+            Some(chains) => self.replay_in_order(&chains, &links, &durations, &mut tasks),
+            None => self.replay_events(&links, &durations, trace_on, &mut tasks),
+        };
+
+        let makespan = tasks.iter().map(|t| t.finish).fold(0.0f64, |acc, x| {
+            if x.is_nan() {
+                f64::NAN
+            } else {
+                acc.max(x)
+            }
+        });
+
+        if trace_on {
+            self.emit_billing_events(&tasks);
+        }
+        if obs::metrics_enabled() {
+            obs::MetricsRegistry::global()
+                .counter(obs::metrics::names::SIM_EVENTS)
+                .add(processed as u64);
+        }
+
+        SimReport {
+            tasks,
+            makespan,
+            events_processed: processed,
+        }
+    }
+
+    /// When VM `v` finishes booting. Each VM starts booting when its
+    /// rental opens (`meter.start` is the decision time) and becomes
+    /// ready `boot_time_s` later — the simulator models boot
+    /// independently of whatever the planner assumed, so a plan that
+    /// fails to wait out boot diverges here.
+    fn boot_ready(&self, v: usize) -> f64 {
+        self.schedule.vms[v].meter.start + self.platform.boot_time_s
+    }
+
+    /// Each VM's network endpoint, indexed by VM.
+    fn links(&self) -> Vec<(Region, InstanceType)> {
+        self.schedule
+            .vms
+            .iter()
+            .map(|vm| (vm.region, vm.itype))
+            .collect()
+    }
+
+    /// Transfer delay of `data_mb` from VM index `from` to VM index `to`
+    /// over `links`: zero on the same VM.
+    fn delay(&self, links: &[(Region, InstanceType)], data_mb: f64, from: usize, to: usize) -> f64 {
+        if from == to {
+            0.0
+        } else {
+            self.platform
+                .transfer_time_between(data_mb, links[from], links[to])
+        }
+    }
+
+    /// The plan's VM lists as [`Chains`] when the plan is consistent:
+    /// every task sits in exactly one VM's `tasks` list, the one its
+    /// placement names, and every VM at its own id's index. `None`
+    /// otherwise.
+    fn consistent_chains(&self) -> Option<Chains> {
+        let placements = &self.schedule.placements;
+        let vms = &self.schedule.vms;
+        let mut listed = vec![false; self.wf.len()];
+        let mut order = Vec::with_capacity(self.wf.len());
+        let mut first = Vec::with_capacity(vms.len() + 1);
+        for (v, vm) in vms.iter().enumerate() {
+            if vm.id.index() != v {
+                return None;
+            }
+            first.push(order.len());
+            for &(t, _, _) in &vm.tasks {
+                match listed.get_mut(t.index()) {
+                    Some(seen) if !*seen && placements[t.index()].vm == vm.id => {
+                        *seen = true;
+                        order.push(t);
+                    }
+                    _ => return None,
+                }
+            }
+        }
+        first.push(order.len());
+        (order.len() == listed.len()).then_some(Chains { order, first })
+    }
+
+    /// Replay a consistent plan in one pass in dependency order (see the
+    /// module docs), writing each started task into `observed`, and
+    /// return the number of events the queue would process.
+    fn replay_in_order(
+        &self,
+        chains: &Chains,
+        links: &[(Region, InstanceType)],
+        durations: &[f64],
+        observed: &mut [ObservedTask],
+    ) -> usize {
+        let wf = self.wf;
+        let Chains { order, first } = chains;
+        let vm_count = links.len();
+        // What every in-edge of a task reads and writes, in one record.
+        let mut pending: Vec<Pending> = wf
+            .ids()
+            .map(|t| Pending {
+                ready: f64::NEG_INFINITY,
+                missing: wf.predecessors(t).len(),
+                vm: self.schedule.placements[t.index()].vm,
+            })
+            .collect();
+        // Per VM, when its next task may start: its boot, then its
+        // previous task's finish.
+        let mut free: Vec<f64> = (0..vm_count)
+            .map(|v| {
+                let at = self.boot_ready(v);
+                check_time(at);
+                at
+            })
+            .collect();
+        // Per VM, the position in `order` of its next task.
+        let mut next: Vec<usize> = first[..vm_count].to_vec();
+        let mut processed = vm_count;
+        // VMs whose next task has all its inputs. A VM is listed when its
+        // head's last input arrives, and its head stays until the VM is
+        // popped, so it is never listed twice.
+        let mut worklist: Vec<usize> = (0..vm_count)
+            .filter(|&v| next[v] < first[v + 1] && pending[order[next[v]].index()].missing == 0)
+            .collect();
+        while let Some(v) = worklist.pop() {
+            while next[v] < first[v + 1] {
+                let task = order[next[v]];
+                let i = task.index();
+                let Pending { ready, missing, vm } = pending[i];
+                if missing > 0 {
+                    break;
+                }
+                next[v] += 1;
+                let start = latest(free[v], ready);
+                let finish = start + durations[i];
+                check_time(finish);
+                observed[i] = ObservedTask { start, finish, vm };
+                free[v] = finish;
+                let out = wf.successors(task);
+                processed += 1 + out.len();
+                for e in out {
+                    let succ = &mut pending[e.to.index()];
+                    let w = succ.vm.index();
+                    let at = finish + self.delay(links, e.data_mb, v, w);
+                    check_time(at);
+                    succ.ready = latest(succ.ready, at);
+                    succ.missing -= 1;
+                    // This VM's own next task is taken by the loop.
+                    if succ.missing == 0
+                        && w != v
+                        && next[w] < first[w + 1]
+                        && order[next[w]] == e.to
+                    {
+                        worklist.push(w);
+                    }
+                }
+            }
+        }
+        processed
+    }
+
+    /// Replay through the event queue, emitting the trace when
+    /// `trace_on` (see the module docs), writing each started task into
+    /// `observed`, and return the number of events processed.
+    fn replay_events(
+        &self,
+        links: &[(Region, InstanceType)],
+        durations: &[f64],
+        trace_on: bool,
+        observed: &mut [ObservedTask],
+    ) -> usize {
         let vm_count = self.schedule.vms.len();
         let placements = &self.schedule.placements;
 
         let mut st = Replay {
             schedule: self.schedule,
-            // Planned duration through the perturbation hook.
-            durations: self
-                .wf
-                .ids()
-                .map(|t| {
-                    let vm = &self.schedule.vms[placements[t.index()].vm.index()];
-                    let planned = vm.itype.execution_time(self.wf.task(t).base_time);
-                    let d = perturb(t, planned);
-                    assert!(
-                        d.is_finite() && d >= 0.0,
-                        "perturbed duration must be finite and non-negative, got {d}"
-                    );
-                    d
-                })
-                .collect(),
+            durations,
             next_task: vec![0; vm_count],
             missing_inputs: self
                 .wf
@@ -179,24 +432,16 @@ impl<'a> Simulator<'a> {
                 .collect(),
             vm_busy: vec![false; vm_count],
             vm_booted: vec![false; vm_count],
-            observed: vec![None; n],
+            observed,
             queue: EventQueue::new(),
         };
         // Every finished task's (arrival time, successor) pairs, one
         // slice per finish.
         let mut arrivals: Vec<(f64, TaskId)> = Vec::with_capacity(self.wf.edge_count());
         let mut processed = 0usize;
-        // Captured once per replay: a disabled trace costs one branch on
-        // a local per event (same pattern as the kernel's flags).
-        let trace_on = obs::trace_enabled();
 
-        // Each VM starts booting when its rental opens (`meter.start` is
-        // the decision time) and becomes ready `boot_time_s` later — the
-        // simulator models boot independently of whatever the planner
-        // assumed, so a plan that fails to wait out boot diverges here.
-        for vm in &self.schedule.vms {
-            let ready_at = vm.meter.start + self.platform.boot_time_s;
-            st.queue.push(ready_at, Ev::VmReady(vm.id));
+        for (v, vm) in self.schedule.vms.iter().enumerate() {
+            st.queue.push(self.boot_ready(v), Ev::VmReady(vm.id));
         }
 
         while let Some(mut te) = st.queue.pop() {
@@ -226,17 +471,7 @@ impl<'a> Simulator<'a> {
                     let first = arrivals.len();
                     for e in self.wf.successors(task) {
                         let dest_vm = placements[e.to.index()].vm;
-                        let delay = if dest_vm == vm {
-                            0.0
-                        } else {
-                            let from_vm = &self.schedule.vms[vm.index()];
-                            let to_vm = &self.schedule.vms[dest_vm.index()];
-                            self.platform.transfer_time_between(
-                                e.data_mb,
-                                (from_vm.region, from_vm.itype),
-                                (to_vm.region, to_vm.itype),
-                            )
-                        };
+                        let delay = self.delay(links, e.data_mb, vm.index(), dest_vm.index());
                         if trace_on && dest_vm != vm {
                             obs::emit(|| obs::TraceEvent::TransferStart {
                                 from: task.index() as u32,
@@ -303,44 +538,7 @@ impl<'a> Simulator<'a> {
                 }
             }
         }
-
-        let tasks: Vec<ObservedTask> = st
-            .observed
-            .into_iter()
-            .enumerate()
-            .map(|(i, o)| {
-                o.unwrap_or(ObservedTask {
-                    // Deadlocked tasks are reported with NaN so
-                    // verify_against flags them as mismatches.
-                    start: f64::NAN,
-                    finish: f64::NAN,
-                    vm: placements[i].vm,
-                })
-            })
-            .collect();
-
-        let makespan = tasks.iter().map(|t| t.finish).fold(0.0f64, |acc, x| {
-            if x.is_nan() {
-                f64::NAN
-            } else {
-                acc.max(x)
-            }
-        });
-
-        if trace_on {
-            self.emit_billing_events(&tasks);
-        }
-        if obs::metrics_enabled() {
-            obs::MetricsRegistry::global()
-                .counter(obs::metrics::names::SIM_EVENTS)
-                .add(processed as u64);
-        }
-
-        SimReport {
-            tasks,
-            makespan,
-            events_processed: processed,
-        }
+        processed
     }
 
     /// Walk the observed per-VM busy intervals and emit the billing
@@ -401,6 +599,15 @@ impl<'a> Simulator<'a> {
     }
 }
 
+/// The later of two event times in the queue's pop order (`total_cmp`).
+fn latest(a: f64, b: f64) -> f64 {
+    if a.total_cmp(&b).is_lt() {
+        b
+    } else {
+        a
+    }
+}
+
 /// Replay `schedule` on the platform and report observed behaviour.
 #[must_use]
 pub fn simulate(wf: &Workflow, platform: &Platform, schedule: &Schedule) -> SimReport {
@@ -412,7 +619,6 @@ mod tests {
     use super::*;
     use cws_core::{ProvisioningPolicy, Strategy};
     use cws_dag::WorkflowBuilder;
-    use cws_platform::InstanceType;
 
     fn diamond() -> Workflow {
         let mut b = WorkflowBuilder::new("diamond");
@@ -523,6 +729,46 @@ mod tests {
         sched.placements[3].finish += 500.0;
         let report = simulate(&wf, &p, &sched);
         assert!(report.verify_against(&sched, 1e-6).is_err());
+    }
+
+    /// The diamond on StartParExceed-s's one VM with its list reversed:
+    /// the VM's head waits for inputs that never come, so nothing runs.
+    fn deadlocked_diamond() -> (Workflow, Platform, Schedule) {
+        let wf = diamond();
+        let p = Platform::ec2_paper();
+        let mut sched = cws_core::alloc::heft(
+            &wf,
+            &p,
+            ProvisioningPolicy::StartParExceed,
+            InstanceType::Small,
+        );
+        assert_eq!(sched.vm_count(), 1);
+        sched.vms[0].tasks.reverse();
+        (wf, p, sched)
+    }
+
+    #[test]
+    fn deadlocked_replay_fails_verification() {
+        let (wf, p, sched) = deadlocked_diamond();
+        assert!(simulate(&wf, &p, &sched).makespan.is_nan());
+        // `Schedule::validate` sorts a copy of each list, so the replay
+        // is the check that sees the order.
+        assert!(sched.validate(&wf, &p).is_ok());
+        assert_eq!(
+            crate::verify(&wf, &p, &sched, 1e-6).unwrap_err(),
+            crate::VerifyError::Deadlock {
+                stuck: wf.ids().collect()
+            }
+        );
+    }
+
+    #[test]
+    fn utilization_skips_tasks_a_deadlock_never_ran() {
+        let (wf, p, sched) = deadlocked_diamond();
+        let report = simulate(&wf, &p, &sched);
+        assert_eq!(report.vm_busy_seconds(1), vec![0.0]);
+        assert_eq!(report.vm_utilization(1), vec![0.0]);
+        assert_eq!(report.aggregate_utilization(1), 0.0);
     }
 
     #[test]

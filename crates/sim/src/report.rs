@@ -80,12 +80,21 @@ impl SimReport {
     /// Compare the replay against the plan.
     ///
     /// # Errors
-    /// Returns the first diverging task or a makespan mismatch.
+    /// Returns [`VerifyError::Deadlock`] with every task that never ran
+    /// (NaN times), in id order; otherwise the first diverging task or a
+    /// makespan mismatch. A NaN difference counts as a divergence.
     pub fn verify_against(&self, schedule: &Schedule, tolerance: f64) -> Result<(), VerifyError> {
+        let stuck: Vec<TaskId> = (0..self.tasks.len())
+            .filter(|&i| self.tasks[i].start.is_nan())
+            .map(|i| TaskId(i as u32))
+            .collect();
+        if !stuck.is_empty() {
+            return Err(VerifyError::Deadlock { stuck });
+        }
+        let within = |observed: f64, planned: f64| (observed - planned).abs() <= tolerance;
         for (i, obs) in self.tasks.iter().enumerate() {
             let p = schedule.placements[i];
-            if (obs.start - p.start).abs() > tolerance || (obs.finish - p.finish).abs() > tolerance
-            {
+            if !within(obs.start, p.start) || !within(obs.finish, p.finish) {
                 return Err(VerifyError::TaskMismatch {
                     task: TaskId(i as u32),
                     planned: (p.start, p.finish),
@@ -93,7 +102,7 @@ impl SimReport {
                 });
             }
         }
-        if (self.makespan - schedule.makespan()).abs() > tolerance {
+        if !within(self.makespan, schedule.makespan()) {
             return Err(VerifyError::MakespanMismatch {
                 planned: schedule.makespan(),
                 observed: self.makespan,
@@ -103,11 +112,14 @@ impl SimReport {
     }
 
     /// Observed busy seconds per VM (sum of task durations hosted).
+    /// Tasks the replay deadlocked on (NaN times) add nothing.
     #[must_use]
     pub fn vm_busy_seconds(&self, vm_count: usize) -> Vec<f64> {
         let mut busy = vec![0.0; vm_count];
         for t in &self.tasks {
-            busy[t.vm.index()] += t.finish - t.start;
+            if t.start.is_finite() && t.finish.is_finite() {
+                busy[t.vm.index()] += t.finish - t.start;
+            }
         }
         busy
     }

@@ -1,7 +1,8 @@
 //! Property-based invariants over random workflows, runtimes and
 //! strategies.
 
-use cloud_workflow_sched::core::alloc::onelns::reduce_level;
+use cloud_workflow_sched::core::alloc::levelpar::level_et_descending;
+use cloud_workflow_sched::core::alloc::onelns::{reduce_level, reduce_level_scheduled, Chain};
 use cloud_workflow_sched::platform::billing::{
     btus_for_span, fits_in_current_btu, remaining_in_btu,
 };
@@ -32,6 +33,71 @@ fn arb_workflow() -> impl proptest::strategy::Strategy<Value = Workflow> {
 
 fn arb_strategy() -> impl proptest::strategy::Strategy<Value = Strategy> {
     (0usize..19).prop_map(|i| Strategy::paper_set()[i])
+}
+
+/// A three-level layered DAG up to 60 tasks wide, with Pareto or equal
+/// runtimes: wide levels, and with equal runtimes many merges.
+fn arb_wide_workflow() -> impl proptest::strategy::Strategy<Value = Workflow> {
+    (0u64..1000, 0usize..2).prop_map(|(seed, equal)| {
+        let wf = layered_dag(LayeredShape {
+            levels: 3,
+            min_width: 1,
+            max_width: 60,
+            edge_prob: 0.2,
+            seed,
+        });
+        if equal == 1 {
+            Scenario::BestCase.apply(&wf)
+        } else {
+            Scenario::Pareto { seed }.apply(&wf)
+        }
+    })
+}
+
+/// First-fit level reduction with every task scanning every chain: the
+/// reference `reduce_level` and `reduce_level_scheduled` reproduce.
+fn first_fit_full_scan(
+    wf: &Workflow,
+    level: &[TaskId],
+    ready: impl Fn(TaskId) -> f64,
+) -> Vec<Chain> {
+    const EPS: f64 = 1e-9;
+    let order = level_et_descending(wf, level);
+    let capacity = order.first().map_or(0.0, |&t| wf.task(t).base_time);
+    let horizon = level
+        .iter()
+        .map(|&t| ready(t) + wf.task(t).base_time)
+        .fold(0.0_f64, f64::max);
+    let chain_end = |tasks: &[TaskId]| {
+        let mut by_ready = tasks.to_vec();
+        by_ready.sort_by(|&a, &b| ready(a).total_cmp(&ready(b)).then(a.0.cmp(&b.0)));
+        by_ready
+            .iter()
+            .fold(0.0_f64, |end, &t| end.max(ready(t)) + wf.task(t).base_time)
+    };
+    let mut chains: Vec<Chain> = Vec::new();
+    for t in order {
+        let et = wf.task(t).base_time;
+        let slot = chains.iter_mut().find(|c| {
+            if c.total + et > capacity + EPS {
+                return false;
+            }
+            let mut merged = c.tasks.clone();
+            merged.push(t);
+            chain_end(&merged) <= horizon + EPS
+        });
+        match slot {
+            Some(c) => {
+                c.tasks.push(t);
+                c.total += et;
+            }
+            None => chains.push(Chain {
+                tasks: vec![t],
+                total: et,
+            }),
+        }
+    }
+    chains
 }
 
 proptest! {
@@ -120,18 +186,33 @@ proptest! {
     }
 
     #[test]
-    fn level_reduction_partitions_the_level(wf in arb_workflow()) {
-        for level in wf.levels() {
-            let chains = reduce_level(&wf, level);
-            let mut covered: Vec<TaskId> = chains.iter().flat_map(|c| c.tasks.clone()).collect();
-            covered.sort();
-            let mut expected = level.to_vec();
-            expected.sort();
-            prop_assert_eq!(covered, expected, "chains must partition the level");
-            // chain totals never exceed the longest task
-            let longest = level.iter().map(|&t| wf.task(t).base_time).fold(0.0_f64, f64::max);
-            for c in &chains {
-                prop_assert!(c.total <= longest + 1e-6);
+    fn level_reduction_partitions_the_level(
+        wf in arb_workflow(),
+        wide in arb_wide_workflow(),
+        ready_seed in 0u64..1000,
+    ) {
+        // A drawn readiness with ties, on the scale of the runtimes.
+        let ready = |t: TaskId| ((u64::from(t.0) * 7919 + ready_seed * 104_729) % 4001) as f64;
+        for wf in [&wf, &wide] {
+            for level in wf.levels() {
+                let chains = reduce_level(wf, level);
+                let mut covered: Vec<TaskId> =
+                    chains.iter().flat_map(|c| c.tasks.clone()).collect();
+                covered.sort();
+                let mut expected = level.to_vec();
+                expected.sort();
+                prop_assert_eq!(covered, expected, "chains must partition the level");
+                // chain totals never exceed the longest task
+                let longest = level.iter().map(|&t| wf.task(t).base_time).fold(0.0_f64, f64::max);
+                for c in &chains {
+                    prop_assert!(c.total <= longest + 1e-6);
+                }
+                // The shortcut past the first-fit scan changes no chain.
+                prop_assert_eq!(&chains, &first_fit_full_scan(wf, level, |_| 0.0));
+                prop_assert_eq!(
+                    reduce_level_scheduled(wf, level, ready),
+                    first_fit_full_scan(wf, level, ready)
+                );
             }
         }
     }

@@ -15,7 +15,11 @@
 # --check`: the streaming reducer recomputes cost and makespan from the
 # event stream and the check fails unless they match the manifest's
 # run.cost_usd / run.makespan_s gauges exactly — trace ⇄ metrics
-# reconciliation on every swept artifact.
+# reconciliation on every swept artifact. Every non-manifest artifact of
+# that traced run must also be byte-identical to the untraced
+# --threads 1 run's: with a trace sink installed the simulator replays
+# through its event queue, without one through its one-pass engine, so
+# this holds the two replay paths together on every swept artifact.
 #
 # A final shard-matrix leg covers the service engine (cws-serve): for
 # every seed, a `cws-exp serve --shards 1 --threads 1` run is the
@@ -93,7 +97,10 @@ EOF
     done
     # 3. Trace ⇄ metrics reconciliation: record a --threads 1 trace of
     #    the same cell and require trace-report --check to reproduce
-    #    the manifest gauges exactly from the event stream.
+    #    the manifest gauges exactly from the event stream. The traced
+    #    run replays through the simulator's event queue and the
+    #    untraced t1 run through its one-pass engine, so their
+    #    artifacts must be byte-identical too.
     tr="$OUTDIR/$fig-s$seed-trace"
     mkdir -p "$tr"
     cargo run --release -q -p cws-experiments --bin cws-exp -- \
@@ -105,7 +112,16 @@ EOF
       echo "RECONCILIATION: $fig seed=$seed: trace-report --check diverged from the run manifest" >&2
       fail=1
     fi
-    echo "ok: $fig seed=$seed (threads 1 == threads 8, trace reconciles)"
+    for f in "$t1"/*; do
+      base="$(basename "$f")"
+      case "$base" in *.manifest.json) continue ;; esac
+      if ! cmp -s "$f" "$tr/$base"; then
+        echo "REPLAY PATHS: $fig seed=$seed: $base differs between the traced and untraced threads 1 runs" >&2
+        diff "$f" "$tr/$base" | head -10 >&2 || true
+        fail=1
+      fi
+    done
+    echo "ok: $fig seed=$seed (threads 1 == threads 8 == traced, trace reconciles)"
   done
 done
 
@@ -147,7 +163,7 @@ for seed in $SEEDS; do
 done
 
 if [ "$fail" -ne 0 ]; then
-  echo "seed matrix FAILED — see NONDETERMINISM lines above" >&2
+  echo "seed matrix FAILED — see the NONDETERMINISM, RECONCILIATION and REPLAY PATHS lines above" >&2
   exit 1
 fi
 echo "seed matrix clean: seeds [$SEEDS] x figs [$FIGS] + serve shard matrix [$SHARDS]"
