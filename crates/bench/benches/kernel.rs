@@ -45,13 +45,11 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // probe_all vs N independent probes: the batched API answers every
-    // rented VM's start time in one pass over the SoA lanes; the
-    // sequential loop re-resolves each VM through the probe cache. The
-    // fixture is mid-schedule — half the layered DAG placed round-robin
-    // on 32 small VMs — so both paths see real cross-VM arrivals.
+    // One probe answering every rented VM's start time. The fixture is
+    // mid-schedule — half the layered DAG placed round-robin on 32
+    // small VMs — so the probe sees real cross-VM arrivals.
     let tables = KernelTables::build(&layered, &platform);
-    let mut sb = ScheduleBuilder::with_tables(&layered, &platform, &tables);
+    let mut sb = ScheduleBuilder::with_tables(&layered, &platform, Some(&tables));
     let order = layered.topological_order().to_vec();
     let (placed, rest) = order.split_at(order.len() / 2);
     for (i, &t) in placed.iter().enumerate() {
@@ -66,17 +64,7 @@ fn bench(c: &mut Criterion) {
     let vm_ids: Vec<_> = sb.vms().iter().map(|v| v.id).collect();
 
     let mut group = c.benchmark_group("probe");
-    group.bench_function("probe_all/layered-1000x32vms", |b| {
-        b.iter(|| {
-            let mut batch = sb.probe_all(black_box(probe_task));
-            let mut acc = 0.0;
-            for &vm in &vm_ids {
-                acc += batch.start_of(vm);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("probe_each/layered-1000x32vms", |b| {
+    group.bench_function("start_on/layered-1000x32vms", |b| {
         b.iter(|| {
             let mut probe = sb.probe(black_box(probe_task));
             let mut acc = 0.0;

@@ -54,7 +54,7 @@ pub fn schedule_one_vm_per_task_with(
     tables: Option<&KernelTables>,
 ) -> Schedule {
     assert_eq!(types.len(), wf.len(), "one type per task");
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut sb = ScheduleBuilder::with_tables(wf, platform, tables);
     for &task in wf.topological_order() {
         sb.place_on_new(task, types[task.index()]);
     }

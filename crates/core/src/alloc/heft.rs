@@ -12,6 +12,7 @@ use super::ranking::rank_order_by;
 use crate::provisioning::ProvisioningPolicy;
 use crate::schedule::Schedule;
 use crate::state::{KernelTables, ScheduleBuilder};
+use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{InstanceType, Platform};
 
@@ -52,16 +53,31 @@ pub fn heft_with(
     itype: InstanceType,
     tables: Option<&KernelTables>,
 ) -> Schedule {
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
-    for task in heft_order(wf, platform, itype) {
-        match policy.pick_vm(&sb, task) {
+    let mut sb = ScheduleBuilder::with_tables(wf, platform, tables);
+    heft_loop(&mut sb, policy, itype, |sb, task| {
+        sb.place_on_new(task, itype)
+    });
+    sb.build(format!("{}-{}", policy.name(), itype.suffix()))
+}
+
+/// Place every task of `sb`'s workflow in HEFT order under `policy`,
+/// calling `rent` (which places the task and returns its VM) wherever
+/// the policy picks no existing VM. The offline strategy rents a fresh
+/// VM there; the pooled one may claim a warm one.
+pub(crate) fn heft_loop<'a>(
+    sb: &mut ScheduleBuilder<'a>,
+    policy: ProvisioningPolicy,
+    itype: InstanceType,
+    mut rent: impl FnMut(&mut ScheduleBuilder<'a>, TaskId) -> VmId,
+) {
+    for task in heft_order(sb.workflow(), sb.platform(), itype) {
+        match policy.pick_vm(sb, task) {
             Some(vm) => sb.place_on(task, vm),
             None => {
-                sb.place_on_new(task, itype);
+                rent(sb, task);
             }
         }
     }
-    sb.build(format!("{}-{}", policy.name(), itype.suffix()))
 }
 
 #[cfg(test)]

@@ -82,9 +82,11 @@ pub fn heft_pool(wf: &Workflow, platform: &Platform, pool: &PoolSpec) -> Schedul
 
     let mut sb = ScheduleBuilder::new(wf, platform);
     for task in order {
-        // Candidate 1: best existing VM by finish time, over the
-        // builder's fast candidate stream.
-        let best_existing = min_finish(sb.candidates_for(task).map(|c| (c.vm, c.finish)));
+        // Candidate 1: best existing VM by finish time.
+        let best_existing = {
+            let mut probe = sb.probe(task);
+            min_finish(sb.vms().iter().map(|v| (v.id, probe.finish_on(v.id))))
+        };
         // Candidate 2: best fresh rental by finish time (cheapest on tie).
         let can_rent = pool.max_vms.is_none_or(|cap| sb.vms().len() < cap);
         let best_new = if can_rent {

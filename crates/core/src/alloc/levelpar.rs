@@ -10,6 +10,7 @@
 use crate::provisioning::ProvisioningPolicy;
 use crate::schedule::Schedule;
 use crate::state::{KernelTables, LevelIndex, ScheduleBuilder};
+use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{InstanceType, Platform};
 
@@ -64,22 +65,35 @@ pub fn all_par_with(
         policy.is_all_par(),
         "all_par requires an AllPar* policy, got {policy}"
     );
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut sb = ScheduleBuilder::with_tables(wf, platform, tables);
+    all_par_loop(&mut sb, policy, |sb, task| sb.place_on_new(task, itype));
+    sb.build(format!("{}-{}", policy.name(), itype.suffix()))
+}
+
+/// Place every task of `sb`'s workflow level by level under the AllPar
+/// `policy`, calling `rent` (which places the task and returns its VM)
+/// wherever the policy picks no existing VM. The offline strategy rents
+/// a fresh VM there; the pooled one may claim a warm one.
+pub(crate) fn all_par_loop<'a>(
+    sb: &mut ScheduleBuilder<'a>,
+    policy: ProvisioningPolicy,
+    mut rent: impl FnMut(&mut ScheduleBuilder<'a>, TaskId) -> VmId,
+) {
+    let wf = sb.workflow();
     let mut in_level = LevelIndex::new();
     for level in wf.levels() {
-        in_level.begin(&sb);
+        in_level.begin(sb);
         for task in level_et_descending(wf, level) {
-            let vm = match policy.pick_vm_in_level(&sb, task, &mut in_level) {
+            let vm = match policy.pick_vm_in_level(sb, task, &mut in_level) {
                 Some(vm) => {
                     sb.place_on(task, vm);
                     vm
                 }
-                None => sb.place_on_new(task, itype),
+                None => rent(sb, task),
             };
             in_level.claim(vm);
         }
     }
-    sb.build(format!("{}-{}", policy.name(), itype.suffix()))
 }
 
 #[cfg(test)]

@@ -62,19 +62,18 @@ pub fn list_schedule(
         // fresh slot while the cap allows).
         let best_for =
             |sb: &ScheduleBuilder<'_>, pool: &[VmId], t: TaskId| -> (Option<VmId>, f64) {
-                // One batched probe per (round, task): the ready
-                // reduction over `t`'s predecessors and the per-VM
-                // start pass are paid once for the whole pool.
-                let mut batch = sb.probe_all(t);
+                // One probe per (round, task): the ready reduction over
+                // `t`'s predecessors is paid once for the whole pool.
+                let mut probe = sb.probe(t);
                 let mut best: (Option<VmId>, f64) = (None, f64::INFINITY);
                 for &vm in pool {
-                    let f = batch.finish_of(vm);
+                    let f = probe.finish_on(vm);
                     if f < best.1 {
                         best = (Some(vm), f);
                     }
                 }
                 if pool.len() < machines {
-                    let ready_t = batch.fresh_ready(itype, platform.default_region);
+                    let ready_t = probe.ready_fresh(itype, platform.default_region);
                     let f = ready_t + platform.boot_time_s + sb.exec_time(t, itype);
                     if f < best.1 {
                         best = (None, f);

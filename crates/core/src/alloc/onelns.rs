@@ -212,7 +212,7 @@ pub fn all_par_1lns_with(
     platform: &Platform,
     tables: Option<&KernelTables>,
 ) -> Schedule {
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut sb = ScheduleBuilder::with_tables(wf, platform, tables);
     let mut in_level = LevelIndex::new();
     for level in wf.levels() {
         let chains = reduce_level_scheduled(wf, level, |t| placed_ready(&sb, t));
@@ -328,7 +328,7 @@ pub fn all_par_1lns_dyn_with(
     platform: &Platform,
     tables: Option<&KernelTables>,
 ) -> Schedule {
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut sb = ScheduleBuilder::with_tables(wf, platform, tables);
     let mut in_level = LevelIndex::new();
     for level in wf.levels() {
         let chains = reduce_level_scheduled(wf, level, |t| placed_ready(&sb, t));

@@ -44,9 +44,9 @@ pub fn min_finish(candidates: impl Iterator<Item = (VmId, f64)>) -> Option<(VmId
 
 /// Best insertion slot for `task` across `pool`: the VM (and resulting
 /// finish time) where gap-insertion finishes the task earliest. One
-/// [`ScheduleBuilder::probe_all`] serves every pool member: the batched
-/// pass pays the ready reduction over `task`'s predecessors once and
-/// warms every candidate key, so the per-VM step is a gap-index lookup.
+/// [`ScheduleBuilder::probe`] serves every pool member: it pays the
+/// ready reduction over `task`'s predecessors once, so the per-VM step
+/// is a gap-index lookup.
 #[must_use]
 pub fn best_insertion(
     sb: &ScheduleBuilder<'_>,
@@ -54,9 +54,9 @@ pub fn best_insertion(
     itype: InstanceType,
     pool: &[VmId],
 ) -> Option<(VmId, f64)> {
-    let mut batch = sb.probe_all(task);
+    let mut probe = sb.probe(task);
     min_finish(pool.iter().map(|&vm| {
-        let start = batch.insertion_start_of(vm);
+        let start = probe.insertion_start_on(vm);
         (vm, start + sb.exec_time(task, itype))
     }))
 }

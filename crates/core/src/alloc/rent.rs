@@ -13,7 +13,7 @@
 //! bound runs the exact left-to-right sum. The derivation is in
 //! DESIGN.md §10.
 
-use crate::state::KernelTables;
+use crate::state::{exec_row, KernelTables};
 use cws_dag::Workflow;
 use cws_platform::{billing::btus_for_span, InstanceType, Platform};
 use std::borrow::Cow;
@@ -31,14 +31,7 @@ pub(super) fn exec_and_rent_rows<'a>(
 ) -> (Cow<'a, [[f64; N_TYPES]]>, Vec<[f64; N_TYPES]>) {
     let et: Cow<'a, [[f64; N_TYPES]]> = match tables {
         Some(t) => Cow::Borrowed(t.exec_rows()),
-        None => Cow::Owned(
-            wf.ids()
-                .map(|t| {
-                    let base = wf.task(t).base_time;
-                    InstanceType::ALL.map(|it| it.execution_time(base))
-                })
-                .collect(),
-        ),
+        None => Cow::Owned(wf.ids().map(|t| exec_row(wf.task(t).base_time)).collect()),
     };
     let term = et
         .iter()

@@ -97,34 +97,24 @@ pub fn spot_heft_with(
 ) -> Schedule {
     let region = platform.default_region;
     let spot_btu = market.expected_btu_price(platform.price_in(region, itype));
-    let mut sb = ScheduleBuilder::with_optional_tables(wf, platform, tables);
+    let mut sb = ScheduleBuilder::with_tables(wf, platform, tables);
     for task in heft_order(wf, platform, itype) {
         let exec = sb.exec_time(task, itype);
-        // One batched probe computes the task's start on every rented VM
-        // plus the fresh-rental ready time.
-        let vm_count = sb.vms().len();
-        let (starts, fresh_ready) = {
-            let mut batch = sb.probe_all(task);
-            let starts: Vec<f64> = (0..vm_count)
-                .map(|i| batch.start_of(VmId(i as u32)))
-                .collect();
-            let fresh_ready = batch.fresh_ready(itype, region);
-            (starts, fresh_ready)
-        };
+        let mut probe = sb.probe(task);
 
         // Fresh-rental candidate: boot-aware start, full first rental.
+        let fresh_ready = probe.ready_fresh(itype, region);
         let fresh_finish = fresh_ready + platform.boot_time_s + exec;
         let mut best = SpotKey {
             risk_finish: fresh_finish + eviction_penalty(market, exec, exec),
             marginal_cost: btus_for_span(exec) as f64 * spot_btu,
             fresh: 1,
-            vm: vm_count as u32,
+            vm: sb.vms().len() as u32,
         };
         let mut best_vm: Option<VmId> = None;
 
-        for (i, &start) in starts.iter().enumerate() {
-            let vm = &sb.vms()[i];
-            let finish = start + exec;
+        for (i, vm) in sb.vms().iter().enumerate() {
+            let finish = probe.start_on(vm.id) + exec;
             let busy_before = vm.busy_seconds();
             let busy_after = busy_before + exec;
             let marginal_btus = btus_for_span(busy_after) - btus_for_span(busy_before);
@@ -139,6 +129,7 @@ pub fn spot_heft_with(
                 best_vm = Some(vm.id);
             }
         }
+        drop(probe);
 
         match best_vm {
             Some(vm) => sb.place_on(task, vm),

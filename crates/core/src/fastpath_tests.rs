@@ -21,7 +21,7 @@ use crate::schedule::Schedule;
 use crate::state::{naive, KernelTables, LevelIndex, ScheduleBuilder};
 use crate::strategy::{StaticAlloc, Strategy};
 use crate::vm::{Vm, VmId};
-use cws_dag::Workflow;
+use cws_dag::{TaskId, Workflow};
 use cws_platform::{InstanceType, Platform, Region};
 // This module is compiled only behind `#[cfg(test)]` in lib.rs, so the
 // cws-workloads edge is a dev-dependency, not an architecture layer —
@@ -48,6 +48,17 @@ fn with_reference_kernel<T>(f: impl FnOnce() -> T) -> T {
     naive::set_reference_kernel(true);
     let _reset = Reset;
     f()
+}
+
+/// The AllPar pick at the start of a level, on a fresh [`LevelIndex`].
+fn pick_in_fresh_level(
+    sb: &ScheduleBuilder<'_>,
+    task: TaskId,
+    keep: impl FnMut(&Vm) -> bool,
+) -> Option<VmId> {
+    let mut level = LevelIndex::new();
+    level.begin(sb);
+    sb.earliest_start_vm_in_level(task, &mut level, None, keep)
 }
 
 fn assert_kernels_agree(
@@ -165,15 +176,15 @@ proptest! {
         }
     }
 
-    /// [`ScheduleBuilder::earliest_start_vm_where`] picks what the naive
-    /// scan picks on mixed fleets — every type, three regions, VMs kept
-    /// busy past their predecessors' finish — under three filters, at
-    /// every step of a growing schedule. On the platform whose regions
+    /// [`ScheduleBuilder::earliest_start_vm_in_level`] on a fresh
+    /// [`LevelIndex`] picks what the naive scan picks on mixed fleets —
+    /// every type, three regions, VMs kept busy past their predecessors'
+    /// finish — under three filters, at every step of a growing schedule. On the platform whose regions
     /// are closer to each other than VMs within one region are, a
     /// host's own key is not the one with the lowest bound; without
     /// payloads, a host's start can then tie another region's bound.
     #[test]
-    fn earliest_start_vm_where_is_bit_identical_on_mixed_fleets(
+    fn first_level_pick_is_bit_identical_on_mixed_fleets(
         wf in arb_pegasus(),
         seed in 0u64..1000,
     ) {
@@ -195,12 +206,12 @@ proptest! {
                 let filters: [&dyn Fn(&Vm) -> bool; 3] = [&all, &of_type, &sparse];
                 for keep in filters {
                     prop_assert_eq!(
-                        fast.earliest_start_vm_where(task, keep),
-                        reference.earliest_start_vm_where(task, keep),
+                        pick_in_fresh_level(&fast, task, keep),
+                        pick_in_fresh_level(&reference, task, keep),
                         "task {:?} of {}", task, wf.name()
                     );
                 }
-                match fast.earliest_start_vm_where(task, all) {
+                match pick_in_fresh_level(&fast, task, all) {
                     Some(vm) if !draw.is_multiple_of(3) => {
                         fast.place_on(task, vm);
                         reference.place_on(task, vm);
@@ -216,7 +227,7 @@ proptest! {
         }
     }
 
-    /// Extended allocators that consume the candidate/probe API directly.
+    /// Extended allocators that consume the probe API directly.
     #[test]
     fn extended_allocators_are_bit_identical(
         wf in arb_layered(),
@@ -280,43 +291,6 @@ proptest! {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    /// [`ScheduleBuilder::probe_all`] answers exactly what a fresh
-    /// sequential [`ScheduleBuilder::probe`] would, for every rented VM,
-    /// at every step of a growing schedule.
-    #[test]
-    fn probe_all_matches_sequential_probes(wf in arb_layered()) {
-        let p = Platform::ec2_paper();
-        let tables = KernelTables::build(&wf, &p);
-        let mut sb = ScheduleBuilder::with_tables(&wf, &p, &tables);
-        for &task in wf.topological_order() {
-            let batch_starts: Vec<f64> = {
-                let mut batch = sb.probe_all(task);
-                sb.vms().iter().map(|v| v.id).collect::<Vec<_>>()
-                    .into_iter().map(|id| batch.start_of(id)).collect()
-            };
-            let probe_starts: Vec<f64> = {
-                let mut probe = sb.probe(task);
-                sb.vms().iter().map(|v| v.id).collect::<Vec<_>>()
-                    .into_iter().map(|id| probe.start_on(id)).collect()
-            };
-            prop_assert_eq!(&batch_starts, &probe_starts, "task {:?}", task);
-            // Grow the schedule so later probes see occupied VMs: spill
-            // every third task onto a new VM, pack the rest greedily.
-            let spill = task.index() % 3 == 0 || sb.vms().is_empty();
-            if spill {
-                sb.place_on_new(task, InstanceType::Small);
-            } else {
-                let best = batch_starts
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| crate::vm::VmId(u32::try_from(i).unwrap()))
-                    .unwrap();
-                sb.place_on(task, best);
             }
         }
     }

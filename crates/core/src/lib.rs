@@ -49,6 +49,6 @@ pub use par::par_map;
 pub use pooled::{pooled_static, PooledSchedule, WarmVm};
 pub use provisioning::ProvisioningPolicy;
 pub use schedule::{Schedule, ScheduleError, TaskPlacement, VmMetrics};
-pub use state::{BatchProbe, KernelTables, ScheduleBuilder, TaskProbe};
+pub use state::{KernelTables, ScheduleBuilder, TaskProbe};
 pub use strategy::{DynamicBudgets, StaticAlloc, Strategy};
 pub use vm::{Vm, VmId};

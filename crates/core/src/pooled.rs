@@ -24,10 +24,10 @@
 //!
 //! [`Platform::boot_time_s`]: cws_platform::Platform
 
-use crate::alloc::heft::heft_order;
-use crate::alloc::levelpar::level_et_descending;
+use crate::alloc::heft::heft_loop;
+use crate::alloc::levelpar::all_par_loop;
 use crate::schedule::Schedule;
-use crate::state::{LevelIndex, ScheduleBuilder};
+use crate::state::ScheduleBuilder;
 use crate::strategy::StaticAlloc;
 use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
@@ -122,30 +122,12 @@ pub fn pooled_static(
     let policy = alloc.provisioning();
     let require_fit = policy.is_not_exceed();
     let mut sb = ScheduleBuilder::with_warm_pool(wf, platform, warm);
+    let rent =
+        |sb: &mut ScheduleBuilder<'_>, task| place_fresh_or_warm(sb, task, itype, require_fit);
     if alloc.uses_heft() {
-        for task in heft_order(wf, platform, itype) {
-            match policy.pick_vm(&sb, task) {
-                Some(vm) => sb.place_on(task, vm),
-                None => {
-                    place_fresh_or_warm(&mut sb, task, itype, require_fit);
-                }
-            }
-        }
+        heft_loop(&mut sb, policy, itype, rent);
     } else {
-        let mut in_level = LevelIndex::new();
-        for level in wf.levels() {
-            in_level.begin(&sb);
-            for task in level_et_descending(wf, level) {
-                let vm = match policy.pick_vm_in_level(&sb, task, &mut in_level) {
-                    Some(vm) => {
-                        sb.place_on(task, vm);
-                        vm
-                    }
-                    None => place_fresh_or_warm(&mut sb, task, itype, require_fit),
-                };
-                in_level.claim(vm);
-            }
-        }
+        all_par_loop(&mut sb, policy, rent);
     }
     let origins = sb.vm_origins().to_vec();
     let schedule = sb.build(format!("{}-{}+pool", policy.name(), itype.suffix()));

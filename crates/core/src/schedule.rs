@@ -266,11 +266,16 @@ impl Schedule {
     /// workflow and platform:
     ///
     /// 1. exactly one placement per task, on an existing VM,
-    /// 2. task durations equal `base_time / speedup(vm type)`,
+    /// 2. task start and finish times are finite and durations equal
+    ///    `base_time / speedup(vm type)`,
     /// 3. no two tasks overlap on a VM,
     /// 4. every task starts no earlier than each predecessor's finish
     ///    plus the inter-VM transfer time (zero within a VM),
-    /// 5. VM task lists agree with the placement table.
+    /// 5. every VM sits at its id's index, and VM task lists agree with
+    ///    the placement table.
+    ///
+    /// Every check fails closed: a comparison that a NaN makes false
+    /// reports a violation rather than passing.
     ///
     /// # Errors
     /// Returns the first violation found.
@@ -289,7 +294,9 @@ impl Schedule {
             let vm = &self.vms[p.vm.index()];
             let expected = vm.itype.execution_time(wf.task(id).base_time);
             let actual = p.finish - p.start;
-            if (actual - expected).abs() > EPS {
+            let exact =
+                p.start.is_finite() && p.finish.is_finite() && (actual - expected).abs() <= EPS;
+            if !exact {
                 return Err(ScheduleError::WrongDuration {
                     task: id,
                     actual,
@@ -306,11 +313,15 @@ impl Schedule {
             let p = self.placements[id.index()];
             by_vm[p.vm.index()].push((id, p.start, p.finish));
         }
-        for vm in &self.vms {
-            let mut placed = std::mem::take(&mut by_vm[vm.id.index()]);
+        for (v, vm) in self.vms.iter().enumerate() {
+            if vm.id.index() != v {
+                return Err(ScheduleError::InconsistentVmTasks(vm.id));
+            }
+            let mut placed = std::mem::take(&mut by_vm[v]);
             placed.sort_by(|a, b| a.1.total_cmp(&b.1));
             for w in placed.windows(2) {
-                if w[1].1 < w[0].2 - EPS {
+                let after = w[1].1 >= w[0].2 - EPS;
+                if !after {
                     return Err(ScheduleError::VmOverlap {
                         vm: vm.id,
                         a: w[0].0,
@@ -321,10 +332,10 @@ impl Schedule {
             let mut recorded = vm.tasks.clone();
             recorded.sort_by(|a, b| a.1.total_cmp(&b.1));
             if recorded.len() != placed.len()
-                || recorded
-                    .iter()
-                    .zip(&placed)
-                    .any(|(r, p)| r.0 != p.0 || (r.1 - p.1).abs() > EPS || (r.2 - p.2).abs() > EPS)
+                || recorded.iter().zip(&placed).any(|(r, p)| {
+                    let same = (r.1 - p.1).abs() <= EPS && (r.2 - p.2).abs() <= EPS;
+                    r.0 != p.0 || !same
+                })
             {
                 return Err(ScheduleError::InconsistentVmTasks(vm.id));
             }
@@ -346,7 +357,8 @@ impl Schedule {
                     )
                 };
                 let earliest = pp.finish + transfer;
-                if p.start < earliest - EPS {
+                let waits = p.start >= earliest - EPS;
+                if !waits {
                     return Err(ScheduleError::PrecedenceViolation {
                         task: id,
                         predecessor: e.from,
@@ -543,6 +555,45 @@ mod tests {
             .transfer_cost(Region::UsEastVirginia, Region::EuDublin, 2.0, 0.0);
         assert!(expected > 0.0);
         assert_eq!(cost, expected);
+    }
+
+    /// Montage-24's `OneVMperTask-s` plan: 24 VMs, one task each.
+    fn montage_one_vm_per_task() -> (Workflow, Schedule) {
+        let wf = cws_workloads::montage_24();
+        let s = crate::Strategy::parse("OneVMperTask-s")
+            .expect("known label")
+            .schedule(&wf, &Platform::ec2_paper());
+        (wf, s)
+    }
+
+    /// A NaN start makes every comparison on it false; the duration
+    /// check must still reject it rather than let it pass.
+    #[test]
+    fn nan_start_is_a_wrong_duration() {
+        let (wf, mut s) = montage_one_vm_per_task();
+        let p = Platform::ec2_paper();
+        s.validate(&wf, &p).unwrap();
+        s.placements[5].start = f64::NAN;
+        assert!(matches!(
+            s.validate(&wf, &p),
+            Err(ScheduleError::WrongDuration {
+                task: TaskId(5),
+                ..
+            })
+        ));
+    }
+
+    /// A VM that does not sit at its id's index is inconsistent, not a
+    /// panic on the per-VM bucket lookup.
+    #[test]
+    fn misnumbered_vm_is_inconsistent() {
+        let (wf, mut s) = montage_one_vm_per_task();
+        assert_eq!(s.vms.len(), 24);
+        s.vms[0].id = VmId(29);
+        assert_eq!(
+            s.validate(&wf, &Platform::ec2_paper()),
+            Err(ScheduleError::InconsistentVmTasks(VmId(29)))
+        );
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! [`ScheduleBuilder::probe`] hoists the per-task part of `ready_time`
 //! out of VM scans: it buckets the placed predecessors by host VM once,
 //! then answers per-candidate ready/start/finish/insertion queries in
-//! O(1) via a lazily-built top-2 reduction per (region, itype) key.
-//! [`ScheduleBuilder::candidates_for`] exposes the resulting candidate
-//! stream to the allocation strategies in place of hand-rolled scans.
+//! O(1) via a lazily-built top-2 reduction per (region, itype) key. It
+//! is the one per-candidate query: a strategy probes a task once and
+//! asks the [`TaskProbe`] about every candidate VM it weighs.
 //!
 //! # Raw-speed round 2
 //!
@@ -43,15 +43,13 @@
 //! lanes mirror `vms`, and every probe borrows a pooled
 //! `ProbeScratch` workspace (hosts, flattened edges, arrival scratch,
 //! epoch-stamped per-VM local-ready), so steady-state probing performs
-//! **zero heap allocation**. [`ScheduleBuilder::probe_all`] evaluates
-//! every rented VM's start time in one batched pass over those lanes —
-//! the replacement for per-VM query loops in the HEFT/MinMin inner
-//! loops. Sweeps amortise table construction across schedules by
-//! building one [`KernelTables`] per `(dag, platform)` key and handing
-//! it to [`ScheduleBuilder::with_tables`] (counted by
-//! `kernel.table_reuse_hits`), and DAGs under `SMALL_DAG_TASKS` tasks
-//! skip exec-table setup entirely (`ExecSource::Direct`), which is
-//! what keeps the fast path ≥ 1× on the paper's 20-task workloads.
+//! **zero heap allocation**. Sweeps amortise table construction across
+//! schedules by building one [`KernelTables`] per `(dag, platform)` key
+//! and handing it to [`ScheduleBuilder::with_tables`] (counted by
+//! `kernel.table_reuse_hits`). A builder offered no tables computes
+//! execution times on demand: `execution_time` is one multiply, the
+//! very value a table entry holds, so the paper's 20-task workloads pay
+//! for no exec table at all.
 //!
 //! # Kernel round 3
 //!
@@ -84,7 +82,7 @@
 //! level uses change, and those leave the candidate set, so the order
 //! stays valid; a per-key cursor skips the used prefix. The pick walks
 //! each key k that holds a kept, unused VM in pack order, folds each kept
-//! VM's exact start (the one [`ScheduleBuilder::probe_all`] computes,
+//! VM's exact start (the one [`TaskProbe::start_on`] computes,
 //! `cross.max(0).max(local).max(avail)`), and leaves the key at the first
 //! one whose start is at most `B_k = max(top_k, 0)` under `total_cmp`.
 //! That is exact: every VM of k but `top_vm(k)` reads `top_k` as its
@@ -97,8 +95,6 @@
 //! traces and the `kernel.*` counters are those of that scan. On layered
 //! DAGs, whose joins tie at `top_k`, the front of each key is free at its
 //! bound, and a pick costs O(preds + keys) instead of O(preds + V).
-//! [`ScheduleBuilder::earliest_start_vm_where`] is the same pick on a
-//! fresh index, on which no VM is used yet.
 //!
 //! The fast path performs the *same floating-point operations* as the
 //! naive code: `f64::max` is exact, so regrouping the ready-time
@@ -128,18 +124,6 @@ const N_REGIONS: usize = Region::ALL.len();
 const N_KEYS: usize = N_REGIONS * N_TYPES;
 const N_PAIRS: usize = N_TYPES * N_TYPES;
 
-/// Task-count threshold of the size-based dispatch: a builder for a DAG
-/// strictly smaller than this (and without shared [`KernelTables`])
-/// skips exec-table construction entirely and computes execution times
-/// on demand — `InstanceType::execution_time` is one multiply, so for
-/// the paper's 20–80-task DAGs the table never pays for its own
-/// allocation. Calibrated with `cws-bench`: the paper workloads
-/// (20–76 tasks) are all faster without the table, layered-10x100
-/// (1000 tasks) is ~10× faster with it; anywhere in 100..1000 is flat.
-/// Bit-identity is unaffected — the table holds exactly
-/// `execution_time`'s results.
-const SMALL_DAG_TASKS: usize = 128;
-
 /// Index of an (instance-type, instance-type) pair in a transfer row.
 #[inline]
 fn pair_idx(from: InstanceType, to: InstanceType) -> usize {
@@ -150,6 +134,43 @@ fn pair_idx(from: InstanceType, to: InstanceType) -> usize {
 #[inline]
 fn key_idx(region: Region, itype: InstanceType) -> usize {
     (region as usize) * N_TYPES + (itype as usize)
+}
+
+/// One task's execution time on every instance type, in
+/// [`InstanceType::ALL`] order: a [`KernelTables`] row, entry for entry
+/// what a builder without tables computes on demand.
+pub(crate) fn exec_row(base_time: f64) -> [f64; N_TYPES] {
+    InstanceType::ALL.map(|it| it.execution_time(base_time))
+}
+
+/// The two factors of every transfer time on `platform`: path latency
+/// per (from-region, to-region) pair and path bandwidth per
+/// [`pair_idx`] type pair.
+///
+/// # Panics
+/// Panics if an edge of `wf` carries a negative transfer size. The
+/// platform's `transfer_time` checks each size as it goes; the tables
+/// are divided into directly, so the sizes are checked here, once.
+fn transfer_tables(
+    wf: &Workflow,
+    platform: &Platform,
+) -> ([[f64; N_REGIONS]; N_REGIONS], [f64; N_PAIRS]) {
+    for e in wf.edges() {
+        assert!(
+            e.data_mb >= 0.0,
+            "transfer size must be non-negative, got {}",
+            e.data_mb
+        );
+    }
+    let net = &platform.network;
+    let lat = Region::ALL.map(|a| Region::ALL.map(|b| net.path_latency_s(a, b)));
+    let mut bw = [0.0; N_PAIRS];
+    for &ft in &InstanceType::ALL {
+        for &tt in &InstanceType::ALL {
+            bw[pair_idx(ft, tt)] = net.path_bandwidth_mbps(ft, tt);
+        }
+    }
+    (lat, bw)
 }
 
 /// Immutable, shareable kernel tables for one `(workflow, platform)`
@@ -167,7 +188,8 @@ fn key_idx(region: Region, itype: InstanceType) -> usize {
 ///
 /// Entries are exactly what a builder would compute for itself
 /// (`execution_time`, `path_bandwidth_mbps`, `path_latency_s`), so
-/// shared-table schedules are bit-identical to owned-table ones.
+/// shared-table schedules are bit-identical to those of a builder that
+/// is offered none.
 #[derive(Debug)]
 pub struct KernelTables {
     /// `exec[task][itype]` execution-time table.
@@ -186,40 +208,11 @@ impl KernelTables {
     ///
     /// # Panics
     /// Panics if any edge carries a negative transfer size (the same
-    /// validation a table-owning builder performs up front).
+    /// validation a builder offered no tables performs up front).
     #[must_use]
     pub fn build(wf: &Workflow, platform: &Platform) -> Self {
-        let net = &platform.network;
-        for e in wf.edges() {
-            assert!(
-                e.data_mb >= 0.0,
-                "transfer size must be non-negative, got {}",
-                e.data_mb
-            );
-        }
-        let exec = wf
-            .ids()
-            .map(|t| {
-                let base = wf.task(t).base_time;
-                let mut row = [0.0; N_TYPES];
-                for (j, it) in InstanceType::ALL.iter().enumerate() {
-                    row[j] = it.execution_time(base);
-                }
-                row
-            })
-            .collect();
-        let mut lat = [[0.0; N_REGIONS]; N_REGIONS];
-        for (i, &a) in Region::ALL.iter().enumerate() {
-            for (j, &b) in Region::ALL.iter().enumerate() {
-                lat[i][j] = net.path_latency_s(a, b);
-            }
-        }
-        let mut bw = [0.0; N_PAIRS];
-        for &ft in &InstanceType::ALL {
-            for &tt in &InstanceType::ALL {
-                bw[pair_idx(ft, tt)] = net.path_bandwidth_mbps(ft, tt);
-            }
-        }
+        let (lat, bw) = transfer_tables(wf, platform);
+        let exec = wf.ids().map(|t| exec_row(wf.task(t).base_time)).collect();
         KernelTables {
             exec,
             lat,
@@ -242,20 +235,6 @@ impl KernelTables {
     }
 }
 
-/// Where a builder's execution-time entries come from — the size-based
-/// dispatch at the heart of the "small DAGs never pay setup" rule.
-#[derive(Debug, Clone)]
-enum ExecSource<'a> {
-    /// Builder-owned table (large DAG, no shared tables offered).
-    Owned(Vec<[f64; N_TYPES]>),
-    /// Borrowed from a shared [`KernelTables`] (sweep amortisation).
-    Shared(&'a KernelTables),
-    /// No table at all: compute `execution_time` on demand. Used below
-    /// [`SMALL_DAG_TASKS`] and by naive-reference builders (which never
-    /// read it — every query short-circuits into [`naive`] first).
-    Direct,
-}
-
 /// Reusable probe workspace, pooled on the builder so consecutive
 /// probes perform **zero** heap allocation once the vectors have grown
 /// to the schedule's high-water mark. Contents are meaningless between
@@ -266,7 +245,7 @@ struct ProbeScratch {
     hosts: Vec<HostPreds>,
     /// Flattened predecessor edges.
     edges: Vec<ProbeEdge>,
-    /// Per-host arrival scratch for `key_ready` (first `hosts.len()`
+    /// Per-host arrival scratch for `key_ready_idx` (first `hosts.len()`
     /// entries live).
     arrivals: Vec<f64>,
     /// `local_ready[vm]`: max predecessor finish hosted on that VM,
@@ -286,9 +265,6 @@ struct ProbeScratch {
     host_epoch: Vec<u64>,
     /// Current probe epoch; bumped once per probe.
     epoch: u64,
-    /// Per-VM batched start times, filled by
-    /// [`ScheduleBuilder::probe_all`].
-    starts: Vec<f64>,
 }
 
 /// One-slot pool for [`ProbeScratch`]: the probe takes the workspace at
@@ -442,10 +418,10 @@ pub struct ScheduleBuilder<'a> {
     /// For each entry of `vms`, the warm-slot index it was claimed from
     /// (`None` = fresh rental). Maintained in lock-step with `vms`.
     origins: Vec<Option<usize>>,
-    /// Execution-time source: owned table, shared [`KernelTables`]
-    /// borrow, or on-demand computation (small DAGs and the naive
-    /// reference, which must not pay or benefit from fast-path setup).
-    exec: ExecSource<'a>,
+    /// Shared tables the execution times are read from; `None` computes
+    /// them on demand. Always `None` for the naive reference, which must
+    /// not benefit from tables a sweep lends.
+    tables: Option<&'a KernelTables>,
     /// Path-latency table: `lat[from_region][to_region]`.
     lat: [[f64; N_REGIONS]; N_REGIONS],
     /// Path-bandwidth table: `bw[pair_idx(from, to)]` in MB/s. A
@@ -457,7 +433,7 @@ pub struct ScheduleBuilder<'a> {
     /// dense `f64` lane instead of striding through whole `Vm` structs.
     vm_avail: Vec<f64>,
     /// Struct-of-arrays mirror of `vms`: each VM's `(region, itype)`
-    /// candidate key as a [`key_idx`] code, for the batched probe pass.
+    /// candidate key as a [`key_idx`] code, read by every probe.
     vm_key: Vec<u16>,
     /// `key_rented[k]`: some VM of [`key_idx`] code `k` has been rented
     /// — the keys whose bound [`Self::earliest_start_vm_in_level`] checks.
@@ -494,23 +470,16 @@ impl<'a> ScheduleBuilder<'a> {
         Self::construct(wf, platform, warm, None)
     }
 
-    /// Start an empty schedule borrowing pre-built [`KernelTables`]
-    /// instead of computing exec/bandwidth/latency tables afresh — the
-    /// cross-schedule amortisation a sweep uses to build 57 schedules
-    /// per workload from one table set. Bit-identical to [`Self::new`].
+    /// Start an empty schedule borrowing pre-built [`KernelTables`] when
+    /// a sweep has them, instead of computing bandwidth and latency
+    /// tables afresh — the cross-schedule amortisation a sweep uses to
+    /// build 57 schedules per workload from one table set. With `None`
+    /// this is [`Self::new`]; the schedule is bit-identical either way.
     ///
     /// # Panics
     /// Panics if `tables` was built for a workflow of a different size.
     #[must_use]
-    pub fn with_tables(wf: &'a Workflow, platform: &'a Platform, tables: &'a KernelTables) -> Self {
-        Self::construct(wf, platform, &[], Some(tables))
-    }
-
-    /// [`Self::with_tables`] when tables are at hand, [`Self::new`]
-    /// otherwise — the form the strategies' `_with` entry points thread
-    /// through.
-    #[must_use]
-    pub fn with_optional_tables(
+    pub fn with_tables(
         wf: &'a Workflow,
         platform: &'a Platform,
         tables: Option<&'a KernelTables>,
@@ -524,74 +493,29 @@ impl<'a> ScheduleBuilder<'a> {
         warm: &[WarmVm],
         tables: Option<&'a KernelTables>,
     ) -> Self {
-        let net = &platform.network;
         #[cfg(any(test, feature = "naive"))]
         let kernel_naive = naive::reference_kernel_enabled();
         #[cfg(not(any(test, feature = "naive")))]
         let kernel_naive = false;
         let counters = obs::metrics_enabled().then(KernelCounters::fetch);
-        let shared = if kernel_naive { None } else { tables };
-        let exec = if kernel_naive {
-            // Never read: every query short-circuits into `naive` first.
-            // Offered tables are ignored entirely (no use is recorded)
-            // so the reference pass keeps its original cost profile.
-            ExecSource::Direct
-        } else if let Some(t) = shared {
-            assert_eq!(
-                t.exec.len(),
-                wf.len(),
-                "kernel tables were built for a different workflow"
-            );
-            let prev = t.uses.fetch_add(1, Ordering::Relaxed);
-            if prev > 0 {
-                if let Some(c) = &counters {
-                    c.table_reuse.inc();
-                }
-            }
-            ExecSource::Shared(t)
-        } else {
-            // The naive kernel validates sizes inside `transfer_time`;
-            // the table path divides directly, so validate up front.
-            for e in wf.edges() {
-                assert!(
-                    e.data_mb >= 0.0,
-                    "transfer size must be non-negative, got {}",
-                    e.data_mb
+        // The reference kernel ignores offered tables entirely (no use is
+        // recorded), so its pass keeps its original cost profile.
+        let tables = tables.filter(|_| !kernel_naive);
+        let (lat, bw) = match tables {
+            Some(t) => {
+                assert_eq!(
+                    t.exec.len(),
+                    wf.len(),
+                    "kernel tables were built for a different workflow"
                 );
-            }
-            if wf.len() < SMALL_DAG_TASKS {
-                ExecSource::Direct
-            } else {
-                ExecSource::Owned(
-                    wf.ids()
-                        .map(|t| {
-                            let base = wf.task(t).base_time;
-                            let mut row = [0.0; N_TYPES];
-                            for (j, it) in InstanceType::ALL.iter().enumerate() {
-                                row[j] = it.execution_time(base);
-                            }
-                            row
-                        })
-                        .collect(),
-                )
-            }
-        };
-        let (lat, bw) = if let Some(t) = shared {
-            (t.lat, t.bw)
-        } else {
-            let mut lat = [[0.0; N_REGIONS]; N_REGIONS];
-            for (i, &a) in Region::ALL.iter().enumerate() {
-                for (j, &b) in Region::ALL.iter().enumerate() {
-                    lat[i][j] = net.path_latency_s(a, b);
+                if t.uses.fetch_add(1, Ordering::Relaxed) > 0 {
+                    if let Some(c) = &counters {
+                        c.table_reuse.inc();
+                    }
                 }
+                (t.lat, t.bw)
             }
-            let mut bw = [0.0; N_PAIRS];
-            for &ft in &InstanceType::ALL {
-                for &tt in &InstanceType::ALL {
-                    bw[pair_idx(ft, tt)] = net.path_bandwidth_mbps(ft, tt);
-                }
-            }
-            (lat, bw)
+            None => transfer_tables(wf, platform),
         };
         ScheduleBuilder {
             wf,
@@ -601,7 +525,7 @@ impl<'a> ScheduleBuilder<'a> {
             warm_slots: warm.to_vec(),
             warm_claimed: vec![false; warm.len()],
             origins: Vec::new(),
-            exec,
+            tables,
             lat,
             bw,
             vm_avail: Vec::new(),
@@ -647,16 +571,14 @@ impl<'a> ScheduleBuilder<'a> {
         self.placements[task.index()]
     }
 
-    /// Fast-path execution-time lookup, dispatched on the builder's
-    /// [`ExecSource`]. `Direct` computes the same one-multiply
-    /// `execution_time` a table entry holds, so all three sources are
-    /// bit-identical.
+    /// Fast-path execution-time lookup: the shared table's entry, or the
+    /// same one-multiply `execution_time` computed on demand, so both
+    /// sources are bit-identical.
     #[inline]
     fn exec_entry(&self, task: TaskId, itype: InstanceType) -> f64 {
-        match &self.exec {
-            ExecSource::Owned(t) => t[task.index()][itype as usize],
-            ExecSource::Shared(t) => t.exec[task.index()][itype as usize],
-            ExecSource::Direct => itype.execution_time(self.wf.task(task).base_time),
+        match self.tables {
+            Some(t) => t.exec[task.index()][itype as usize],
+            None => itype.execution_time(self.wf.task(task).base_time),
         }
     }
 
@@ -711,13 +633,6 @@ impl<'a> ScheduleBuilder<'a> {
         let v = &self.vms[vm.index()];
         self.ready_time(task, Some(vm), v.itype, v.region)
             .max(v.available_at())
-    }
-
-    /// The finish time `task` would get on existing VM `vm`.
-    #[must_use]
-    pub fn finish_time_on(&self, task: TaskId, vm: VmId) -> f64 {
-        let v = &self.vms[vm.index()];
-        self.start_time_on(task, vm) + self.exec_time(task, v.itype)
     }
 
     /// Whether placing `task` on `vm` keeps the VM inside its
@@ -835,49 +750,6 @@ impl<'a> ScheduleBuilder<'a> {
             scratch,
             keys: [None; N_KEYS],
         }
-    }
-
-    /// Batched multi-candidate probe: evaluate **every** rented VM's
-    /// start time for `task` in one cache-friendly pass over the dense
-    /// `vm_key`/`vm_avail` lanes, instead of N independent per-VM
-    /// queries. Ready keys are still built lazily per distinct
-    /// `(region, itype)` key in VM-id first-encounter order, so the
-    /// `kernel.key_ready_builds` counter (and every float operation)
-    /// matches the sequential loops it replaces.
-    ///
-    /// # Panics
-    /// Panics if a predecessor of `task` has not been placed yet.
-    #[must_use]
-    pub fn probe_all(&self, task: TaskId) -> BatchProbe<'_, 'a> {
-        let mut probe = self.probe(task);
-        if !self.is_naive() {
-            if probe.scratch.starts.len() < self.vms.len() {
-                probe.scratch.starts.resize(self.vms.len(), 0.0);
-            }
-            for i in 0..self.vms.len() {
-                probe.scratch.starts[i] = probe.fast_start_at(i);
-            }
-        }
-        BatchProbe { probe }
-    }
-
-    /// The candidate (VM, start, finish) triples `task` would get on
-    /// every rented VM, in VM-id order — the fast replacement for
-    /// hand-rolled `vms().iter().map(|v| finish_time_on(..))` scans.
-    ///
-    /// # Panics
-    /// Panics if a predecessor of `task` has not been placed yet.
-    pub fn candidates_for(&self, task: TaskId) -> impl Iterator<Item = Candidate> + '_ {
-        let mut batch = self.probe_all(task);
-        self.vms.iter().map(move |v| {
-            let start = batch.start_of(v.id);
-            Candidate {
-                vm: v.id,
-                itype: v.itype,
-                start,
-                finish: start + self.exec_time(task, v.itype),
-            }
-        })
     }
 
     /// Rent a fresh VM in the platform's default region and place `task`
@@ -1166,49 +1038,18 @@ impl<'a> ScheduleBuilder<'a> {
         self.busiest.map(|(_, id)| id)
     }
 
-    /// Like [`Self::busiest_vm`] but restricted to VMs accepted by
-    /// `keep`.
-    #[must_use]
-    pub fn busiest_vm_where(&self, mut keep: impl FnMut(&Vm) -> bool) -> Option<VmId> {
-        self.vms
-            .iter()
-            .filter(|v| keep(v))
-            .max_by(|a, b| {
-                a.busy_seconds()
-                    .total_cmp(&b.busy_seconds())
-                    .then(b.id.0.cmp(&a.id.0))
-            })
-            .map(|v| v.id)
-    }
-
-    /// The VM (among those accepted by `keep`) on which `task` could
-    /// start earliest — usually the VM hosting one of its predecessors,
-    /// since that avoids both the transfer delay and any wait for a
-    /// foreign VM to free up. Ties break towards the largest accumulated
-    /// execution time (pack BTUs), then the smaller VM id.
+    /// The AllPar and AllPar1LnS pick: among the VMs `level` has not
+    /// used, of type `itype` when one is given and accepted by `keep`,
+    /// the one on which `task` could start earliest — usually the VM
+    /// hosting one of its predecessors, since that avoids both the
+    /// transfer delay and any wait for a foreign VM to free up. Ties
+    /// break towards the largest accumulated execution time (pack BTUs),
+    /// then the smaller VM id.
     ///
-    /// All of `task`'s predecessors must already be placed. This is
-    /// [`Self::earliest_start_vm_in_level`] at the start of a level, on
-    /// a fresh [`LevelIndex`]; a caller that picks repeatedly keeps one
-    /// index instead.
-    #[must_use]
-    pub fn earliest_start_vm_where(
-        &self,
-        task: TaskId,
-        keep: impl FnMut(&Vm) -> bool,
-    ) -> Option<VmId> {
-        let mut level = LevelIndex::new();
-        level.begin(self);
-        self.earliest_start_vm_in_level(task, &mut level, None, keep)
-    }
-
-    /// [`Self::earliest_start_vm_where`] over the VMs `level` has not
-    /// used, restricted to instance type `itype` when one is given: the
-    /// AllPar and AllPar1LnS pick. The answer, and every ready
-    /// reduction built on the way, are those of the naive scan with a
-    /// filter that keeps a VM when it is unused, of type `itype` and
-    /// accepted by `keep`; the index only lets the pick stop walking a
-    /// key early (module doc, round 5).
+    /// All of `task`'s predecessors must already be placed. The answer,
+    /// and every ready reduction built on the way, are those of the
+    /// naive scan over every kept VM; the index only lets the pick stop
+    /// walking a key early (module doc, round 5).
     #[must_use]
     pub fn earliest_start_vm_in_level(
         &self,
@@ -1442,26 +1283,13 @@ impl LevelIndex {
     }
 }
 
-/// One entry of a [`TaskProbe`]'s candidate stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Candidate {
-    /// The candidate host.
-    pub vm: VmId,
-    /// Its instance type.
-    pub itype: InstanceType,
-    /// Start time the task would get (append policy).
-    pub start: f64,
-    /// Finish time the task would get (append policy).
-    pub finish: f64,
-}
-
 /// The placed predecessors of a probed task that share one host VM.
 #[derive(Debug, Clone, Copy)]
 struct HostPreds {
     /// The host.
     vm: VmId,
     /// Its region (immutable once rented), snapshotted to spare the
-    /// per-edge VM lookup in [`TaskProbe::key_ready`].
+    /// per-edge VM lookup in [`TaskProbe::key_ready_idx`].
     region: Region,
     /// Its instance type, snapshotted for the same reason.
     itype: InstanceType,
@@ -1511,13 +1339,9 @@ impl Drop for TaskProbe<'_, '_> {
 }
 
 impl TaskProbe<'_, '_> {
-    /// The (lazily computed) cross-host reduction for one candidate key.
-    fn key_ready(&mut self, region: Region, itype: InstanceType) -> KeyReady {
-        self.key_ready_idx(key_idx(region, itype))
-    }
-
-    /// [`Self::key_ready`] addressed by pre-encoded [`key_idx`] code
-    /// (the form the batched pass reads straight off `vm_key`).
+    /// The (lazily computed) cross-host reduction for the candidate key
+    /// of [`key_idx`] code `ki`, the code a VM's start reads straight
+    /// off `vm_key`.
     fn key_ready_idx(&mut self, ki: usize) -> KeyReady {
         if let Some(k) = self.keys[ki] {
             return k;
@@ -1597,8 +1421,8 @@ impl TaskProbe<'_, '_> {
         cross.max(0.0).max(self.local_ready_at(i))
     }
 
-    /// Fast-path start on VM slot `i` (append policy): every batched
-    /// pass and VM picker computes a start with these operations.
+    /// Fast-path start on VM slot `i` (append policy): [`Self::start_on`]
+    /// and the level pick compute every start with these operations.
     #[inline]
     fn fast_start_at(&mut self, i: usize) -> f64 {
         self.fast_ready_at(i).max(self.sb.vm_avail[i])
@@ -1622,7 +1446,7 @@ impl TaskProbe<'_, '_> {
         if self.sb.kernel_naive {
             return naive::ready_time(self.sb, self.task, None, itype, region);
         }
-        self.key_ready(region, itype).top.max(0.0)
+        self.key_ready_idx(key_idx(region, itype)).top.max(0.0)
     }
 
     /// Start time the task would get on `vm` (append policy).
@@ -1651,56 +1475,6 @@ impl TaskProbe<'_, '_> {
         let v = &self.sb.vms[vm.index()];
         let duration = self.sb.exec_entry(self.task, v.itype);
         self.sb.gaps[vm.index()].earliest_fit(ready, duration)
-    }
-
-    /// Finish time on `vm` under the insertion policy.
-    pub fn insertion_finish_on(&mut self, vm: VmId) -> f64 {
-        let itype = self.sb.vms[vm.index()].itype;
-        self.insertion_start_on(vm) + self.sb.exec_time(self.task, itype)
-    }
-}
-
-/// The result of [`ScheduleBuilder::probe_all`]: one batched pass has
-/// already computed the task's start time on every rented VM, so the
-/// per-candidate accessors are plain array reads. Fresh-VM and
-/// insertion queries delegate to the underlying [`TaskProbe`] (whose
-/// ready keys the batch pass warmed), so a strategy can compare
-/// existing-VM, new-VM and gap-insertion candidates from one probe.
-#[derive(Debug)]
-pub struct BatchProbe<'b, 'a> {
-    probe: TaskProbe<'b, 'a>,
-}
-
-impl BatchProbe<'_, '_> {
-    /// Start time the task would get on `vm` (append policy). Equals
-    /// `TaskProbe::start_on(vm)`.
-    pub fn start_of(&mut self, vm: VmId) -> f64 {
-        #[cfg(any(test, feature = "naive"))]
-        if self.probe.sb.kernel_naive {
-            return self.probe.start_on(vm);
-        }
-        self.probe.scratch.starts[vm.index()]
-    }
-
-    /// Finish time the task would get on `vm` (append policy).
-    pub fn finish_of(&mut self, vm: VmId) -> f64 {
-        let itype = self.probe.sb.vms[vm.index()].itype;
-        self.start_of(vm) + self.probe.sb.exec_time(self.probe.task, itype)
-    }
-
-    /// Ready time on a *new* VM of `itype` in `region`.
-    pub fn fresh_ready(&mut self, itype: InstanceType, region: Region) -> f64 {
-        self.probe.ready_fresh(itype, region)
-    }
-
-    /// Earliest start on `vm` under the insertion policy.
-    pub fn insertion_start_of(&mut self, vm: VmId) -> f64 {
-        self.probe.insertion_start_on(vm)
-    }
-
-    /// Finish time on `vm` under the insertion policy.
-    pub fn insertion_finish_of(&mut self, vm: VmId) -> f64 {
-        self.probe.insertion_finish_on(vm)
     }
 }
 
@@ -1890,7 +1664,6 @@ mod tests {
         sb.place_on_new(TaskId(0), InstanceType::Small);
         sb.place_on_new(TaskId(1), InstanceType::Small);
         assert_eq!(sb.busiest_vm(), Some(VmId(1)));
-        assert_eq!(sb.busiest_vm_where(|v| v.id == VmId(0)), Some(VmId(0)));
     }
 
     #[test]
@@ -1988,6 +1761,13 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The AllPar pick at the start of a level, on a fresh index.
+    fn first_pick_in_level(sb: &ScheduleBuilder<'_>, task: TaskId) -> Option<VmId> {
+        let mut level = LevelIndex::new();
+        level.begin(sb);
+        sb.earliest_start_vm_in_level(task, &mut level, None, |_| true)
+    }
+
     #[test]
     fn fast_probes_match_naive_reference() {
         let wf = diamond();
@@ -1997,6 +1777,7 @@ mod tests {
         sb.place_on_new_in(TaskId(1), InstanceType::Large, Region::EuDublin);
         sb.place_on_new(TaskId(2), InstanceType::Medium);
         let task = TaskId(3);
+        let mut probe = sb.probe(task);
         for v in 0..3 {
             let vm = VmId(v);
             let vt = sb.vm(vm).itype;
@@ -2006,10 +1787,13 @@ mod tests {
                 naive::ready_time(&sb, task, Some(vm), vt, vr),
                 "ready on {vm}"
             );
+            let start = naive::start_time_on(&sb, task, vm);
+            assert_eq!(sb.start_time_on(task, vm), start, "start on {vm}");
+            assert_eq!(probe.start_on(vm), start, "probed start on {vm}");
             assert_eq!(
-                sb.start_time_on(task, vm),
-                naive::start_time_on(&sb, task, vm),
-                "start on {vm}"
+                probe.finish_on(vm),
+                start + naive::exec_time(&sb, task, vt),
+                "probed finish on {vm}"
             );
             assert_eq!(
                 sb.insertion_start_on(task, vm),
@@ -2026,9 +1810,10 @@ mod tests {
                 );
             }
         }
+        drop(probe);
         assert_eq!(sb.busiest_vm(), naive::busiest_vm(&sb));
         assert_eq!(
-            sb.earliest_start_vm_where(task, |_| true),
+            first_pick_in_level(&sb, task),
             naive::earliest_start_vm_where(&sb, task, |_| true)
         );
     }
@@ -2047,18 +1832,13 @@ mod tests {
             let vm = VmId(v);
             let (vt, vr) = (sb.vm(vm).itype, sb.vm(vm).region);
             assert_eq!(probe.ready_on(vm), sb.ready_time(task, Some(vm), vt, vr));
-            assert_eq!(probe.start_on(vm), sb.start_time_on(task, vm));
-            assert_eq!(probe.finish_on(vm), sb.finish_time_on(task, vm));
+            let start = sb.start_time_on(task, vm);
+            assert_eq!(probe.start_on(vm), start);
+            assert_eq!(probe.finish_on(vm), start + sb.exec_time(task, vt));
             assert_eq!(
                 probe.insertion_start_on(vm),
                 sb.insertion_start_on(task, vm)
             );
-        }
-        let candidates: Vec<Candidate> = sb.candidates_for(task).collect();
-        assert_eq!(candidates.len(), 3);
-        for c in &candidates {
-            assert_eq!(c.start, sb.start_time_on(task, c.vm));
-            assert_eq!(c.finish, sb.finish_time_on(task, c.vm));
         }
     }
 
@@ -2128,9 +1908,7 @@ mod tests {
         let run = || {
             let mut sb = ScheduleBuilder::new(&wf, &p);
             sb.place_on_new(TaskId(0), InstanceType::Small);
-            let vm = sb
-                .earliest_start_vm_where(TaskId(1), |_| true)
-                .expect("one VM");
+            let vm = first_pick_in_level(&sb, TaskId(1)).expect("one VM");
             sb.place_on(TaskId(1), vm);
             sb.place_on_new(TaskId(2), InstanceType::Medium);
             let vm = sb.busiest_vm().expect("vms exist");

@@ -46,24 +46,16 @@ fn reference_heft(wf: &Workflow, platform: &Platform, itype: InstanceType) -> Sc
     let mut sb = ScheduleBuilder::new(wf, platform);
     for task in heft_order(wf, platform, itype) {
         let exec = sb.exec_time(task, itype);
-        let vm_count = sb.vms().len();
-        let (starts, fresh_ready) = {
-            let mut batch = sb.probe_all(task);
-            let starts: Vec<f64> = (0..vm_count)
-                .map(|i| batch.start_of(VmId(i as u32)))
-                .collect();
-            let fresh_ready = batch.fresh_ready(itype, region);
-            (starts, fresh_ready)
-        };
+        let mut probe = sb.probe(task);
         let mut best = (
-            fresh_ready + platform.boot_time_s + exec,
+            probe.ready_fresh(itype, region) + platform.boot_time_s + exec,
             btus_for_span(exec) as f64 * od_btu,
             1u8,
-            vm_count as u32,
+            sb.vms().len() as u32,
         );
         let mut best_vm: Option<VmId> = None;
-        for (i, &start) in starts.iter().enumerate() {
-            let vm = &sb.vms()[i];
+        for (i, vm) in sb.vms().iter().enumerate() {
+            let start = probe.start_on(vm.id);
             let busy_before = vm.busy_seconds();
             let busy_after = busy_before + exec;
             let marginal = (btus_for_span(busy_after) - btus_for_span(busy_before)) as f64 * od_btu;
@@ -73,6 +65,7 @@ fn reference_heft(wf: &Workflow, platform: &Platform, itype: InstanceType) -> Sc
                 best_vm = Some(vm.id);
             }
         }
+        drop(probe);
         match best_vm {
             Some(vm) => sb.place_on(task, vm),
             None => {

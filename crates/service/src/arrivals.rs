@@ -93,19 +93,6 @@ pub enum ArrivalModel {
     Trace(Vec<Vec<f64>>),
 }
 
-/// One workflow submission.
-#[derive(Debug, Clone)]
-pub struct Arrival {
-    /// Index into the tenant list.
-    pub tenant: usize,
-    /// Submission number within the tenant (0-based).
-    pub seq: usize,
-    /// Wall-clock submission time in seconds.
-    pub time: f64,
-    /// The materialized workflow.
-    pub wf: Workflow,
-}
-
 /// One workflow submission before its workflow is materialized: who
 /// arrives when, plus the seed that deterministically produces the
 /// workflow. Realization is the expensive step (RNG draws + DAG
@@ -206,16 +193,22 @@ impl Ord for Head {
     }
 }
 
-/// Lazy, time-sorted stream of [`ArrivalTicket`]s.
+/// Lazy, time-sorted stream of [`ArrivalTicket`]s: every submission of
+/// a service run, in event order.
+///
+/// Deterministic: tenant `i` draws inter-arrival gaps and workflow
+/// seeds from the stream `mix_seed(seed, i)`, so the sequence is a pure
+/// function of `(tenants, model, seed)`. Ties in time order break by
+/// tenant index, then submission number.
 ///
 /// Memory is `O(tenants)` — one generator and one buffered head per
 /// tenant — regardless of how many arrivals the run produces, which is
 /// what lets a million-submission trace run in constant memory. The
-/// merge yields exactly the sequence [`generate_arrivals`] used to
-/// build eagerly: per-tenant orders are consistent with the global
+/// k-way merge yields exactly the eager materialize-then-sort order:
+/// per-tenant orders are consistent with the global
 /// `(time, tenant, seq)` comparator (Poisson times strictly increase;
-/// trace times are pre-sorted per tenant), so the k-way merge and the
-/// eager global sort agree element for element.
+/// trace times are pre-sorted per tenant), so the merge and the eager
+/// global sort agree element for element.
 pub struct TicketStream {
     gens: Vec<TenantGen>,
     /// Per-tenant workflow-seed stream (`mix_seed(seed, tenant)`).
@@ -224,7 +217,7 @@ pub struct TicketStream {
 }
 
 impl TicketStream {
-    /// Build the stream. Validation matches the eager path.
+    /// Build the stream.
     ///
     /// # Panics
     /// Panics if a rate is negative, the horizon is not finite, or a
@@ -308,62 +301,13 @@ impl Iterator for TicketStream {
     }
 }
 
-/// Lazy, time-sorted stream of materialized [`Arrival`]s — the ticket
-/// stream plus realization, for engines that consume workflows one at
-/// a time on the driving thread.
-pub struct ArrivalStream {
-    tickets: TicketStream,
-    kinds: Vec<WorkloadKind>,
-}
-
-impl ArrivalStream {
-    /// Build the stream (see [`TicketStream::new`] for validation).
-    ///
-    /// # Panics
-    /// Panics on the same invalid inputs as [`TicketStream::new`].
-    #[must_use]
-    pub fn new(tenants: &[TenantSpec], model: &ArrivalModel, seed: u64) -> Self {
-        ArrivalStream {
-            tickets: TicketStream::new(tenants, model, seed),
-            kinds: tenants.iter().map(|t| t.kind).collect(),
-        }
-    }
-}
-
-impl Iterator for ArrivalStream {
-    type Item = Arrival;
-
-    fn next(&mut self) -> Option<Arrival> {
-        let ticket = self.tickets.next()?;
-        Some(Arrival {
-            tenant: ticket.tenant,
-            seq: ticket.seq,
-            time: ticket.time,
-            wf: ticket.realize(self.kinds[ticket.tenant]),
-        })
-    }
-}
-
-/// Generate the full, time-sorted arrival list for a service run.
-///
-/// Deterministic: tenant `i` draws inter-arrival gaps and workflow
-/// runtimes from the stream `mix_seed(seed, i)`, so the result is a pure
-/// function of `(tenants, model, seed)`. Ties in time order break by
-/// tenant index, then submission number. This is simply
-/// [`ArrivalStream`] collected; engines that can consume arrivals one
-/// at a time should iterate the stream instead of materializing it.
-///
-/// # Panics
-/// Panics if a rate is negative, the horizon is not finite, or a trace
-/// contains a negative or non-finite time.
-#[must_use]
-pub fn generate_arrivals(tenants: &[TenantSpec], model: &ArrivalModel, seed: u64) -> Vec<Arrival> {
-    ArrivalStream::new(tenants, model, seed).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tickets(tenants: &[TenantSpec], model: &ArrivalModel, seed: u64) -> Vec<ArrivalTicket> {
+        TicketStream::new(tenants, model, seed).collect()
+    }
 
     fn two_tenants(rate: f64) -> Vec<TenantSpec> {
         vec![
@@ -386,16 +330,17 @@ mod tests {
         let model = ArrivalModel::Poisson {
             horizon_s: 4.0 * 3600.0,
         };
-        let a = generate_arrivals(&tenants, &model, 7);
-        let b = generate_arrivals(&tenants, &model, 7);
+        let a = tickets(&tenants, &model, 7);
+        let b = tickets(&tenants, &model, 7);
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
-                (x.tenant, x.seq, x.time.to_bits()),
-                (y.tenant, y.seq, y.time.to_bits())
+                (x.tenant, x.seq, x.time.to_bits(), x.wf_seed),
+                (y.tenant, y.seq, y.time.to_bits(), y.wf_seed)
             );
-            assert_eq!(x.wf.len(), y.wf.len());
+            let kind = tenants[x.tenant].kind;
+            assert_eq!(x.realize(kind).len(), y.realize(kind).len());
         }
         assert!(a.windows(2).all(|w| w[0].time <= w[1].time));
     }
@@ -404,7 +349,7 @@ mod tests {
     fn zero_rate_means_zero_arrivals() {
         let tenants = two_tenants(0.0);
         let model = ArrivalModel::Poisson { horizon_s: 3600.0 };
-        assert!(generate_arrivals(&tenants, &model, 1).is_empty());
+        assert!(tickets(&tenants, &model, 1).is_empty());
     }
 
     #[test]
@@ -417,9 +362,9 @@ mod tests {
         let model = ArrivalModel::Poisson {
             horizon_s: 2.0 * 3600.0,
         };
-        let a = generate_arrivals(&t1, &model, 3);
-        let b = generate_arrivals(&t2, &model, 3);
-        let times = |v: &[Arrival], tenant| -> Vec<u64> {
+        let a = tickets(&t1, &model, 3);
+        let b = tickets(&t2, &model, 3);
+        let times = |v: &[ArrivalTicket], tenant| -> Vec<u64> {
             v.iter()
                 .filter(|x| x.tenant == tenant)
                 .map(|x| x.time.to_bits())
@@ -432,7 +377,7 @@ mod tests {
     fn trace_model_replays_given_times() {
         let tenants = two_tenants(99.0); // rate ignored
         let model = ArrivalModel::Trace(vec![vec![10.0, 400.0], vec![30.0]]);
-        let a = generate_arrivals(&tenants, &model, 5);
+        let a = tickets(&tenants, &model, 5);
         let seq: Vec<(usize, u64)> = a.iter().map(|x| (x.tenant, x.time.to_bits())).collect();
         assert_eq!(
             seq,
@@ -448,20 +393,19 @@ mod tests {
     fn per_arrival_runtimes_differ() {
         let tenants = two_tenants(30.0);
         let model = ArrivalModel::Poisson { horizon_s: 3600.0 };
-        let a = generate_arrivals(&tenants, &model, 11);
-        let first: Vec<_> = a.iter().filter(|x| x.tenant == 0).take(2).collect();
+        let first: Vec<Workflow> = tickets(&tenants, &model, 11)
+            .iter()
+            .filter(|x| x.tenant == 0)
+            .take(2)
+            .map(|x| x.realize(tenants[0].kind))
+            .collect();
         assert_eq!(first.len(), 2, "need two montage arrivals");
-        let t0: f64 = first[0]
-            .wf
-            .ids()
-            .map(|t| first[0].wf.task(t).base_time)
-            .sum();
-        let t1: f64 = first[1]
-            .wf
-            .ids()
-            .map(|t| first[1].wf.task(t).base_time)
-            .sum();
-        assert_ne!(t0.to_bits(), t1.to_bits(), "Pareto redraw per arrival");
+        let work = |wf: &Workflow| -> f64 { wf.ids().map(|t| wf.task(t).base_time).sum() };
+        assert_ne!(
+            work(&first[0]).to_bits(),
+            work(&first[1]).to_bits(),
+            "Pareto redraw per arrival"
+        );
     }
 
     /// The lazy k-way merge must reproduce the eager
@@ -512,27 +456,6 @@ mod tests {
             for (s, e) in streamed.iter().zip(&eager) {
                 assert_eq!((s.0, s.1, s.2.to_bits()), (e.0, e.1, e.2.to_bits()));
             }
-        }
-    }
-
-    #[test]
-    fn tickets_realize_the_same_workflows_as_arrivals() {
-        let tenants = two_tenants(12.0);
-        let model = ArrivalModel::Poisson { horizon_s: 1800.0 };
-        let arrivals = generate_arrivals(&tenants, &model, 21);
-        let tickets: Vec<ArrivalTicket> = TicketStream::new(&tenants, &model, 21).collect();
-        assert_eq!(arrivals.len(), tickets.len());
-        assert!(!arrivals.is_empty());
-        for (a, t) in arrivals.iter().zip(&tickets) {
-            assert_eq!(
-                (a.tenant, a.seq, a.time.to_bits()),
-                (t.tenant, t.seq, t.time.to_bits())
-            );
-            let wf = t.realize(tenants[t.tenant].kind);
-            assert_eq!(wf.len(), a.wf.len());
-            let sum =
-                |w: &cws_dag::Workflow| -> f64 { w.ids().map(|id| w.task(id).base_time).sum() };
-            assert_eq!(sum(&wf).to_bits(), sum(&a.wf).to_bits());
         }
     }
 

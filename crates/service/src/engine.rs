@@ -5,7 +5,7 @@
 //! The service itself runs on the sharded engine in `cws-serve`, whose
 //! reports and trace bytes the tests hold equal to this loop's.
 
-use crate::arrivals::{ArrivalModel, ArrivalStream, TenantSpec};
+use crate::arrivals::{ArrivalModel, TenantSpec, TicketStream};
 use crate::pool::{ReclaimPolicy, VmPool};
 use crate::report::ServiceReport;
 use cws_core::pooled::pooled_static;
@@ -72,10 +72,11 @@ pub fn run_service(platform: &Platform, cfg: &ServiceConfig) -> ServiceReport {
 
 /// Run the service, returning the report plus the full trace.
 ///
-/// Arrivals are consumed lazily from [`ArrivalStream`] — already in
+/// Arrivals are consumed lazily from [`TicketStream`] — already in
 /// event order (time, then tenant, then submission number, the same
-/// FIFO tie-breaking `cws-sim`'s event queue would apply) — so only
-/// one materialized workflow is alive at a time and a million-
+/// FIFO tie-breaking `cws-sim`'s event queue would apply) — and each
+/// ticket is realized with its tenant's workload kind as it comes, so
+/// only one materialized workflow is alive at a time and a million-
 /// submission run needs memory for its records and pool, not its
 /// workflows. The cold one-shot reference schedule is a counterfactual:
 /// it runs under [`cws_obs::quiet`] so it leaves no mark in the trace
@@ -89,13 +90,13 @@ pub fn run_service_traced(
 
     let mut pool = VmPool::new(cfg.reclaim);
     let mut records: Vec<WorkflowRecord> = Vec::new();
-    for arrival in ArrivalStream::new(&cfg.tenants, &cfg.model, cfg.seed) {
-        let now = arrival.time;
+    for ticket in TicketStream::new(&cfg.tenants, &cfg.model, cfg.seed) {
+        let wf = ticket.realize(cfg.tenants[ticket.tenant].kind);
+        let now = ticket.time;
         pool.reclaim_until(now);
         let (warm, slot_map) = pool.warm_slots(now);
-        let pooled = pooled_static(&arrival.wf, &platform, cfg.alloc, cfg.itype, &warm);
-        let cold =
-            cws_obs::quiet(|| pooled_static(&arrival.wf, &platform, cfg.alloc, cfg.itype, &[]));
+        let pooled = pooled_static(&wf, &platform, cfg.alloc, cfg.itype, &warm);
+        let cold = cws_obs::quiet(|| pooled_static(&wf, &platform, cfg.alloc, cfg.itype, &[]));
         let queue_delay_s = pooled
             .schedule
             .placements
@@ -103,16 +104,16 @@ pub fn run_service_traced(
             .map(|p| p.start)
             .fold(f64::INFINITY, f64::min);
         records.push(WorkflowRecord {
-            tenant: arrival.tenant,
+            tenant: ticket.tenant,
             arrival_s: now,
             makespan_s: pooled.schedule.makespan(),
             cold_makespan_s: cold.schedule.makespan(),
             queue_delay_s,
             pool_hits: pooled.pool_hits(),
             cold_rentals: pooled.cold_rentals(),
-            tasks: arrival.wf.len(),
+            tasks: wf.len(),
         });
-        pool.commit(now, arrival.tenant, &pooled, &slot_map, &platform);
+        pool.commit(now, ticket.tenant, &pooled, &slot_map, &platform);
     }
     pool.finish();
 

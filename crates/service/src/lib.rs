@@ -37,10 +37,7 @@ pub mod engine;
 pub mod pool;
 pub mod report;
 
-pub use arrivals::{
-    generate_arrivals, Arrival, ArrivalModel, ArrivalStream, ArrivalTicket, TenantSpec,
-    TicketStream, WorkloadKind,
-};
+pub use arrivals::{ArrivalModel, ArrivalTicket, TenantSpec, TicketStream, WorkloadKind};
 pub use engine::{run_service, run_service_traced, ServiceConfig, ServiceTrace, WorkflowRecord};
 pub use pool::{reclaim_deadline, PoolVm, ReclaimPolicy, VmPool};
 pub use report::{FleetReport, ReportAccumulator, ServiceReport, ServiceSummary, TenantReport};

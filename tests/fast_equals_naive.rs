@@ -5,9 +5,16 @@
 //! every sweep does. The crate's property suite covers random and small
 //! shapes; this pins the larger pipeline, broadcast and join shapes the
 //! kernel's shortcuts target, and the exact rank ties of equal runtimes.
+//! The allocators outside the paper set that weigh every candidate VM
+//! with one probe (spot-HEFT, Min-Min/Max-Min, insertion HEFT and pool
+//! HEFT) are held to the same bar on the same workflows.
 
+use cloud_workflow_sched::core::alloc::{
+    heft_insertion, heft_pool, list_schedule, spot_heft_with, ListRule, PoolSpec,
+};
 use cloud_workflow_sched::core::state::naive;
 use cloud_workflow_sched::core::{DynamicBudgets, KernelTables};
+use cloud_workflow_sched::platform::SpotMarket;
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::workloads::random::{layered_dag, LayeredShape};
 use cloud_workflow_sched::workloads::{CyberShakeShape, EpigenomicsShape};
@@ -25,11 +32,11 @@ fn on_reference_kernel<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
-#[test]
-fn paper_set_fast_equals_naive_on_wfcommons_shapes() {
-    let platform = Platform::ec2_paper();
+/// Three WfCommons shapes with Pareto runtimes and an equal-runtime
+/// layered DAG.
+fn workflows() -> [Workflow; 4] {
     let pareto = |wf: Workflow| Scenario::Pareto { seed: 42 }.apply(&wf);
-    let workflows = [
+    [
         pareto(epigenomics(EpigenomicsShape {
             lanes: 10,
             chunks_per_lane: 20,
@@ -45,7 +52,25 @@ fn paper_set_fast_equals_naive_on_wfcommons_shapes() {
             edge_prob: 0.2,
             seed: 42,
         }),
-    ];
+    ]
+}
+
+/// Assert that `run` builds the same schedule on both kernels.
+fn assert_kernels_agree(what: &str, wf: &Workflow, run: impl Fn() -> Schedule) {
+    let fast = run();
+    let reference = on_reference_kernel(&run);
+    assert_eq!(
+        fast,
+        reference,
+        "{what} on {}: fast kernel diverged from the naive reference",
+        wf.name()
+    );
+}
+
+#[test]
+fn paper_set_fast_equals_naive_on_wfcommons_shapes() {
+    let platform = Platform::ec2_paper();
+    let workflows = workflows();
     // Besides the paper's 2x, budgets an equal-runtime DAG cannot
     // saturate: 2x and 4x upgrade every task whatever the order.
     let budgets = [1.5, 3.0].map(|m| DynamicBudgets {
@@ -68,6 +93,40 @@ fn paper_set_fast_equals_naive_on_wfcommons_shapes() {
                 "{strategy:?} on {}: fast kernel diverged from the naive reference",
                 wf.name()
             );
+        }
+    }
+}
+
+#[test]
+fn probe_callers_fast_equal_naive_on_wfcommons_shapes() {
+    let platform = Platform::ec2_paper();
+    let markets = [SpotMarket::default(), SpotMarket::new(0.3, 0.9)];
+    let capped = PoolSpec {
+        max_vms: Some(4),
+        ..PoolSpec::default()
+    };
+    for wf in &workflows() {
+        let tables = KernelTables::build(wf, &platform);
+        // The reference kernel ignores the offered tables.
+        for market in &markets {
+            for itype in InstanceType::ALL {
+                assert_kernels_agree(&format!("spot-HEFT {itype:?} on {market:?}"), wf, || {
+                    spot_heft_with(wf, &platform, market, itype, Some(&tables))
+                });
+            }
+        }
+        for rule in [ListRule::MinMin, ListRule::MaxMin] {
+            assert_kernels_agree(rule.name(), wf, || {
+                list_schedule(wf, &platform, rule, InstanceType::Small, 3)
+            });
+        }
+        assert_kernels_agree("HEFT-ins", wf, || {
+            heft_insertion(wf, &platform, InstanceType::Medium, 3)
+        });
+        for pool in [&PoolSpec::default(), &capped] {
+            assert_kernels_agree(&format!("HEFT-pool {pool:?}"), wf, || {
+                heft_pool(wf, &platform, pool)
+            });
         }
     }
 }
