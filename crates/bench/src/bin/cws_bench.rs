@@ -4,7 +4,7 @@
 //! plus 1000-task and 10000-task random layered DAGs and the
 //! 10 103-task pipeline-shaped `epigenomics-50x50` through all 19
 //! paper pairings, first on the fast kernel (shared exec/transfer
-//! tables, pooled probe scratch, per-VM gap index and level index, see
+//! tables, pooled probe scratch and level index, see
 //! `cws_core::state`) and then on the naive reference kernel
 //! (`cws_core::state::naive`, compiled in via the `naive` feature), and
 //! writes wall-clock seconds, schedules/sec and the fast-vs-naive
@@ -26,7 +26,7 @@
 //! After the timed passes (which run with observability disabled, so
 //! the numbers stay comparable across revisions), one *untimed*
 //! instrumented pass schedules and replays every workload with the
-//! `cws-obs` counters on — probes, key-ready builds, gap-index hits,
+//! `cws-obs` counters on — probes, key-ready builds, gap hits,
 //! placements, simulator events — and embeds the snapshot in
 //! `BENCH_kernel.json`, with a `RunManifest` written as
 //! `<out>.manifest.json` beside it.

@@ -35,26 +35,18 @@ pub fn heft_insertion(
     let mut sb = ScheduleBuilder::new(wf, platform);
     let mut pool: Vec<VmId> = Vec::new();
     for task in order {
-        // Lazily open pool slots: a fresh VM is equivalent to an empty
-        // gap from time zero.
-        if pool.len() < machines {
-            // Compare the best existing insertion against a fresh slot.
-            let fresh_ready = sb.ready_time(task, None, itype, platform.default_region);
-            let fresh_finish = fresh_ready + platform.boot_time_s + sb.exec_time(task, itype);
-            match best_insertion(&sb, task, itype, &pool) {
-                Some((vm, fe)) if fe <= fresh_finish + 1e-9 => {
-                    sb.place_on_inserted(task, vm);
-                }
-                _ => {
-                    let vm = sb.place_on_new(task, itype);
-                    pool.push(vm);
-                }
-            }
-        } else {
-            // The `else` branch runs only once the pool is at capacity.
-            // cws-lint: allow(unwrap-in-kernel)
-            let (vm, _) = best_insertion(&sb, task, itype, &pool).expect("pool is non-empty");
-            sb.place_on_inserted(task, vm);
+        let duration = sb.exec_time(task, itype);
+        let mut probe = sb.probe(task);
+        let best = best_insertion(&mut probe, &pool, duration);
+        // Lazily open pool slots: while the pool has room, the best
+        // insertion competes with a fresh slot.
+        let fresh_finish = (pool.len() < machines).then(|| {
+            probe.ready_fresh(itype, platform.default_region) + platform.boot_time_s + duration
+        });
+        drop(probe);
+        match best.filter(|&(_, fe)| fresh_finish.is_none_or(|ff| fe <= ff + 1e-9)) {
+            Some((vm, _)) => sb.place_on_inserted(task, vm),
+            None => pool.push(sb.place_on_new(task, itype)),
         }
     }
     sb.build(format!("HEFT-ins-{}x{machines}", itype.suffix()))

@@ -82,15 +82,12 @@ pub fn heft_pool(wf: &Workflow, platform: &Platform, pool: &PoolSpec) -> Schedul
 
     let mut sb = ScheduleBuilder::new(wf, platform);
     for task in order {
+        let mut probe = sb.probe(task);
         // Candidate 1: best existing VM by finish time.
-        let best_existing = {
-            let mut probe = sb.probe(task);
-            min_finish(sb.vms().iter().map(|v| (v.id, probe.finish_on(v.id))))
-        };
+        let best_existing = min_finish(sb.vms().iter().map(|v| (v.id, probe.finish_on(v.id))));
         // Candidate 2: best fresh rental by finish time (cheapest on tie).
         let can_rent = pool.max_vms.is_none_or(|cap| sb.vms().len() < cap);
         let best_new = if can_rent {
-            let mut probe = sb.probe(task);
             pool.rentable
                 .iter()
                 .map(|&t| {
@@ -105,6 +102,7 @@ pub fn heft_pool(wf: &Workflow, platform: &Platform, pool: &PoolSpec) -> Schedul
         } else {
             None
         };
+        drop(probe);
 
         match (best_existing, best_new) {
             (Some((vm, fe)), Some((t, fn_))) => {

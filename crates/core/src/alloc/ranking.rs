@@ -7,10 +7,9 @@
 //! building blocks live here so the modules differ only in their cost
 //! basis and candidate sets.
 
-use crate::state::ScheduleBuilder;
+use crate::state::TaskProbe;
 use crate::vm::VmId;
 use cws_dag::{upward_ranks, Edge, TaskId, Workflow};
-use cws_platform::InstanceType;
 
 /// Tasks of `wf` by descending upward rank under the given cost model,
 /// ties broken by topological position — so the order is always a valid
@@ -42,28 +41,28 @@ pub fn min_finish(candidates: impl Iterator<Item = (VmId, f64)>) -> Option<(VmId
     candidates.min_by(|a, b| a.1.total_cmp(&b.1).then(a.0 .0.cmp(&b.0 .0)))
 }
 
-/// Best insertion slot for `task` across `pool`: the VM (and resulting
-/// finish time) where gap-insertion finishes the task earliest. One
-/// [`ScheduleBuilder::probe`] serves every pool member: it pays the
-/// ready reduction over `task`'s predecessors once, so the per-VM step
-/// is a gap-index lookup.
+/// Best insertion slot across `pool` for the probed task, which runs
+/// for `duration` on every pool member: the VM (and resulting finish
+/// time) where gap-insertion finishes the task earliest. The caller's
+/// one [`TaskProbe`] serves every pool member: it pays the ready
+/// reduction over the task's predecessors once, so the per-VM step is a
+/// walk of that VM's task list.
 #[must_use]
 pub fn best_insertion(
-    sb: &ScheduleBuilder<'_>,
-    task: TaskId,
-    itype: InstanceType,
+    probe: &mut TaskProbe<'_, '_>,
     pool: &[VmId],
+    duration: f64,
 ) -> Option<(VmId, f64)> {
-    let mut probe = sb.probe(task);
-    min_finish(pool.iter().map(|&vm| {
-        let start = probe.insertion_start_on(vm);
-        (vm, start + sb.exec_time(task, itype))
-    }))
+    min_finish(
+        pool.iter()
+            .map(|&vm| (vm, probe.insertion_start_on(vm) + duration)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::ScheduleBuilder;
     use cws_dag::WorkflowBuilder;
     use cws_platform::Platform;
 
@@ -113,6 +112,6 @@ mod tests {
         let wf = b.build().unwrap();
         let p = Platform::ec2_paper();
         let sb = ScheduleBuilder::new(&wf, &p);
-        assert_eq!(best_insertion(&sb, t, InstanceType::Small, &[]), None);
+        assert_eq!(best_insertion(&mut sb.probe(t), &[], 100.0), None);
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests proving the fast scheduling kernel (cached exec and
-//! bandwidth/latency tables, per-VM gap index, incremental busiest
+//! bandwidth/latency tables, level index, incremental busiest
 //! tracking — see
 //! [`crate::state`]) is *bit-identical* to the naive reference kernel
 //! kept in [`crate::state::naive`].

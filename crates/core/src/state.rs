@@ -10,10 +10,10 @@
 //!
 //! # Fast path
 //!
-//! Every probe (`ready_time`, `start_time_on`, `insertion_start_on`, …)
-//! used to recompute execution times, per-edge transfer times and gap
-//! scans from scratch, making each allocation pass O(T·V·preds) with
-//! heavily redundant work. The builder now precomputes at construction:
+//! Every probe (ready, start and insertion queries against a candidate
+//! VM) used to recompute execution times and per-edge transfer times
+//! from scratch, making each allocation pass O(T·V·preds) with heavily
+//! redundant work. The builder now precomputes at construction:
 //!
 //! * a task × instance-type **execution-time table** (`exec`), and
 //! * the two independent factors of every transfer time — path
@@ -22,12 +22,11 @@
 //!   costs one division and one add of table entries, with no
 //!   per-platform-call region/type dispatch;
 //!
-//! and maintains incrementally at every placement:
-//!
-//! * a per-VM **gap index** (`gaps`: chronological idle windows plus the
-//!   busy tail), so insertion probes stop rescanning [`Vm::tasks`], and
-//! * the running **busiest-VM argmax** (`busiest`), so the
-//!   StartPar/AllPar policies' `busiest_vm` query is O(1).
+//! and maintains the running **busiest-VM argmax** (`busiest`) at every
+//! placement, so the StartPar/AllPar policies' `busiest_vm` query is
+//! O(1). Each VM keeps one timeline, its chronological [`Vm::tasks`]
+//! list: the insertion policy walks it, in the fast and the reference
+//! kernel alike, and no strategy the paper compares inserts.
 //!
 //! [`ScheduleBuilder::probe`] hoists the per-task part of `ready_time`
 //! out of VM scans: it buckets the placed predecessors by host VM once,
@@ -103,9 +102,7 @@
 //! `naive` module keeps the original implementations (compiled only
 //! for tests and under the `naive` feature) and the `fastpath_tests`
 //! property suite proves schedule-level equality on random DAGs across
-//! every strategy pairing. The single documented deviation: idle gaps
-//! narrower than 1e-9 s are not indexed, which can only change the
-//! placement of tasks shorter than 2e-9 s.
+//! every strategy pairing.
 
 use crate::pooled::WarmVm;
 use crate::schedule::{Schedule, TaskPlacement};
@@ -300,69 +297,6 @@ impl Clone for ScratchCell {
     }
 }
 
-/// Per-VM idle-window index: the gaps an insertion-policy task may fill
-/// and the busy tail appends land on. Gaps no wider than [`EPS`] are
-/// dropped — they could only host tasks shorter than 2·EPS.
-#[derive(Debug, Clone)]
-struct VmGaps {
-    /// Idle `[start, end)` windows in chronological order.
-    gaps: Vec<(f64, f64)>,
-    /// Maximum of the rental open and every appended task end — the
-    /// cursor the naive gap scan would hold after the last task.
-    tail: f64,
-}
-
-impl VmGaps {
-    fn new(open: f64) -> Self {
-        VmGaps {
-            gaps: Vec::new(),
-            tail: open,
-        }
-    }
-
-    /// Record a task appended at the tail.
-    fn note_append(&mut self, start: f64, finish: f64) {
-        if start - self.tail > EPS {
-            self.gaps.push((self.tail, start));
-        }
-        self.tail = self.tail.max(finish);
-    }
-
-    /// Record a task placed by the insertion policy: split the gap it
-    /// landed in (tail placements fall back to [`Self::note_append`]).
-    fn note_insert(&mut self, start: f64, finish: f64) {
-        let containing = self
-            .gaps
-            .iter()
-            .position(|&(gs, ge)| gs <= start + EPS && finish <= ge + EPS);
-        match containing {
-            Some(i) => {
-                let (gs, ge) = self.gaps[i];
-                self.gaps.remove(i);
-                if ge - finish > EPS {
-                    self.gaps.insert(i, (finish, ge));
-                }
-                if start - gs > EPS {
-                    self.gaps.insert(i, (gs, start));
-                }
-            }
-            None => self.note_append(start, finish),
-        }
-    }
-
-    /// Earliest start for a task of `duration` that is ready at `ready`:
-    /// the first indexed gap that fits, else the tail.
-    fn earliest_fit(&self, ready: f64, duration: f64) -> f64 {
-        for &(gs, ge) in &self.gaps {
-            let start = gs.max(ready);
-            if start + duration <= ge + EPS {
-                return start;
-            }
-        }
-        self.tail.max(ready)
-    }
-}
-
 /// Pre-fetched handles to the kernel's observability counters (the
 /// `kernel.*` and `pool.*` names of [`cws_obs::metrics::names`]).
 /// Resolved from the global registry once per builder — only when
@@ -438,8 +372,6 @@ pub struct ScheduleBuilder<'a> {
     /// `key_rented[k]`: some VM of [`key_idx`] code `k` has been rented
     /// — the keys whose bound [`Self::earliest_start_vm_in_level`] checks.
     key_rented: [bool; N_KEYS],
-    /// Per-VM idle-window index, in lock-step with `vms`.
-    gaps: Vec<VmGaps>,
     /// Pooled probe workspace (see [`ProbeScratch`]).
     scratch: ScratchCell,
     /// Running `(busy_seconds, id)` argmax over `vms` (ties towards the
@@ -531,7 +463,6 @@ impl<'a> ScheduleBuilder<'a> {
             vm_avail: Vec::new(),
             vm_key: Vec::new(),
             key_rented: [false; N_KEYS],
-            gaps: Vec::new(),
             scratch: ScratchCell::new(),
             busiest: None,
             #[cfg(any(test, feature = "naive"))]
@@ -599,8 +530,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// # Panics
     /// Panics if a predecessor of `task` has not been placed yet —
     /// strategies must place tasks in a topological order.
-    #[must_use]
-    pub fn ready_time(
+    fn ready_time(
         &self,
         task: TaskId,
         on_vm: Option<VmId>,
@@ -628,8 +558,7 @@ impl<'a> ScheduleBuilder<'a> {
     }
 
     /// The start time `task` would get on existing VM `vm`.
-    #[must_use]
-    pub fn start_time_on(&self, task: TaskId, vm: VmId) -> f64 {
+    fn start_time_on(&self, task: TaskId, vm: VmId) -> f64 {
         let v = &self.vms[vm.index()];
         self.ready_time(task, Some(vm), v.itype, v.region)
             .max(v.available_at())
@@ -762,35 +691,9 @@ impl<'a> ScheduleBuilder<'a> {
 
     /// Rent a fresh VM in an explicit region and place `task` on it.
     pub fn place_on_new_in(&mut self, task: TaskId, itype: InstanceType, region: Region) -> VmId {
-        let id = VmId(self.vms.len() as u32);
         let ready = self.ready_time(task, None, itype, region);
-        let start = ready + self.platform.boot_time_s;
-        let mut vm = Vm::new(id, itype, region, ready);
-        let finish = start + self.exec_time(task, itype);
-        vm.push_task(task, start, finish);
-        self.vms.push(vm);
-        self.vm_avail.push(self.vms[id.index()].available_at());
-        let ki = key_idx(region, itype);
-        self.vm_key.push(ki as u16);
-        self.key_rented[ki] = true;
-        self.origins.push(None);
-        // At boot 0 the gap index opens at 0 (the paper's pre-provisioned
-        // fleet: insertion strategies may fill any pre-start idle). With a
-        // non-zero boot there is no usable time before the first task —
-        // the machine is still booting — so the index opens at `start`.
-        let open = if self.platform.boot_time_s == 0.0 {
-            0.0
-        } else {
-            start
-        };
-        let mut gaps = VmGaps::new(open);
-        gaps.note_append(start, finish);
-        self.gaps.push(gaps);
-        self.refresh_busiest(id);
-        self.set_placement(task, id, start, finish);
-        self.observe_lease(id);
-        self.observe_placement(task, id, start, finish, obs::PlacementKind::NewVm);
-        id
+        let vm = Vm::new(VmId(self.vms.len() as u32), itype, region, ready);
+        self.open_vm(task, vm, ready + self.platform.boot_time_s, None)
     }
 
     /// For each rented VM (same order as [`Self::vms`]), the warm-slot
@@ -857,44 +760,44 @@ impl<'a> ScheduleBuilder<'a> {
             available_rel,
             btu_elapsed,
         } = self.warm_slots[slot];
-        let id = VmId(self.vms.len() as u32);
         let ready = self.ready_time(task, None, itype, region);
         let start = ready.max(available_rel);
-        let mut vm = Vm::new(id, itype, region, start);
+        let mut vm = Vm::new(VmId(self.vms.len() as u32), itype, region, start);
         // Carried busy time: `fits_on` and `busiest_vm` observe the
         // machine's whole current-BTU history, which is exactly what an
         // online provisioner can see. Schedule-level cost metrics stop
         // being meaningful for pooled schedules — the service layer
         // bills pool VMs by wall clock instead.
         vm.meter.busy = btu_elapsed;
-        let finish = start + self.exec_time(task, itype);
+        self.open_vm(task, vm, start, Some(slot))
+    }
+
+    /// Commit `task` at `start` as the first task of `vm`, a fresh
+    /// rental (`origin` `None`) or the claim of warm slot `origin`, and
+    /// append the VM to the fleet.
+    fn open_vm(&mut self, task: TaskId, mut vm: Vm, start: f64, origin: Option<usize>) -> VmId {
+        let id = vm.id;
+        let finish = start + self.exec_time(task, vm.itype);
         vm.push_task(task, start, finish);
-        self.vms.push(vm);
-        self.vm_avail.push(self.vms[id.index()].available_at());
-        let ki = key_idx(region, itype);
+        let ki = key_idx(vm.region, vm.itype);
+        self.vm_avail.push(vm.available_at());
         self.vm_key.push(ki as u16);
         self.key_rented[ki] = true;
-        self.origins.push(Some(slot));
-        // A claimed slot is already booted, so its first task may start
-        // before a fresh rental could. As with fresh rentals, no usable
-        // idle exists before the first task, so the gap index opens
-        // where the task starts (at 0 under the paper's zero-boot
-        // setting, matching the naive scan's cursor).
-        let open = if self.platform.boot_time_s == 0.0 {
-            0.0
-        } else {
-            start
-        };
-        let mut gaps = VmGaps::new(open);
-        gaps.note_append(start, finish);
-        self.gaps.push(gaps);
+        self.vms.push(vm);
+        self.origins.push(origin);
         self.refresh_busiest(id);
         self.set_placement(task, id, start, finish);
-        if let Some(c) = &self.counters {
-            c.pool_hits.inc();
-        }
+        let kind = match origin {
+            Some(_) => {
+                if let Some(c) = &self.counters {
+                    c.pool_hits.inc();
+                }
+                obs::PlacementKind::WarmClaim
+            }
+            None => obs::PlacementKind::NewVm,
+        };
         self.observe_lease(id);
-        self.observe_placement(task, id, start, finish, obs::PlacementKind::WarmClaim);
+        self.observe_placement(task, id, start, finish, kind);
         id
     }
 
@@ -905,7 +808,6 @@ impl<'a> ScheduleBuilder<'a> {
         let finish = start + self.exec_time(task, itype);
         self.vms[vm.index()].push_task(task, start, finish);
         self.vm_avail[vm.index()] = self.vms[vm.index()].available_at();
-        self.gaps[vm.index()].note_append(start, finish);
         self.refresh_busiest(vm);
         self.set_placement(task, vm, start, finish);
         self.observe_placement(task, vm, start, finish, obs::PlacementKind::Append);
@@ -914,16 +816,39 @@ impl<'a> ScheduleBuilder<'a> {
     /// The earliest start `task` could get on `vm` using *insertion*:
     /// the task may fill an idle gap between already-placed tasks, not
     /// just the tail. This is classic HEFT's insertion policy.
-    #[must_use]
-    pub fn insertion_start_on(&self, task: TaskId, vm: VmId) -> f64 {
+    fn insertion_start_on(&self, task: TaskId, vm: VmId) -> f64 {
         #[cfg(any(test, feature = "naive"))]
         if self.kernel_naive {
             return naive::insertion_start_on(self, task, vm);
         }
         let v = &self.vms[vm.index()];
         let ready = self.ready_time(task, Some(vm), v.itype, v.region);
-        let duration = self.exec_entry(task, v.itype);
-        self.gaps[vm.index()].earliest_fit(ready, duration)
+        self.insertion_fit(vm, ready, self.exec_entry(task, v.itype))
+    }
+
+    /// The insertion policy's start on `vm` for a task of `duration`
+    /// that is ready at `ready`: the first idle window of the VM's
+    /// chronological task list that holds it, else the tail. At boot 0
+    /// the machine is usable from time 0 (the paper's pre-provisioned
+    /// fleet), so the window before its first task counts; with a
+    /// non-zero boot the machine is still booting then, and the walk
+    /// starts at its first task. Every insertion query, fast or
+    /// reference, ends here.
+    fn insertion_fit(&self, vm: VmId, ready: f64, duration: f64) -> f64 {
+        let tasks = &self.vms[vm.index()].tasks;
+        let mut cursor = if self.platform.boot_time_s == 0.0 {
+            0.0
+        } else {
+            tasks.first().map_or(0.0, |&(_, s, _)| s)
+        };
+        for &(_, s, e) in tasks {
+            let start = cursor.max(ready);
+            if start + duration <= s + EPS {
+                return start;
+            }
+            cursor = cursor.max(e);
+        }
+        cursor.max(ready)
     }
 
     /// Place `task` on `vm` with the insertion policy: it lands in the
@@ -933,12 +858,11 @@ impl<'a> ScheduleBuilder<'a> {
         let itype = self.vms[vm.index()].itype;
         let finish = start + self.exec_time(task, itype);
         // A start strictly before the busy tail means the task filled an
-        // indexed idle gap rather than appending — the event the
+        // idle gap rather than appending — the event the
         // `kernel.gap_index_hits` counter measures.
-        let gap_hit = start + EPS < self.gaps[vm.index()].tail;
+        let gap_hit = start + EPS < self.vm_avail[vm.index()];
         self.vms[vm.index()].insert_task(task, start, finish);
         self.vm_avail[vm.index()] = self.vms[vm.index()].available_at();
-        self.gaps[vm.index()].note_insert(start, finish);
         self.refresh_busiest(vm);
         self.set_placement(task, vm, start, finish);
         if let Some(c) = &self.counters {
@@ -1429,7 +1353,7 @@ impl TaskProbe<'_, '_> {
     }
 
     /// Ready time of the task on candidate VM `vm` (intra-VM edges cost
-    /// zero). Equals `ScheduleBuilder::ready_time(task, Some(vm), ..)`.
+    /// zero): the one [`ScheduleBuilder::place_on`] starts it from.
     pub fn ready_on(&mut self, vm: VmId) -> f64 {
         #[cfg(any(test, feature = "naive"))]
         if self.sb.kernel_naive {
@@ -1440,7 +1364,8 @@ impl TaskProbe<'_, '_> {
     }
 
     /// Ready time on a *new* VM of `itype` in `region` (every transfer
-    /// is paid). Equals `ScheduleBuilder::ready_time(task, None, ..)`.
+    /// is paid): the decision time [`ScheduleBuilder::place_on_new_in`]
+    /// opens the rental at.
     pub fn ready_fresh(&mut self, itype: InstanceType, region: Region) -> f64 {
         #[cfg(any(test, feature = "naive"))]
         if self.sb.kernel_naive {
@@ -1472,9 +1397,8 @@ impl TaskProbe<'_, '_> {
             return naive::insertion_start_on(self.sb, self.task, vm);
         }
         let ready = self.ready_on(vm);
-        let v = &self.sb.vms[vm.index()];
-        let duration = self.sb.exec_entry(self.task, v.itype);
-        self.sb.gaps[vm.index()].earliest_fit(ready, duration)
+        let duration = self.sb.exec_entry(self.task, self.sb.vms[vm.index()].itype);
+        self.sb.insertion_fit(vm, ready, duration)
     }
 }
 
@@ -1543,28 +1467,9 @@ pub mod naive {
     }
 
     pub(super) fn insertion_start_on(sb: &ScheduleBuilder<'_>, task: TaskId, vm: VmId) -> f64 {
-        const EPS: f64 = 1e-9;
         let v = &sb.vms[vm.index()];
         let ready = ready_time(sb, task, Some(vm), v.itype, v.region);
-        let duration = exec_time(sb, task, v.itype);
-        // Candidate gaps: before the first task, between consecutive
-        // tasks, after the last (v.tasks is chronological). At boot 0
-        // the machine is usable from time 0 (pre-provisioned fleet);
-        // with a non-zero boot no usable idle exists before the first
-        // task, so the scan starts there — mirroring `VmGaps::new`.
-        let mut cursor = if sb.platform.boot_time_s == 0.0 {
-            0.0
-        } else {
-            v.tasks.first().map_or(0.0, |&(_, s, _)| s)
-        };
-        for &(_, s, e) in &v.tasks {
-            let start = cursor.max(ready);
-            if start + duration <= s + EPS {
-                return start;
-            }
-            cursor = cursor.max(e);
-        }
-        cursor.max(ready)
+        sb.insertion_fit(vm, ready, exec_time(sb, task, v.itype))
     }
 
     pub(super) fn busiest_vm(sb: &ScheduleBuilder<'_>) -> Option<VmId> {
@@ -1868,6 +1773,29 @@ mod tests {
                 naive::insertion_start_on(&sb, TaskId(3), vm)
             );
         }
+
+        // At a 120 s boot a VM has no usable idle before its first task:
+        // a runs over [120, 220] on v0, so e, ready at 0, may not fill
+        // [0, 120) and goes to the tail, on both kernels alike.
+        let p = Platform::ec2_paper().with_boot_time(120.0);
+        let run = || {
+            let mut sb = ScheduleBuilder::new(&wf, &p);
+            let v0 = sb.place_on_new(TaskId(0), InstanceType::Small);
+            let v1 = sb.place_on_new(TaskId(1), InstanceType::Small);
+            let c = sb.placement(TaskId(1)).unwrap();
+            let mut probe = sb.probe(TaskId(3));
+            let starts = [v0, v1].map(|vm| probe.insertion_start_on(vm));
+            drop(probe);
+            assert_eq!(starts, [220.0, c.finish]);
+            sb.place_on_inserted(TaskId(3), v0);
+            sb.placement(TaskId(3))
+        };
+        let fast = run();
+        assert_eq!(fast.map(|e| e.start), Some(220.0));
+        naive::set_reference_kernel(true);
+        let reference = run();
+        naive::set_reference_kernel(false);
+        assert_eq!(fast, reference);
     }
 
     /// A join whose eight hosts finish together: every VM of the key

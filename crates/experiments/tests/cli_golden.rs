@@ -108,8 +108,9 @@ fn validate_rejects_deep_nesting_with_exit_1() {
 #[test]
 fn trace_report_survives_hostile_one_line_inputs() {
     // Regressions: the manifest's empty bucket pair panicked the decoder
-    // (exit 101), the VM id sized an 800 GB table (exit 134) and the
-    // pool id overflowed `vm + 1` (exit 101 in debug builds).
+    // (exit 101), the VM id sized an 800 GB table (exit 134), the pool
+    // id overflowed `vm + 1` and a 1e300 s busy span overflowed the BTU
+    // count (exit 101 in debug builds).
     let dir = scratch("hostile-trace-report");
     let manifest = r#"{"histograms":{"h":{"count":1,"sum":1,"buckets":[[]]}}}"#;
     std::fs::write(dir.join("manifest.jsonl.manifest.json"), manifest).expect("write");
@@ -119,6 +120,14 @@ fn trace_report_survives_hostile_one_line_inputs() {
         ("manifest", String::new()),
         ("vm-lease", lease.to_string()),
         ("pool-lease", lease.replace("vm-lease", "pool-lease")),
+        (
+            "busy-span",
+            format!(
+                "{}\n{}",
+                lease.replace("4294967295", "0"),
+                r#"{"ev":"probe-decision","task":0,"vm":0,"start":0,"finish":1e300,"kind":"new-vm"}"#
+            ),
+        ),
     ] {
         let path = dir.join(format!("{name}.jsonl"));
         std::fs::write(&path, trace).expect("write trace");

@@ -1,6 +1,6 @@
 //! Observability regressions: the trace stream must reconcile with the
 //! reported schedule metrics, metric counter totals must be identical
-//! at any thread count, the kernel's gap-index counter must fire when
+//! at any thread count, the kernel's gap-hit counter must fire when
 //! the insertion policy actually fills a gap (and stay 0 across the
 //! paper's append-only pairings — DESIGN.md §10), and the streaming
 //! `trace-report` reducer must round-trip a traced replay back into
@@ -237,9 +237,9 @@ fn table_reuse_hits_equal_schedules_minus_distinct_keys() {
 }
 
 /// Filling a real idle gap through the insertion policy must increment
-/// `kernel.gap_index_hits` (the 19 paper pairings never consult the gap
-/// index, so the bench profile legitimately reports 0 — this pins the
-/// counter's behaviour where insertion actually happens).
+/// `kernel.gap_index_hits` (the 19 paper pairings never insert, so the
+/// bench profile legitimately reports 0 — this pins the counter's
+/// behaviour where insertion actually happens).
 #[test]
 fn insertion_into_an_idle_gap_counts_a_gap_hit() {
     let _g = obs_lock();
@@ -281,7 +281,7 @@ fn insertion_into_an_idle_gap_counts_a_gap_hit() {
 /// Pin the dead pairing set (DESIGN.md §10): all 19 paper pairings
 /// build append-only schedules, so `kernel.gap_index_hits` must be
 /// exactly 0 across the whole set — any future change that makes a
-/// paper strategy consult the gap index must update DESIGN.md and the
+/// paper strategy insert into an idle gap must update DESIGN.md and the
 /// committed bench profile deliberately, not by accident. Also pins
 /// the probe-latency histogram's determinism contract: exactly one
 /// sample per probe.
@@ -319,26 +319,28 @@ fn paper_pairings_never_hit_the_gap_index() {
     );
 }
 
-/// Cross-crate consistency: the reducer's [`cws_obs::report::BtuPolicy`]
+/// Cross-crate consistency: the reducer's [`cws_obs::report::btus_for_span`]
 /// mirror (cws-obs cannot depend on cws-platform) must agree with
 /// `cws_platform::billing::btus_for_span` everywhere, including the
-/// epsilon edge cases.
+/// epsilon edge cases and the spans too long to count, which both
+/// saturate.
 #[test]
 fn btu_policy_matches_platform_billing() {
+    use cws_obs::report as mirror;
     use cws_platform::billing::{btus_for_span, BTU_EPSILON, BTU_SECONDS};
-    let policy = cws_obs::report::BtuPolicy::default();
-    assert_eq!(policy.btu_seconds, BTU_SECONDS);
-    assert_eq!(policy.epsilon, BTU_EPSILON);
+    assert_eq!(mirror::BTU_SECONDS, BTU_SECONDS);
+    assert_eq!(mirror::BTU_EPSILON, BTU_EPSILON);
     let mut spans = vec![0.0, 1e-9, 1.0, 3599.0, 7200.5, 1e7];
+    spans.extend([7e22, 1e300, f64::MAX, f64::INFINITY]);
     for k in 1..=5u32 {
         let edge = f64::from(k) * BTU_SECONDS;
         spans.extend([edge - 1e-3, edge - 1e-7, edge, edge + 1e-7, edge + 1e-3]);
     }
     for span in spans {
         assert_eq!(
-            policy.btus_for_span(span),
+            mirror::btus_for_span(span),
             btus_for_span(span),
-            "BtuPolicy diverges from platform billing at span {span}"
+            "the reducer's BTU count diverges from platform billing at span {span}"
         );
     }
 }

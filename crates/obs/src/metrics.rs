@@ -33,12 +33,11 @@ pub mod names {
     pub const KERNEL_PROBES: &str = "kernel.probes";
     /// Lazily-built per-(region, itype) ready-key reductions.
     pub const KERNEL_KEY_BUILDS: &str = "kernel.key_ready_builds";
-    /// Insertion *placements* committed inside an indexed idle gap
-    /// (strictly before the VM's tail). Gap-index *maintenance* runs on
-    /// every placement path, but only gap-aware placement can land in a
-    /// gap — the paper's 19 pairings all build append-only schedules,
-    /// so this counter is structurally 0 for them (pinned by a
-    /// regression test; see DESIGN.md §10).
+    /// Insertion *placements* committed inside an idle gap (strictly
+    /// before the VM's tail, its latest finish so far). Only the
+    /// insertion policy can land in a gap — the paper's 19 pairings all
+    /// build append-only schedules, so this counter is structurally 0
+    /// for them (pinned by a regression test; see DESIGN.md §10).
     pub const KERNEL_GAP_HITS: &str = "kernel.gap_index_hits";
     /// Task placements committed by the kernel.
     pub const KERNEL_PLACEMENTS: &str = "kernel.placements";

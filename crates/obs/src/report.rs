@@ -42,8 +42,8 @@
 //!   like `Schedule::rental_cost` (prices recover bit-exactly from the
 //!   JSON, see [`crate::json`]).
 //!
-//! BTU arithmetic is mirrored by [`BtuPolicy`] because this crate sits
-//! *below* `cws-platform`; a cross-crate regression test in
+//! BTU arithmetic is mirrored by [`btus_for_span`] because this crate
+//! sits *below* `cws-platform`; a cross-crate regression test in
 //! `cws-experiments` pins the two implementations equal.
 
 use crate::event::TraceEvent;
@@ -52,39 +52,28 @@ use crate::metrics::MetricsSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Reducer-side mirror of `cws_platform::billing`: BTU length and the
-/// epsilon under which a span rounds down. Kept here (not imported)
-/// because `cws-obs` depends on nothing in the workspace; the
-/// `btu_policy_matches_platform_billing` test in `cws-experiments`
-/// proves the mirror exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BtuPolicy {
-    /// Billing-time-unit length in seconds (the paper's 1 h).
-    pub btu_seconds: f64,
-    /// Spans within this epsilon of a BTU multiple round down.
-    pub epsilon: f64,
-}
+/// Billing-time-unit length in seconds (the paper's 1 h): the
+/// reducer-side mirror of `cws_platform::billing::BTU_SECONDS`. The BTU
+/// arithmetic is kept here (not imported) because `cws-obs` depends on
+/// nothing in the workspace; the `btu_policy_matches_platform_billing`
+/// test in `cws-experiments` proves the mirror exact.
+pub const BTU_SECONDS: f64 = 3600.0;
 
-impl Default for BtuPolicy {
-    fn default() -> Self {
-        BtuPolicy {
-            btu_seconds: 3600.0,
-            epsilon: 1e-6,
-        }
-    }
-}
+/// Spans within this epsilon of a BTU multiple round down: the mirror of
+/// `cws_platform::billing::BTU_EPSILON`.
+pub const BTU_EPSILON: f64 = 1e-6;
 
-impl BtuPolicy {
-    /// Billed BTUs for a busy span (minimum 1 — renting at all pays one
-    /// unit). Mirrors `cws_platform::billing::btus_for_span`.
-    #[must_use]
-    pub fn btus_for_span(&self, span: f64) -> u64 {
-        if span <= self.epsilon {
-            1
-        } else {
-            ((span - self.epsilon) / self.btu_seconds).floor() as u64 + 1
-        }
+/// Billed BTUs for a busy span (minimum 1 — renting at all pays one
+/// unit). Mirrors `cws_platform::billing::btus_for_span`, and saturates
+/// at `u64::MAX` as it does. A trace is outside input, so a negative or
+/// NaN span bills 1 BTU instead of panicking (NaN fails the comparison,
+/// and `as u64` turns it into 0).
+#[must_use]
+pub fn btus_for_span(span: f64) -> u64 {
+    if span <= BTU_EPSILON {
+        return 1;
     }
+    (((span - BTU_EPSILON) / BTU_SECONDS).floor() as u64).saturating_add(1)
 }
 
 /// Per-VM summary of one segment.
@@ -122,9 +111,9 @@ impl VmSummary {
     /// Idle seconds paid for: `billed × BTU − busy` (0 until
     /// reclaimed).
     #[must_use]
-    pub fn idle_s(&self, policy: &BtuPolicy) -> f64 {
+    pub fn idle_s(&self) -> f64 {
         match self.reclaim {
-            Some((_, billed, busy, _)) => billed as f64 * policy.btu_seconds - busy,
+            Some((_, billed, busy, _)) => billed as f64 * BTU_SECONDS - busy,
             None => 0.0,
         }
     }
@@ -176,8 +165,8 @@ impl SegmentSummary {
     /// Idle fraction of the replay (`idle / billed·BTU`; 0 when not
     /// replayed).
     #[must_use]
-    pub fn idle_fraction(&self, policy: &BtuPolicy) -> f64 {
-        let billed = self.billed_btus as f64 * policy.btu_seconds;
+    pub fn idle_fraction(&self) -> f64 {
+        let billed = self.billed_btus as f64 * BTU_SECONDS;
         if billed > 0.0 {
             self.idle_s / billed
         } else {
@@ -218,8 +207,6 @@ pub struct PoolSummary {
 /// The reduced trace: every segment plus run-level totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
-    /// BTU arithmetic used for the reduction.
-    pub policy: BtuPolicy,
     /// Segment summaries in stream order.
     pub segments: Vec<SegmentSummary>,
     /// Run-level fold of the service pool stream (all zeros for
@@ -303,7 +290,7 @@ impl TraceReport {
                     format!(
                         ", replay makespan {:.1} s, idle {:.1}%",
                         last.obs_makespan_s,
-                        100.0 * last.idle_fraction(&self.policy)
+                        100.0 * last.idle_fraction()
                     )
                 } else {
                     " (plan only)".to_string()
@@ -321,7 +308,7 @@ impl TraceReport {
                 };
                 let idle_pct = match v.reclaim {
                     Some((_, b, busy, _)) if b > 0 => {
-                        100.0 * (1.0 - busy / (b as f64 * self.policy.btu_seconds))
+                        100.0 * (1.0 - busy / (b as f64 * BTU_SECONDS))
                     }
                     _ => 0.0,
                 };
@@ -397,7 +384,7 @@ impl TraceReport {
                 json_f64(s.obs_cost_usd),
                 s.billed_btus,
                 json_f64(s.idle_s),
-                json_f64(s.idle_fraction(&self.policy)),
+                json_f64(s.idle_fraction()),
                 s.region_count,
                 s.transfers,
                 json_f64(s.transfer_mb),
@@ -432,7 +419,7 @@ impl TraceReport {
                     v.boundaries,
                     v.reclaim.map_or(0, |(_, b, _, _)| b),
                     json_f64(v.reclaim.map_or(f64::NAN, |(_, _, _, c)| c)),
-                    json_f64(v.idle_s(&self.policy)),
+                    json_f64(v.idle_s()),
                 );
             }
             out.push_str("]}");
@@ -454,7 +441,6 @@ struct VmAcc {
 /// order, then [`TraceReducer::finish`].
 #[derive(Debug, Default)]
 pub struct TraceReducer {
-    policy: BtuPolicy,
     segments: Vec<SegmentSummary>,
     events: u64,
     parse_errors: Vec<(u64, String)>,
@@ -493,7 +479,7 @@ pub struct TraceReducer {
 const MAX_VIOLATIONS: usize = 32;
 
 impl TraceReducer {
-    /// A reducer with the default [`BtuPolicy`].
+    /// An empty reducer.
     #[must_use]
     pub fn new() -> Self {
         TraceReducer::default()
@@ -823,11 +809,11 @@ impl TraceReducer {
             }
             // Same term and summation order as Schedule::rental_cost
             // (vms are visited in id order).
-            plan_cost += self.policy.btus_for_span(s.plan_busy_s) as f64 * s.price_per_btu;
+            plan_cost += btus_for_span(s.plan_busy_s) as f64 * s.price_per_btu;
             if let Some((_, billed, busy, cost)) = s.reclaim {
                 obs_cost += cost;
                 billed_total = billed_total.saturating_add(billed);
-                idle += billed as f64 * self.policy.btu_seconds - busy;
+                idle += billed as f64 * BTU_SECONDS - busy;
             } else if replayed && s.obs_tasks > 0 {
                 violations.push(format!("vm{} replayed but never reclaimed", s.vm));
             }
@@ -905,7 +891,6 @@ impl TraceReducer {
         }
         self.pool.live = self.pool_live.len() as u64;
         TraceReport {
-            policy: self.policy,
             segments: self.segments,
             pool: self.pool,
             events: self.events,
@@ -1415,11 +1400,14 @@ mod tests {
 
     #[test]
     fn btu_policy_rounds_like_the_paper() {
-        let p = BtuPolicy::default();
-        assert_eq!(p.btus_for_span(0.0), 1);
-        assert_eq!(p.btus_for_span(3600.0), 1, "epsilon absorbs the exact hour");
-        assert_eq!(p.btus_for_span(3600.0 + 1e-3), 2);
-        assert_eq!(p.btus_for_span(2.5 * 3600.0), 3);
+        assert_eq!(btus_for_span(0.0), 1);
+        assert_eq!(btus_for_span(3600.0), 1, "epsilon absorbs the exact hour");
+        assert_eq!(btus_for_span(3600.0 + 1e-3), 2);
+        assert_eq!(btus_for_span(2.5 * 3600.0), 3);
+        for hostile in [-1.0, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(btus_for_span(hostile), 1, "span {hostile}");
+        }
+        assert_eq!(btus_for_span(f64::INFINITY), u64::MAX);
     }
 
     #[test]

@@ -53,12 +53,12 @@
 //!
 //! With no trace sink installed nothing reads the chronology. A plan
 //! is *consistent* when every task sits in exactly one VM's `tasks`
-//! list, the one its placement names (and every VM sits at its own
-//! id's index). A consistent plan replays without the queue: Kahn's
-//! algorithm over the DAG's edges plus each VM's planned chain, with a
-//! worklist of the VMs whose next planned task has all its inputs,
-//! starts each task at the latest, under `total_cmp`, of its VM's boot
-//! time, the VM's previous finish and its inputs' arrivals.
+//! list, the one at the position its placement names. A consistent
+//! plan replays without the queue: Kahn's algorithm over the DAG's
+//! edges plus each VM's planned chain, with a worklist of the VMs
+//! whose next planned task has all its inputs, starts each task at the
+//! latest, under `total_cmp`, of its VM's boot time, the VM's previous
+//! finish and its inputs' arrivals.
 //!
 //! This is exact, not an approximation. In the queue engine a task of
 //! a consistent plan can start only in the handler of its VM's boot,
@@ -303,9 +303,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// The plan's VM lists as [`Chains`] when the plan is consistent:
-    /// every task sits in exactly one VM's `tasks` list, the one its
-    /// placement names, and every VM at its own id's index. `None`
-    /// otherwise.
+    /// every task sits in exactly one VM's `tasks` list, the one at the
+    /// position its placement names. `None` otherwise.
     fn consistent_chains(&self) -> Option<Chains> {
         let placements = &self.schedule.placements;
         let vms = &self.schedule.vms;
@@ -313,13 +312,10 @@ impl<'a> Simulator<'a> {
         let mut order = Vec::with_capacity(self.wf.len());
         let mut first = Vec::with_capacity(vms.len() + 1);
         for (v, vm) in vms.iter().enumerate() {
-            if vm.id.index() != v {
-                return None;
-            }
             first.push(order.len());
             for &(t, _, _) in &vm.tasks {
                 match listed.get_mut(t.index()) {
-                    Some(seen) if !*seen && placements[t.index()].vm == vm.id => {
+                    Some(seen) if !*seen && placements[t.index()].vm.index() == v => {
                         *seen = true;
                         order.push(t);
                     }
@@ -440,8 +436,9 @@ impl<'a> Simulator<'a> {
         let mut arrivals: Vec<(f64, TaskId)> = Vec::with_capacity(self.wf.edge_count());
         let mut processed = 0usize;
 
-        for (v, vm) in self.schedule.vms.iter().enumerate() {
-            st.queue.push(self.boot_ready(v), Ev::VmReady(vm.id));
+        for v in 0..vm_count {
+            st.queue
+                .push(self.boot_ready(v), Ev::VmReady(VmId(v as u32)));
         }
 
         while let Some(mut te) = st.queue.pop() {
@@ -550,7 +547,7 @@ impl<'a> Simulator<'a> {
     /// seconds and rental cost. Tasks the replay deadlocked on (NaN
     /// observations) are skipped.
     fn emit_billing_events(&self, tasks: &[ObservedTask]) {
-        for vm in &self.schedule.vms {
+        for (v, vm) in self.schedule.vms.iter().enumerate() {
             // Observed intervals on this VM, in chronological order.
             let mut intervals: Vec<(f64, f64)> = vm
                 .tasks
@@ -579,7 +576,7 @@ impl<'a> Simulator<'a> {
                 while (k as f64) * BTU_SECONDS + BTU_EPSILON <= busy {
                     let at = start + (k as f64) * BTU_SECONDS - before;
                     obs::emit(|| obs::TraceEvent::BtuBoundary {
-                        vm: vm.id.0,
+                        vm: v as u32,
                         btu: k,
                         time: at,
                     });
@@ -589,7 +586,7 @@ impl<'a> Simulator<'a> {
             let billed = btus_for_span(busy);
             let price = self.platform.price_in(vm.region, vm.itype);
             obs::emit(|| obs::TraceEvent::VmReclaim {
-                vm: vm.id.0,
+                vm: v as u32,
                 time: end,
                 billed_btus: billed,
                 busy_s: busy,
@@ -769,6 +766,25 @@ mod tests {
         assert_eq!(report.vm_busy_seconds(1), vec![0.0]);
         assert_eq!(report.vm_utilization(1), vec![0.0]);
         assert_eq!(report.aggregate_utilization(1), 0.0);
+    }
+
+    /// A VM whose id is not its position replays like the plan it was
+    /// relabelled from: placements, links and both replays index VMs by
+    /// position. The validator still rejects the plan.
+    #[test]
+    fn misnumbered_vm_replays_by_position() {
+        let wf = cws_workloads::montage_24();
+        let p = Platform::ec2_paper();
+        let plan = Strategy::BASELINE.schedule(&wf, &p);
+        assert_eq!(plan.vms.len(), 24);
+        let mut relabelled = plan.clone();
+        relabelled.vms[0].id = VmId(29);
+        assert_eq!(simulate(&wf, &p, &relabelled), simulate(&wf, &p, &plan));
+        crate::verify(&wf, &p, &relabelled, 1e-6).unwrap();
+        assert_eq!(
+            relabelled.validate(&wf, &p),
+            Err(cws_core::ScheduleError::InconsistentVmTasks(VmId(29)))
+        );
     }
 
     #[test]

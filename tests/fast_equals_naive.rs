@@ -7,7 +7,8 @@
 //! kernel's shortcuts target, and the exact rank ties of equal runtimes.
 //! The allocators outside the paper set that weigh every candidate VM
 //! with one probe (spot-HEFT, Min-Min/Max-Min, insertion HEFT and pool
-//! HEFT) are held to the same bar on the same workflows.
+//! HEFT) are held to the same bar on the same workflows, insertion and
+//! pool HEFT at a 120 s boot as well.
 
 use cloud_workflow_sched::core::alloc::{
     heft_insertion, heft_pool, list_schedule, spot_heft_with, ListRule, PoolSpec,
@@ -100,6 +101,7 @@ fn paper_set_fast_equals_naive_on_wfcommons_shapes() {
 #[test]
 fn probe_callers_fast_equal_naive_on_wfcommons_shapes() {
     let platform = Platform::ec2_paper();
+    let booting = Platform::ec2_paper().with_boot_time(120.0);
     let markets = [SpotMarket::default(), SpotMarket::new(0.3, 0.9)];
     let capped = PoolSpec {
         max_vms: Some(4),
@@ -120,13 +122,18 @@ fn probe_callers_fast_equal_naive_on_wfcommons_shapes() {
                 list_schedule(wf, &platform, rule, InstanceType::Small, 3)
             });
         }
-        assert_kernels_agree("HEFT-ins", wf, || {
-            heft_insertion(wf, &platform, InstanceType::Medium, 3)
-        });
-        for pool in [&PoolSpec::default(), &capped] {
-            assert_kernels_agree(&format!("HEFT-pool {pool:?}"), wf, || {
-                heft_pool(wf, &platform, pool)
+        // Insertion opens each VM's timeline at 0 under the paper's zero
+        // boot and at its first task otherwise, so both boots are held.
+        for platform in [&platform, &booting] {
+            let boot = platform.boot_time_s;
+            assert_kernels_agree(&format!("HEFT-ins at boot {boot}"), wf, || {
+                heft_insertion(wf, platform, InstanceType::Medium, 3)
             });
+            for pool in [&PoolSpec::default(), &capped] {
+                assert_kernels_agree(&format!("HEFT-pool {pool:?} at boot {boot}"), wf, || {
+                    heft_pool(wf, platform, pool)
+                });
+            }
         }
     }
 }

@@ -8,15 +8,18 @@
 //! Plans are drawn on layered and pegasus-shaped DAGs with Pareto
 //! runtimes and Pareto data sizes, for every paper pairing, at boot 0
 //! or 120 s, with plain or perturbed durations. Each plan is also
-//! replayed tampered twice: with VM lists reversed, which deadlocks
-//! whenever a reversed list holds a dependency, and with one task moved
-//! to another VM's list without updating its placement, which makes
-//! the plan inconsistent, so both runs take the queue. The trace sink
-//! is process-global, so this check lives in a test binary of its own,
+//! replayed tampered three times: with VM lists reversed, which
+//! deadlocks whenever a reversed list holds a dependency; with one task
+//! moved to another VM's list without updating its placement, which
+//! makes the plan inconsistent, so both runs take the queue; and with
+//! one VM relabelled with an id past the fleet, which both replays
+//! ignore, since they index VMs by position. The trace sink is
+//! process-global, so this check lives in a test binary of its own,
 //! with a single test.
 
 use std::sync::Arc;
 
+use cloud_workflow_sched::core::VmId;
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::sim::{SimReport, Simulator};
 use cloud_workflow_sched::workloads::{
@@ -94,6 +97,7 @@ proptest! {
         perturbed in (0usize..2).prop_map(|i| i == 1),
         reversed in 0u64..u64::MAX,
         moved in (0usize..1000, 0usize..1000, 0usize..1000),
+        relabelled in 0usize..1000,
     ) {
         obs::set_metrics_enabled(false);
         let platform = Platform::ec2_paper().with_boot_time(boot);
@@ -132,6 +136,11 @@ proptest! {
                 list.insert(at % (list.len() + 1), entry);
                 assert_paths_agree(&wf, &platform, &tampered, &factor);
             }
+
+            // Give one VM an id past the fleet, placements unchanged.
+            let mut tampered = plan.clone();
+            tampered.vms[relabelled % vm_count].id = VmId((vm_count + relabelled) as u32);
+            assert_paths_agree(&wf, &platform, &tampered, &factor);
         }
     }
 }

@@ -20,8 +20,9 @@
 #      vs the run manifest's run.cost_usd / run.makespan_s gauges).
 #
 #   4. Hostile trace-report inputs — a manifest with an empty histogram
-#      bucket pair, and a VM lease and a pool lease at the largest id,
-#      must give exit 0 or 1 (a failed --check), never a panic or abort.
+#      bucket pair, a VM lease and a pool lease at the largest id, and a
+#      lease followed by a 1e300 s placement must give exit 0 or 1 (a
+#      failed --check), never a panic or abort.
 #
 #   5. A wide document — one task with 500 000 children (23 MB) must
 #      pass `cws-exp validate` within 60 s. Reading takes time within a
@@ -143,10 +144,14 @@ mkdir -p "$hostile"
 lease='{"ev":"vm-lease","t":0,"vm":4294967295,"itype":"small","region":"r","price_per_btu":1}'
 echo "$lease" > "$hostile/vm-lease.jsonl"
 echo "${lease/vm-lease/pool-lease}" > "$hostile/pool-lease.jsonl"
+{
+  echo "${lease/4294967295/0}"
+  echo '{"ev":"probe-decision","task":0,"vm":0,"start":0,"finish":1e300,"kind":"new-vm"}'
+} > "$hostile/busy-span.jsonl"
 : > "$hostile/manifest.jsonl"
 echo '{"histograms":{"h":{"count":1,"sum":1,"buckets":[[]]}}}' \
   > "$hostile/manifest.jsonl.manifest.json"
-for f in manifest vm-lease pool-lease; do
+for f in manifest vm-lease pool-lease busy-span; do
   for check in "" --check; do
     set +e
     exp trace-report "$hostile/$f.jsonl" ${check:+"$check"} >/dev/null 2>&1
