@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cws_core::state::naive;
-use cws_core::{KernelTables, ScheduleBuilder, Strategy};
+use cws_core::{KernelTables, ScheduleBuilder, Strategy, VmId};
 use cws_platform::{InstanceType, Platform};
 use cws_workloads::random::{layered_dag, LayeredShape};
 use cws_workloads::{montage_24, DataSizeModel, Scenario};
@@ -56,12 +56,11 @@ fn bench(c: &mut Criterion) {
         if sb.vms().len() < 32 {
             sb.place_on_new(t, InstanceType::Small);
         } else {
-            let vm = sb.vms()[i % 32].id;
-            sb.place_on(t, vm);
+            sb.place_on(t, VmId((i % 32) as u32));
         }
     }
     let probe_task = rest[0];
-    let vm_ids: Vec<_> = sb.vms().iter().map(|v| v.id).collect();
+    let vm_ids: Vec<_> = sb.vm_ids().collect();
 
     let mut group = c.benchmark_group("probe");
     group.bench_function("start_on/layered-1000x32vms", |b| {

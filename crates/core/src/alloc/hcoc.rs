@@ -186,8 +186,9 @@ fn outcome(
     let public_cost = schedule
         .vms
         .iter()
-        .filter(|v| !private_vms.contains(&v.id))
-        .map(|v| v.meter.cost(platform.price_in(v.region, v.itype)))
+        .enumerate()
+        .filter(|&(i, _)| !private_vms.contains(&VmId(i as u32)))
+        .map(|(_, v)| v.meter.cost(platform.price_in(v.region, v.itype)))
         .sum();
     HcocOutcome {
         schedule,

@@ -84,7 +84,7 @@ pub fn heft_pool(wf: &Workflow, platform: &Platform, pool: &PoolSpec) -> Schedul
     for task in order {
         let mut probe = sb.probe(task);
         // Candidate 1: best existing VM by finish time.
-        let best_existing = min_finish(sb.vms().iter().map(|v| (v.id, probe.finish_on(v.id))));
+        let best_existing = min_finish(sb.vm_ids().map(|id| (id, probe.finish_on(id))));
         // Candidate 2: best fresh rental by finish time (cheapest on tie).
         let can_rent = pool.max_vms.is_none_or(|cap| sb.vms().len() < cap);
         let best_new = if can_rent {

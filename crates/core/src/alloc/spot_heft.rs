@@ -113,8 +113,8 @@ pub fn spot_heft_with(
         };
         let mut best_vm: Option<VmId> = None;
 
-        for (i, vm) in sb.vms().iter().enumerate() {
-            let finish = probe.start_on(vm.id) + exec;
+        for (id, vm) in sb.vm_ids().zip(sb.vms()) {
+            let finish = probe.start_on(id) + exec;
             let busy_before = vm.busy_seconds();
             let busy_after = busy_before + exec;
             let marginal_btus = btus_for_span(busy_after) - btus_for_span(busy_before);
@@ -122,11 +122,11 @@ pub fn spot_heft_with(
                 risk_finish: finish + eviction_penalty(market, busy_after, exec),
                 marginal_cost: marginal_btus as f64 * spot_btu,
                 fresh: 0,
-                vm: i as u32,
+                vm: id.0,
             };
             if key.better_than(&best) {
                 best = key;
-                best_vm = Some(vm.id);
+                best_vm = Some(id);
             }
         }
         drop(probe);

@@ -20,7 +20,7 @@ use crate::pooled::{pooled_static, WarmVm};
 use crate::schedule::Schedule;
 use crate::state::{naive, KernelTables, LevelIndex, ScheduleBuilder};
 use crate::strategy::{StaticAlloc, Strategy};
-use crate::vm::{Vm, VmId};
+use crate::vm::VmId;
 use cws_dag::{TaskId, Workflow};
 use cws_platform::{InstanceType, Platform, Region};
 // This module is compiled only behind `#[cfg(test)]` in lib.rs, so the
@@ -54,7 +54,7 @@ fn with_reference_kernel<T>(f: impl FnOnce() -> T) -> T {
 fn pick_in_fresh_level(
     sb: &ScheduleBuilder<'_>,
     task: TaskId,
-    keep: impl FnMut(&Vm) -> bool,
+    keep: impl FnMut(VmId) -> bool,
 ) -> Option<VmId> {
     let mut level = LevelIndex::new();
     level.begin(sb);
@@ -200,10 +200,10 @@ proptest! {
             for (n, &task) in wf.topological_order().iter().enumerate() {
                 let draw = (seed + n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
                 let itype = InstanceType::ALL[draw as usize % InstanceType::ALL.len()];
-                let all = |_: &Vm| true;
-                let of_type = |v: &Vm| v.itype == itype;
-                let sparse = |v: &Vm| !(u64::from(v.id.0) + draw).is_multiple_of(3);
-                let filters: [&dyn Fn(&Vm) -> bool; 3] = [&all, &of_type, &sparse];
+                let all = |_: VmId| true;
+                let of_type = |id: VmId| fast.vm(id).itype == itype;
+                let sparse = |id: VmId| !(u64::from(id.0) + draw).is_multiple_of(3);
+                let filters: [&dyn Fn(VmId) -> bool; 3] = [&all, &of_type, &sparse];
                 for keep in filters {
                     prop_assert_eq!(
                         pick_in_fresh_level(&fast, task, keep),
@@ -335,8 +335,8 @@ proptest! {
                     let draw = step.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
                     let itype = InstanceType::ALL[draw as usize % InstanceType::ALL.len()];
                     let picks = {
-                        let free = |v: &Vm| !used.contains(&v.id);
-                        let fits = |v: &Vm| sb.fits_on(task, v.id);
+                        let free = |id: VmId| !used.contains(&id);
+                        let fits = |id: VmId| sb.fits_on(task, id);
                         [
                             (
                                 sb.earliest_start_vm_in_level(task, &mut level, None, |_| true),
@@ -348,8 +348,8 @@ proptest! {
                             ),
                             (
                                 sb.earliest_start_vm_in_level(task, &mut level, Some(itype), |_| true),
-                                naive::earliest_start_vm_where(&sb, task, |v| {
-                                    free(v) && v.itype == itype
+                                naive::earliest_start_vm_where(&sb, task, |id| {
+                                    free(id) && sb.vm(id).itype == itype
                                 }),
                             ),
                         ]

@@ -5,6 +5,7 @@
 //! boundaries as `|` on the scale row.
 
 use crate::schedule::Schedule;
+use crate::vm::VmId;
 use cws_dag::Workflow;
 use cws_platform::BTU_SECONDS;
 use std::fmt::Write as _;
@@ -45,7 +46,7 @@ pub fn render(wf: &Workflow, schedule: &Schedule, width: usize) -> String {
     }
     let _ = writeln!(out, "{:>6} {}", "t/BTU", String::from_utf8_lossy(&ruler));
 
-    for vm in &schedule.vms {
+    for (v, vm) in schedule.vms.iter().enumerate() {
         let mut row = vec![b' '; width];
         // Paid-for span: from rental start over the billed BTUs' worth of
         // *busy* time laid along the actual window; mark the window
@@ -57,9 +58,10 @@ pub fn render(wf: &Workflow, schedule: &Schedule, width: usize) -> String {
                 *c = b'.';
             }
         }
-        for &(task, s, e) in &vm.tasks {
+        for &task in &vm.tasks {
             let m = marker(task.index()) as u8;
-            let (cs, ce) = (col(s), col(e));
+            let p = schedule.placement(task);
+            let (cs, ce) = (col(p.start), col(p.finish));
             for c in &mut row[cs..=ce] {
                 *c = m;
             }
@@ -67,7 +69,7 @@ pub fn render(wf: &Workflow, schedule: &Schedule, width: usize) -> String {
         let _ = writeln!(
             out,
             "{:>6} {} {}",
-            vm.id.to_string(),
+            VmId(v as u32).to_string(),
             String::from_utf8_lossy(&row),
             vm.itype.suffix()
         );

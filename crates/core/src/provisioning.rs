@@ -136,7 +136,7 @@ impl ProvisioningPolicy {
                 sb.earliest_start_vm_in_level(task, level, None, |_| true)
             }
             ProvisioningPolicy::AllParNotExceed | ProvisioningPolicy::StartParNotExceed => {
-                sb.earliest_start_vm_in_level(task, level, None, |v| sb.fits_on(task, v.id))
+                sb.earliest_start_vm_in_level(task, level, None, |vm| sb.fits_on(task, vm))
             }
         }
     }

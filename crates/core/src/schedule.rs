@@ -19,13 +19,15 @@ pub struct TaskPlacement {
 ///
 /// Produced by the allocation strategies; consumed by the metrics, the
 /// experiment harness and the discrete-event simulator. A schedule owns
-/// its VM table and one placement per task.
+/// its VM table and one placement per task. Each fact is stored once: a
+/// task's VM and times live in its placement, and each VM lists its
+/// tasks' ids in the order they run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Name of the strategy that produced the schedule (figure label,
     /// e.g. `"StartParExceed-m"`).
     pub strategy: String,
-    /// Rented VMs in id order.
+    /// Rented VMs; a VM's [`VmId`] is its index here.
     pub vms: Vec<Vm>,
     /// Placement per task, indexed by [`TaskId::index`].
     pub placements: Vec<TaskPlacement>,
@@ -230,10 +232,11 @@ impl Schedule {
     pub fn vm_metrics(&self, platform: &Platform) -> Vec<VmMetrics> {
         self.vms
             .iter()
-            .map(|vm| {
+            .enumerate()
+            .map(|(v, vm)| {
                 let billed = vm.meter.billed_seconds();
                 VmMetrics {
-                    vm: vm.id,
+                    vm: VmId(v as u32),
                     itype: vm.itype,
                     tasks: vm.tasks.len(),
                     busy_seconds: vm.meter.busy,
@@ -268,13 +271,16 @@ impl Schedule {
     /// 1. exactly one placement per task, on an existing VM,
     /// 2. task start and finish times are finite and durations equal
     ///    `base_time / speedup(vm type)`,
-    /// 3. no two tasks overlap on a VM,
-    /// 4. every task starts no earlier than each predecessor's finish
-    ///    plus the inter-VM transfer time (zero within a VM),
-    /// 5. every VM sits at its id's index, and VM task lists agree with
-    ///    the placement table.
+    /// 3. every task is listed exactly once, on the VM its placement
+    ///    names ([`Self::check_vm_lists`]),
+    /// 4. no two tasks overlap on a VM,
+    /// 5. every task starts no earlier than each predecessor's finish
+    ///    plus the inter-VM transfer time (zero within a VM).
     ///
-    /// Every check fails closed: a comparison that a NaN makes false
+    /// Overlaps are checked in start order, equal starts in list order,
+    /// so a zero-runtime task may share its start with the next task on
+    /// its VM. A list out of start order still validates (`verify` sees
+    /// it). Every check fails closed: a comparison that a NaN makes false
     /// reports a violation rather than passing.
     ///
     /// # Errors
@@ -304,40 +310,29 @@ impl Schedule {
                 });
             }
         }
-        // Per-VM serialization + bookkeeping consistency. Bucket the
-        // placements by host in one pass rather than rescanning the
-        // whole placement table per VM (O(V + M) instead of O(V·M) —
-        // the rescan dominated validation on 10k-task DAGs).
-        let mut by_vm: Vec<Vec<(TaskId, f64, f64)>> = vec![Vec::new(); self.vms.len()];
-        for id in wf.ids() {
-            let p = self.placements[id.index()];
-            by_vm[p.vm.index()].push((id, p.start, p.finish));
-        }
+        self.check_vm_lists()?;
+        // Per-VM serialization, one buffer for every VM: list positions
+        // by start, ties by position, so equal starts keep list order.
+        let mut by_start: Vec<(f64, usize)> = Vec::new();
         for (v, vm) in self.vms.iter().enumerate() {
-            if vm.id.index() != v {
-                return Err(ScheduleError::InconsistentVmTasks(vm.id));
-            }
-            let mut placed = std::mem::take(&mut by_vm[v]);
-            placed.sort_by(|a, b| a.1.total_cmp(&b.1));
-            for w in placed.windows(2) {
-                let after = w[1].1 >= w[0].2 - EPS;
+            by_start.clear();
+            by_start.extend(
+                vm.tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, t)| (self.placements[t.index()].start, pos)),
+            );
+            by_start.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for w in by_start.windows(2) {
+                let (a, b) = (vm.tasks[w[0].1], vm.tasks[w[1].1]);
+                let after = w[1].0 >= self.placements[a.index()].finish - EPS;
                 if !after {
                     return Err(ScheduleError::VmOverlap {
-                        vm: vm.id,
-                        a: w[0].0,
-                        b: w[1].0,
+                        vm: VmId(v as u32),
+                        a,
+                        b,
                     });
                 }
-            }
-            let mut recorded = vm.tasks.clone();
-            recorded.sort_by(|a, b| a.1.total_cmp(&b.1));
-            if recorded.len() != placed.len()
-                || recorded.iter().zip(&placed).any(|(r, p)| {
-                    let same = (r.1 - p.1).abs() <= EPS && (r.2 - p.2).abs() <= EPS;
-                    r.0 != p.0 || !same
-                })
-            {
-                return Err(ScheduleError::InconsistentVmTasks(vm.id));
             }
         }
         // Precedence + transfers.
@@ -347,7 +342,7 @@ impl Schedule {
             for e in wf.predecessors(id) {
                 let pp = self.placements[e.from.index()];
                 let from_vm = &self.vms[pp.vm.index()];
-                let transfer = if from_vm.id == to_vm.id {
+                let transfer = if pp.vm == p.vm {
                     0.0
                 } else {
                     platform.transfer_time_between(
@@ -370,6 +365,41 @@ impl Schedule {
         }
         Ok(())
     }
+
+    /// Check that every task is listed exactly once, on the VM its
+    /// placement names. [`Self::validate`] runs this check, and the
+    /// simulator replays a plan that passes it in one pass along its lists.
+    ///
+    /// # Errors
+    /// [`ScheduleError::InconsistentVmTasks`] naming the lowest VM whose
+    /// list holds a task it should not, or lacks one it should.
+    pub fn check_vm_lists(&self) -> Result<(), ScheduleError> {
+        let mut seen = vec![false; self.placements.len()];
+        // The lowest VM found wrong: one listing a task twice or a task
+        // placed elsewhere, or one a task is placed on but not listed by.
+        let mut wrong = usize::MAX;
+        for (v, vm) in self.vms.iter().enumerate() {
+            for t in &vm.tasks {
+                match seen.get_mut(t.index()) {
+                    Some(seen) if !*seen => {
+                        *seen = true;
+                        let host = self.placements[t.index()].vm.index();
+                        if host != v {
+                            wrong = wrong.min(v).min(host);
+                        }
+                    }
+                    _ => wrong = wrong.min(v),
+                }
+            }
+        }
+        for (p, _) in self.placements.iter().zip(&seen).filter(|(_, &s)| !s) {
+            wrong = wrong.min(p.vm.index());
+        }
+        match wrong {
+            usize::MAX => Ok(()),
+            v => Err(ScheduleError::InconsistentVmTasks(VmId(v as u32))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -388,7 +418,7 @@ mod tests {
 
     /// Hand-build a valid schedule: both tasks on one small VM.
     fn valid_schedule() -> Schedule {
-        let mut vm = Vm::new(VmId(0), InstanceType::Small, Region::UsEastVirginia, 0.0);
+        let mut vm = Vm::new(InstanceType::Small, Region::UsEastVirginia, 0.0);
         vm.push_task(TaskId(0), 0.0, 100.0);
         vm.push_task(TaskId(1), 100.0, 300.0);
         Schedule {
@@ -448,7 +478,6 @@ mod tests {
         // start the successor before the predecessor finishes
         s.placements[1].start = 50.0;
         s.placements[1].finish = 250.0;
-        s.vms[0].tasks[1] = (TaskId(1), 50.0, 250.0);
         match s.validate(&wf, &p) {
             Err(ScheduleError::VmOverlap { .. })
             | Err(ScheduleError::PrecedenceViolation { .. }) => {}
@@ -505,9 +534,9 @@ mod tests {
         let wf = b.build().unwrap();
         let p = Platform::ec2_paper();
 
-        let mut vm0 = Vm::new(VmId(0), InstanceType::Small, Region::UsEastVirginia, 0.0);
+        let mut vm0 = Vm::new(InstanceType::Small, Region::UsEastVirginia, 0.0);
         vm0.push_task(TaskId(0), 0.0, 100.0);
-        let mut vm1 = Vm::new(VmId(1), InstanceType::Small, Region::UsEastVirginia, 100.0);
+        let mut vm1 = Vm::new(InstanceType::Small, Region::UsEastVirginia, 100.0);
         vm1.push_task(TaskId(1), 100.0, 300.0);
         let s = Schedule {
             strategy: "hand".into(),
@@ -583,16 +612,82 @@ mod tests {
         ));
     }
 
-    /// A VM that does not sit at its id's index is inconsistent, not a
-    /// panic on the per-VM bucket lookup.
+    /// A list entry moved, repeated or naming a task that does not
+    /// exist makes the lowest VM it touches inconsistent.
     #[test]
-    fn misnumbered_vm_is_inconsistent() {
-        let (wf, mut s) = montage_one_vm_per_task();
-        assert_eq!(s.vms.len(), 24);
-        s.vms[0].id = VmId(29);
+    fn list_defects_name_the_lowest_wrong_vm() {
+        let (wf, s) = montage_one_vm_per_task();
+        let p = Platform::ec2_paper();
+        let inconsistent = |edit: &dyn Fn(&mut Schedule)| {
+            let mut t = s.clone();
+            edit(&mut t);
+            assert_eq!(
+                t.validate(&wf, &p),
+                t.check_vm_lists(),
+                "validate reports the list check's error"
+            );
+            t.check_vm_lists()
+        };
+        let err = |v| Err(ScheduleError::InconsistentVmTasks(VmId(v)));
+        assert_eq!(inconsistent(&|_| {}), Ok(()));
+        // vm7's task moves to vm3: both lists are wrong.
         assert_eq!(
-            s.validate(&wf, &Platform::ec2_paper()),
-            Err(ScheduleError::InconsistentVmTasks(VmId(29)))
+            inconsistent(&|t| {
+                let moved = t.vms[7].tasks.remove(0);
+                t.vms[3].tasks.push(moved);
+            }),
+            err(3)
+        );
+        // vm3's task moves to vm7.
+        assert_eq!(
+            inconsistent(&|t| {
+                let moved = t.vms[3].tasks.remove(0);
+                t.vms[7].tasks.push(moved);
+            }),
+            err(3)
+        );
+        // vm2's task is listed again on vm9, or never listed.
+        assert_eq!(
+            inconsistent(&|t| {
+                let copy = t.vms[2].tasks[0];
+                t.vms[9].tasks.push(copy);
+            }),
+            err(9)
+        );
+        assert_eq!(inconsistent(&|t| t.vms[5].tasks.clear()), err(5));
+        // A task id past the workflow.
+        assert_eq!(inconsistent(&|t| t.vms[4].tasks[0] = TaskId(99)), err(4));
+    }
+
+    /// `s` ← `z` (0 s) ← `e`, declared in that order and run on one VM:
+    /// `z` and its successor `s` both start when `e` finishes, and `s`
+    /// has the smaller id. Equal starts keep list order, so the plan
+    /// validates; listed after `s`, `z` would start while `s` runs.
+    #[test]
+    fn equal_starts_keep_list_order() {
+        let mut b = WorkflowBuilder::new("zero");
+        let s_ = b.task("s", 50.0);
+        let z = b.task("z", 0.0);
+        let e = b.task("e", 100.0);
+        b.edge(z, s_);
+        b.edge(e, z);
+        let wf = b.build().unwrap();
+        let p = Platform::ec2_paper();
+        let mut sb = crate::state::ScheduleBuilder::new(&wf, &p);
+        let vm = sb.place_on_new(e, InstanceType::Small);
+        sb.place_on(z, vm);
+        sb.place_on(s_, vm);
+        let mut plan = sb.build("hand");
+        assert_eq!(plan.placement(z).start, plan.placement(s_).start);
+        plan.validate(&wf, &p).unwrap();
+        plan.vms[0].tasks = vec![e, s_, z];
+        assert_eq!(
+            plan.validate(&wf, &p),
+            Err(ScheduleError::VmOverlap {
+                vm: VmId(0),
+                a: s_,
+                b: z
+            })
         );
     }
 

@@ -496,6 +496,11 @@ impl<'a> ScheduleBuilder<'a> {
         &self.vms[id.index()]
     }
 
+    /// The ids of the VMs rented so far, in [`Self::vms`] order.
+    pub fn vm_ids(&self) -> impl Iterator<Item = VmId> {
+        (0..self.vms.len() as u32).map(VmId)
+    }
+
     /// Placement of a task if it has been scheduled.
     #[must_use]
     pub fn placement(&self, task: TaskId) -> Option<TaskPlacement> {
@@ -692,7 +697,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// Rent a fresh VM in an explicit region and place `task` on it.
     pub fn place_on_new_in(&mut self, task: TaskId, itype: InstanceType, region: Region) -> VmId {
         let ready = self.ready_time(task, None, itype, region);
-        let vm = Vm::new(VmId(self.vms.len() as u32), itype, region, ready);
+        let vm = Vm::new(itype, region, ready);
         self.open_vm(task, vm, ready + self.platform.boot_time_s, None)
     }
 
@@ -762,7 +767,7 @@ impl<'a> ScheduleBuilder<'a> {
         } = self.warm_slots[slot];
         let ready = self.ready_time(task, None, itype, region);
         let start = ready.max(available_rel);
-        let mut vm = Vm::new(VmId(self.vms.len() as u32), itype, region, start);
+        let mut vm = Vm::new(itype, region, start);
         // Carried busy time: `fits_on` and `busiest_vm` observe the
         // machine's whole current-BTU history, which is exactly what an
         // online provisioner can see. Schedule-level cost metrics stop
@@ -776,7 +781,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// rental (`origin` `None`) or the claim of warm slot `origin`, and
     /// append the VM to the fleet.
     fn open_vm(&mut self, task: TaskId, mut vm: Vm, start: f64, origin: Option<usize>) -> VmId {
-        let id = vm.id;
+        let id = VmId(self.vms.len() as u32);
         let finish = start + self.exec_time(task, vm.itype);
         vm.push_task(task, start, finish);
         let ki = key_idx(vm.region, vm.itype);
@@ -816,7 +821,7 @@ impl<'a> ScheduleBuilder<'a> {
     /// The earliest start `task` could get on `vm` using *insertion*:
     /// the task may fill an idle gap between already-placed tasks, not
     /// just the tail. This is classic HEFT's insertion policy.
-    fn insertion_start_on(&self, task: TaskId, vm: VmId) -> f64 {
+    fn insertion_start_on(&self, task: TaskId, vm: VmId) -> (f64, usize) {
         #[cfg(any(test, feature = "naive"))]
         if self.kernel_naive {
             return naive::insertion_start_on(self, task, vm);
@@ -827,42 +832,56 @@ impl<'a> ScheduleBuilder<'a> {
     }
 
     /// The insertion policy's start on `vm` for a task of `duration`
-    /// that is ready at `ready`: the first idle window of the VM's
-    /// chronological task list that holds it, else the tail. At boot 0
-    /// the machine is usable from time 0 (the paper's pre-provisioned
-    /// fleet), so the window before its first task counts; with a
-    /// non-zero boot the machine is still booting then, and the walk
-    /// starts at its first task. Every insertion query, fast or
-    /// reference, ends here.
-    fn insertion_fit(&self, vm: VmId, ready: f64, duration: f64) -> f64 {
+    /// that is ready at `ready`, and the list position it takes there:
+    /// the first idle window of the VM's chronological task list that
+    /// holds it, else the tail. A window holds the task when it starts
+    /// strictly before the window's closing task, so a zero-runtime task
+    /// never goes ahead of a task that starts at its own instant (which
+    /// may be its predecessor) and the replay runs the list as planned.
+    /// At boot 0 the machine is usable from time 0 (the paper's
+    /// pre-provisioned fleet), so the window before its first task
+    /// counts; with a non-zero boot the machine is still booting then,
+    /// and the walk starts at its first task. Every insertion query,
+    /// fast or reference, ends here.
+    fn insertion_fit(&self, vm: VmId, ready: f64, duration: f64) -> (f64, usize) {
         let tasks = &self.vms[vm.index()].tasks;
+        let placed =
+            |t: &TaskId| self.placements[t.index()].unwrap_or_else(|| panic!("{t} unplaced"));
         let mut cursor = if self.platform.boot_time_s == 0.0 {
             0.0
         } else {
-            tasks.first().map_or(0.0, |&(_, s, _)| s)
+            tasks.first().map_or(0.0, |t| placed(t).start)
         };
-        for &(_, s, e) in tasks {
+        for (pos, t) in tasks.iter().enumerate() {
+            let p = placed(t);
             let start = cursor.max(ready);
-            if start + duration <= s + EPS {
-                return start;
+            if start < p.start && start + duration <= p.start + EPS {
+                return (start, pos);
             }
-            cursor = cursor.max(e);
+            cursor = cursor.max(p.finish);
         }
-        cursor.max(ready)
+        (cursor.max(ready), tasks.len())
     }
 
     /// Place `task` on `vm` with the insertion policy: it lands in the
     /// earliest idle gap that fits (or at the tail).
     pub fn place_on_inserted(&mut self, task: TaskId, vm: VmId) {
-        let start = self.insertion_start_on(task, vm);
+        let (start, pos) = self.insertion_start_on(task, vm);
         let itype = self.vms[vm.index()].itype;
         let finish = start + self.exec_time(task, itype);
         // A start strictly before the busy tail means the task filled an
         // idle gap rather than appending — the event the
         // `kernel.gap_index_hits` counter measures.
         let gap_hit = start + EPS < self.vm_avail[vm.index()];
-        self.vms[vm.index()].insert_task(task, start, finish);
-        self.vm_avail[vm.index()] = self.vms[vm.index()].available_at();
+        let v = &mut self.vms[vm.index()];
+        // Insertion may open the rental before the current first task
+        // (billing follows busy time, so this costs nothing extra).
+        if start < v.meter.start {
+            v.meter.start = start;
+        }
+        v.meter.record(start, finish);
+        v.tasks.insert(pos, task);
+        self.vm_avail[vm.index()] = v.available_at();
         self.refresh_busiest(vm);
         self.set_placement(task, vm, start, finish);
         if let Some(c) = &self.counters {
@@ -903,7 +922,7 @@ impl<'a> ScheduleBuilder<'a> {
         if self.trace_on {
             let v = &self.vms[vm.index()];
             obs::emit(|| obs::TraceEvent::VmLease {
-                vm: v.id.0,
+                vm: vm.0,
                 itype: v.itype.name().to_string(),
                 region: v.region.id().to_string(),
                 price_per_btu: self.platform.price_in(v.region, v.itype),
@@ -980,31 +999,31 @@ impl<'a> ScheduleBuilder<'a> {
         task: TaskId,
         level: &mut LevelIndex,
         itype: Option<InstanceType>,
-        mut keep: impl FnMut(&Vm) -> bool,
+        mut keep: impl FnMut(VmId) -> bool,
     ) -> Option<VmId> {
         #[cfg(any(test, feature = "naive"))]
         if self.kernel_naive {
-            return naive::earliest_start_vm_where(self, task, |v| {
-                level.admits(v, itype) && keep(v)
+            return naive::earliest_start_vm_where(self, task, |id| {
+                level.admits(self, id, itype) && keep(id)
             });
         }
         // The comparator is the sequential `min_by`'s — earliest start,
         // then largest busy time, then smallest id. Ids are unique, so the
         // order is total and folding a VM twice, or in any order, never
         // changes the answer.
-        let fold = |best: Option<(VmId, f64, f64)>, v: &Vm, start: f64| {
-            let busy = v.busy_seconds();
+        let fold = |best: Option<(VmId, f64, f64)>, id: VmId, start: f64| {
+            let busy = self.vms[id.index()].busy_seconds();
             match best {
                 Some((bid, bs, bb))
                     if start
                         .total_cmp(&bs)
                         .then(bb.total_cmp(&busy))
-                        .then(v.id.0.cmp(&bid.0))
+                        .then(id.0.cmp(&bid.0))
                         != std::cmp::Ordering::Less =>
                 {
                     Some((bid, bs, bb))
                 }
-                _ => Some((v.id, start, busy)),
+                _ => Some((id, start, busy)),
             }
         };
         let mut probe = self.probe(task);
@@ -1014,15 +1033,15 @@ impl<'a> ScheduleBuilder<'a> {
         // walk rather than costing the other keys' builds below.
         let mut best = None;
         for h in 0..probe.scratch.hosts.len() {
-            let v = &self.vms[probe.scratch.hosts[h].vm.index()];
-            if !level.admits(v, itype) || !keep(v) {
+            let id = probe.scratch.hosts[h].vm;
+            if !level.admits(self, id, itype) || !keep(id) {
                 continue;
             }
-            let key = probe.key_ready_idx(self.vm_key[v.id.index()] as usize);
-            if key.top_vm == v.id {
-                let start = probe.start_on(v.id);
+            let key = probe.key_ready_idx(self.vm_key[id.index()] as usize);
+            if key.top_vm == id {
+                let start = probe.start_on(id);
                 if start < key.top.max(0.0) {
-                    best = fold(best, v, start);
+                    best = fold(best, id, start);
                 }
             }
         }
@@ -1058,8 +1077,7 @@ impl<'a> ScheduleBuilder<'a> {
             }
             group.cursor = pos as u32;
             for &id in &level.order[pos..end] {
-                let v = &self.vms[id.index()];
-                if level.used[id.index()] || !keep(v) {
+                if level.used[id.index()] || !keep(id) {
                     continue;
                 }
                 #[cfg(test)]
@@ -1067,7 +1085,7 @@ impl<'a> ScheduleBuilder<'a> {
                     level.starts_computed += 1;
                 }
                 let start = probe.fast_start_at(id.index());
-                best = fold(best, v, start);
+                best = fold(best, id, start);
                 let bound = probe.key_ready_idx(ki).top.max(0.0);
                 if start.total_cmp(&bound).is_le() {
                     break;
@@ -1167,11 +1185,12 @@ impl LevelIndex {
         }
     }
 
-    /// Whether a pick in this level may land on `v`: unused (neither
+    /// Whether a pick in this level may land on `vm`: unused (neither
     /// claimed nor rented after `begin`), and of type `itype` when one
     /// is given.
-    fn admits(&self, v: &Vm, itype: Option<InstanceType>) -> bool {
-        self.used.get(v.id.index()) == Some(&false) && itype.is_none_or(|t| v.itype == t)
+    fn admits(&self, sb: &ScheduleBuilder<'_>, vm: VmId, itype: Option<InstanceType>) -> bool {
+        self.used.get(vm.index()) == Some(&false)
+            && itype.is_none_or(|t| sb.vms[vm.index()].itype == t)
     }
 
     /// Group the unused VMs by key, each key in pack order. The busy
@@ -1394,11 +1413,11 @@ impl TaskProbe<'_, '_> {
     pub fn insertion_start_on(&mut self, vm: VmId) -> f64 {
         #[cfg(any(test, feature = "naive"))]
         if self.sb.kernel_naive {
-            return naive::insertion_start_on(self.sb, self.task, vm);
+            return naive::insertion_start_on(self.sb, self.task, vm).0;
         }
         let ready = self.ready_on(vm);
         let duration = self.sb.exec_entry(self.task, self.sb.vms[vm.index()].itype);
-        self.sb.insertion_fit(vm, ready, duration)
+        self.sb.insertion_fit(vm, ready, duration).0
     }
 }
 
@@ -1411,7 +1430,7 @@ impl TaskProbe<'_, '_> {
 /// builders capture the switch at construction time.
 #[cfg(any(test, feature = "naive"))]
 pub mod naive {
-    use super::{ScheduleBuilder, TaskId, Vm, VmId};
+    use super::{ScheduleBuilder, TaskId, VmId};
     use cws_platform::{InstanceType, Region};
     use std::cell::Cell;
 
@@ -1466,38 +1485,37 @@ pub mod naive {
         ready_time(sb, task, Some(vm), v.itype, v.region).max(v.available_at())
     }
 
-    pub(super) fn insertion_start_on(sb: &ScheduleBuilder<'_>, task: TaskId, vm: VmId) -> f64 {
+    pub(super) fn insertion_start_on(
+        sb: &ScheduleBuilder<'_>,
+        task: TaskId,
+        vm: VmId,
+    ) -> (f64, usize) {
         let v = &sb.vms[vm.index()];
         let ready = ready_time(sb, task, Some(vm), v.itype, v.region);
         sb.insertion_fit(vm, ready, exec_time(sb, task, v.itype))
     }
 
     pub(super) fn busiest_vm(sb: &ScheduleBuilder<'_>) -> Option<VmId> {
-        sb.vms
-            .iter()
-            .max_by(|a, b| {
-                a.busy_seconds()
-                    .total_cmp(&b.busy_seconds())
-                    .then(b.id.0.cmp(&a.id.0))
-            })
-            .map(|v| v.id)
+        let busy = |id: &VmId| sb.vms[id.index()].busy_seconds();
+        sb.vm_ids()
+            .max_by(|a, b| busy(a).total_cmp(&busy(b)).then(b.0.cmp(&a.0)))
     }
 
     pub(crate) fn earliest_start_vm_where(
         sb: &ScheduleBuilder<'_>,
         task: TaskId,
-        mut keep: impl FnMut(&Vm) -> bool,
+        mut keep: impl FnMut(VmId) -> bool,
     ) -> Option<VmId> {
-        sb.vms
-            .iter()
-            .filter(|v| keep(v))
-            .map(|v| (v, start_time_on(sb, task, v.id)))
-            .min_by(|(a, sa), (b, sb_)| {
-                sa.total_cmp(sb_)
-                    .then(b.busy_seconds().total_cmp(&a.busy_seconds()))
-                    .then(a.id.0.cmp(&b.id.0))
+        let busy = |id: VmId| sb.vms[id.index()].busy_seconds();
+        sb.vm_ids()
+            .filter(|&id| keep(id))
+            .map(|id| (id, start_time_on(sb, task, id)))
+            .min_by(|&(a, sa), &(b, sb_)| {
+                sa.total_cmp(&sb_)
+                    .then(busy(b).total_cmp(&busy(a)))
+                    .then(a.0.cmp(&b.0))
             })
-            .map(|(v, _)| v.id)
+            .map(|(id, _)| id)
     }
 }
 
@@ -1742,7 +1760,7 @@ mod tests {
             assert_eq!(probe.finish_on(vm), start + sb.exec_time(task, vt));
             assert_eq!(
                 probe.insertion_start_on(vm),
-                sb.insertion_start_on(task, vm)
+                sb.insertion_start_on(task, vm).0
             );
         }
     }

@@ -22,28 +22,28 @@ impl std::fmt::Display for VmId {
 }
 
 /// A rented VM and the tasks placed on it, in execution order.
+///
+/// A VM is its index in [`Schedule::vms`](crate::schedule::Schedule::vms):
+/// [`VmId`] names that position, and each task's times live only in the
+/// schedule's placements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
-    /// Identifier within the schedule.
-    pub id: VmId,
     /// Instance type (determines speed-up, price and link bandwidth).
     pub itype: InstanceType,
     /// Region the VM runs in.
     pub region: Region,
     /// Billing meter: rental window and busy seconds.
     pub meter: BtuMeter,
-    /// Tasks executed on this VM with their `(start, finish)` intervals,
-    /// in chronological order.
-    pub tasks: Vec<(TaskId, f64, f64)>,
+    /// Tasks executed on this VM, in the order they run.
+    pub tasks: Vec<TaskId>,
 }
 
 impl Vm {
     /// Create a VM whose rental opens at `open_at` (the start of its
     /// first task; the paper's static setting pre-boots VMs for free).
     #[must_use]
-    pub fn new(id: VmId, itype: InstanceType, region: Region, open_at: f64) -> Self {
+    pub fn new(itype: InstanceType, region: Region, open_at: f64) -> Self {
         Vm {
-            id,
             itype,
             region,
             meter: BtuMeter::open_at(open_at),
@@ -64,48 +64,20 @@ impl Vm {
         self.meter.busy
     }
 
-    /// Record the execution of `task` during `[start, end]`.
+    /// Record the execution of `task` during `[start, end]`, after every
+    /// task already on the VM.
     ///
     /// # Panics
-    /// Panics if the interval overlaps the previous task (VMs are serial:
-    /// one task at a time) or is inverted.
+    /// Panics if the interval starts before the previous task ends (VMs
+    /// are serial: one task at a time) or is inverted.
     pub fn push_task(&mut self, task: TaskId, start: f64, end: f64) {
-        if let Some(&(_, _, prev_end)) = self.tasks.last() {
-            assert!(
-                start >= prev_end - 1e-9,
-                "task {task} starts at {start} before previous task ends at {prev_end}"
-            );
-        }
+        let prev_end = self.meter.end;
+        assert!(
+            self.tasks.is_empty() || start >= prev_end - 1e-9,
+            "task {task} starts at {start} before previous task ends at {prev_end}"
+        );
         self.meter.record(start, end);
-        self.tasks.push((task, start, end));
-    }
-
-    /// Record the execution of `task` during `[start, end]`, inserting
-    /// it at its chronological position (insertion-based scheduling may
-    /// fill an idle gap *before* already-recorded tasks).
-    ///
-    /// # Panics
-    /// Panics if the interval overlaps any recorded task.
-    pub fn insert_task(&mut self, task: TaskId, start: f64, end: f64) {
-        const EPS: f64 = 1e-9;
-        for &(other, s, e) in &self.tasks {
-            assert!(
-                end <= s + EPS || start >= e - EPS,
-                "task {task} [{start}, {end}] overlaps {other} [{s}, {e}]"
-            );
-        }
-        // Insertion may open the rental earlier than the current first
-        // task (billing follows busy time, so this costs nothing extra).
-        if start < self.meter.start {
-            self.meter.start = start;
-        }
-        self.meter.record(start, end);
-        let pos = self
-            .tasks
-            .iter()
-            .position(|&(_, s, _)| s > start)
-            .unwrap_or(self.tasks.len());
-        self.tasks.insert(pos, (task, start, end));
+        self.tasks.push(task);
     }
 
     /// Whether running one more task of `duration` seconds keeps the VM
@@ -126,7 +98,7 @@ mod tests {
     use cws_platform::BTU_SECONDS;
 
     fn vm() -> Vm {
-        Vm::new(VmId(0), InstanceType::Small, Region::UsEastVirginia, 0.0)
+        Vm::new(InstanceType::Small, Region::UsEastVirginia, 0.0)
     }
 
     #[test]
@@ -136,7 +108,7 @@ mod tests {
 
     #[test]
     fn fresh_vm_is_available_at_open() {
-        let v = Vm::new(VmId(0), InstanceType::Medium, Region::EuDublin, 50.0);
+        let v = Vm::new(InstanceType::Medium, Region::EuDublin, 50.0);
         assert_eq!(v.available_at(), 50.0);
         assert_eq!(v.busy_seconds(), 0.0);
     }

@@ -13,7 +13,7 @@
 
 use crate::report::{fmt_f, Table};
 use crate::run::ExperimentConfig;
-use cws_core::Strategy;
+use cws_core::{Strategy, VmId};
 use cws_dag::Workflow;
 use cws_platform::SpotMarket;
 use cws_sim::{failure_impact, recover, VmFailure};
@@ -47,12 +47,11 @@ pub fn failure_domains(config: &ExperimentConfig, wf: &Workflow, fraction: f64) 
         .into_iter()
         .map(|strategy| {
             let s = strategy.schedule(&m, &config.platform);
-            let busiest = s
-                .vms
-                .iter()
-                .max_by(|a, b| a.meter.busy.total_cmp(&b.meter.busy))
-                .expect("plans have VMs")
-                .id;
+            let busiest = (0u32..)
+                .zip(&s.vms)
+                .max_by(|(_, a), (_, b)| a.meter.busy.total_cmp(&b.meter.busy))
+                .map(|(v, _)| VmId(v))
+                .expect("plans have VMs");
             let crash_at = s.makespan() * fraction;
             let impact = failure_impact(
                 &m,

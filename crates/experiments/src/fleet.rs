@@ -156,9 +156,9 @@ mod tests {
     fn peak_concurrency_of_hand_schedule() {
         use cws_core::{Schedule, TaskPlacement, Vm, VmId};
         use cws_platform::{InstanceType, Region};
-        let mut vm0 = Vm::new(VmId(0), InstanceType::Small, Region::UsEastVirginia, 0.0);
+        let mut vm0 = Vm::new(InstanceType::Small, Region::UsEastVirginia, 0.0);
         vm0.push_task(cws_dag::TaskId(0), 0.0, 10.0);
-        let mut vm1 = Vm::new(VmId(1), InstanceType::Small, Region::UsEastVirginia, 5.0);
+        let mut vm1 = Vm::new(InstanceType::Small, Region::UsEastVirginia, 5.0);
         vm1.push_task(cws_dag::TaskId(1), 5.0, 15.0);
         let s = Schedule {
             strategy: "hand".into(),

@@ -467,13 +467,12 @@ fn trace_report_round_trips_schedule_metrics_exactly() {
             seg.idle_s,
             metrics.idle_seconds
         );
-        for vm in &schedule.vms {
-            let v = &seg.vms[vm.id.index()];
+        for (i, vm) in schedule.vms.iter().enumerate() {
+            let v = &seg.vms[i];
             assert_eq!(
                 v.plan_busy_s.to_bits(),
                 vm.meter.busy.to_bits(),
-                "seed {seed}: vm {} busy accumulation must replay exactly",
-                vm.id
+                "seed {seed}: vm{i} busy accumulation must replay exactly"
             );
             let (_, billed, _, _) = v.reclaim.expect("replayed VM was reclaimed");
             assert_eq!(billed, cws_platform::billing::btus_for_span(vm.meter.busy));

@@ -54,15 +54,15 @@ fn reference_heft(wf: &Workflow, platform: &Platform, itype: InstanceType) -> Sc
             sb.vms().len() as u32,
         );
         let mut best_vm: Option<VmId> = None;
-        for (i, vm) in sb.vms().iter().enumerate() {
-            let start = probe.start_on(vm.id);
+        for (id, vm) in sb.vm_ids().zip(sb.vms()) {
+            let start = probe.start_on(id);
             let busy_before = vm.busy_seconds();
             let busy_after = busy_before + exec;
             let marginal = (btus_for_span(busy_after) - btus_for_span(busy_before)) as f64 * od_btu;
-            let key = (start + exec, marginal, 0u8, i as u32);
+            let key = (start + exec, marginal, 0u8, id.0);
             if lex_lt(key, best) {
                 best = key;
-                best_vm = Some(vm.id);
+                best_vm = Some(id);
             }
         }
         drop(probe);

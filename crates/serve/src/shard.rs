@@ -318,11 +318,13 @@ impl ShardedPool {
         let boot_time_s = platform.boot_time_s;
         let mut cold = 0u64;
         for (vi, vm) in ps.schedule.vms.iter().enumerate() {
-            let (first_start, last_finish) = match (vm.tasks.first(), vm.tasks.last()) {
-                (Some(&(_, s, _)), Some(&(_, _, f))) => (s, f),
+            let spans = vm.tasks.iter().map(|&t| ps.schedule.placement(t));
+            let ends = (spans.clone().next(), spans.clone().next_back());
+            let (first_start, last_finish) = match ends {
+                (Some(first), Some(last)) => (first.start, last.finish),
                 _ => continue, // a VM with no tasks cannot occur, but harmless
             };
-            let busy: f64 = vm.tasks.iter().map(|&(_, s, f)| f - s).sum();
+            let busy: f64 = spans.map(|p| p.finish - p.start).sum();
             match ps.origins[vi] {
                 Some(slot) => {
                     let id = slot_map[slot];

@@ -227,12 +227,14 @@ impl VmPool {
         let boot_time_s = platform.boot_time_s;
         let mut cold = 0u64;
         for (vi, vm) in ps.schedule.vms.iter().enumerate() {
-            let (first_start, last_finish) = match (vm.tasks.first(), vm.tasks.last()) {
-                (Some(&(_, s, _)), Some(&(_, _, f))) => (s, f),
+            let spans = vm.tasks.iter().map(|&t| ps.schedule.placement(t));
+            let ends = (spans.clone().next(), spans.clone().next_back());
+            let (first_start, last_finish) = match ends {
+                (Some(first), Some(last)) => (first.start, last.finish),
                 _ => continue, // a VM with no tasks cannot occur, but harmless
             };
-            let busy: f64 = vm.tasks.iter().map(|&(_, s, f)| f - s).sum();
-            let wall_intervals = vm.tasks.iter().map(|&(_, s, f)| (now + s, now + f));
+            let busy: f64 = spans.clone().map(|p| p.finish - p.start).sum();
+            let wall_intervals = spans.map(|p| (now + p.start, now + p.finish));
             match ps.origins[vi] {
                 Some(slot) => {
                     let p = &mut self.vms[slot_map[slot]];

@@ -52,16 +52,15 @@
 //! # One pass in dependency order
 //!
 //! With no trace sink installed nothing reads the chronology. A plan
-//! is *consistent* when every task sits in exactly one VM's `tasks`
-//! list, the one at the position its placement names. A consistent
-//! plan replays without the queue: Kahn's algorithm over the DAG's
-//! edges plus each VM's planned chain, with a worklist of the VMs
-//! whose next planned task has all its inputs, starts each task at the
-//! latest, under `total_cmp`, of its VM's boot time, the VM's previous
-//! finish and its inputs' arrivals.
+//! whose lists pass [`Schedule::check_vm_lists`], every task listed
+//! exactly once, on the VM its placement names, replays without the
+//! queue: Kahn's algorithm over the DAG's edges plus each VM's list,
+//! with a worklist of the VMs whose next listed task has all its
+//! inputs, starts each task at the latest, under `total_cmp`, of its
+//! VM's boot time, the VM's previous finish and its inputs' arrivals.
 //!
 //! This is exact, not an approximation. In the queue engine a task of
-//! a consistent plan can start only in the handler of its VM's boot,
+//! such a plan can start only in the handler of its VM's boot,
 //! of its VM's previous finish or of its own last arrival, since each
 //! of those tries exactly that VM's head, and by the invariant above
 //! it starts in whichever of them pops last, at that event's time: the
@@ -69,12 +68,13 @@
 //! arrival is delivered at its own time, so the pass's maximum is the
 //! same value, bit for bit. A task the pass never reaches waits on a
 //! predecessor or an earlier task of its VM that never starts, which
-//! is exactly a task the queue deadlocks on. In an inconsistent plan a
-//! last arrival tries a different VM's head than the one whose list
-//! holds the task, and what starts then depends on the chronology, so
-//! such a plan keeps the queue. The two engines share the perturbation
-//! check, `check_time` on every boot, finish and arrival time, the
-//! NaN fill, the makespan fold and the `sim.events_processed` counter.
+//! is exactly a task the queue deadlocks on. In a plan that fails the
+//! check a last arrival may try a different VM's head than the one
+//! whose list holds the task, and what starts then depends on the
+//! chronology, so such a plan keeps the queue. The two engines share
+//! the perturbation check, `check_time` on every boot, finish and
+//! arrival time, the NaN fill, the makespan fold and the
+//! `sim.events_processed` counter.
 
 use crate::queue::{check_time, EventQueue};
 use crate::report::{ObservedTask, SimReport};
@@ -117,13 +117,6 @@ pub struct Simulator<'a> {
     schedule: &'a Schedule,
 }
 
-/// A consistent plan's VM lists, flattened: VM `v` runs
-/// `order[first[v]..first[v + 1]]`, in that order.
-struct Chains {
-    order: Vec<TaskId>,
-    first: Vec<usize>,
-}
-
 /// A task the one-pass replay has not started yet.
 #[derive(Clone, Copy)]
 struct Pending {
@@ -159,7 +152,7 @@ impl Replay<'_> {
         if self.vm_busy[v] || !self.vm_booted[v] {
             return;
         }
-        let Some(&(head, _, _)) = self.schedule.vms[v].tasks.get(self.next_task[v]) else {
+        let Some(&head) = self.schedule.vms[v].tasks.get(self.next_task[v]) else {
             return;
         };
         if self.missing_inputs[head.index()] > 0 {
@@ -205,9 +198,10 @@ impl<'a> Simulator<'a> {
     /// schedule behaves when reality diverges from the estimates, the
     /// robustness question behind [`crate::jitter`].
     ///
-    /// With no trace sink installed, a consistent plan replays in one
-    /// pass in dependency order; otherwise the event queue runs (see the
-    /// module docs). Both give the same report, bit for bit.
+    /// With no trace sink installed, a plan whose lists pass
+    /// [`Schedule::check_vm_lists`] replays in one pass in dependency
+    /// order; otherwise the event queue runs (see the module docs). Both
+    /// give the same report, bit for bit.
     #[must_use]
     pub fn run_perturbed(&self, perturb: impl Fn(cws_dag::TaskId, f64) -> f64) -> SimReport {
         let placements = &self.schedule.placements;
@@ -239,14 +233,10 @@ impl<'a> Simulator<'a> {
         // Captured once per replay: a disabled trace costs one branch on
         // a local per event (same pattern as the kernel's flags).
         let trace_on = obs::trace_enabled();
-        let chains = if trace_on {
-            None
+        let processed = if !trace_on && self.schedule.check_vm_lists().is_ok() {
+            self.replay_in_order(&links, &durations, &mut tasks)
         } else {
-            self.consistent_chains()
-        };
-        let processed = match chains {
-            Some(chains) => self.replay_in_order(&chains, &links, &durations, &mut tasks),
-            None => self.replay_events(&links, &durations, trace_on, &mut tasks),
+            self.replay_events(&links, &durations, trace_on, &mut tasks)
         };
 
         let makespan = tasks.iter().map(|t| t.finish).fold(0.0f64, |acc, x| {
@@ -302,43 +292,18 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The plan's VM lists as [`Chains`] when the plan is consistent:
-    /// every task sits in exactly one VM's `tasks` list, the one at the
-    /// position its placement names. `None` otherwise.
-    fn consistent_chains(&self) -> Option<Chains> {
-        let placements = &self.schedule.placements;
-        let vms = &self.schedule.vms;
-        let mut listed = vec![false; self.wf.len()];
-        let mut order = Vec::with_capacity(self.wf.len());
-        let mut first = Vec::with_capacity(vms.len() + 1);
-        for (v, vm) in vms.iter().enumerate() {
-            first.push(order.len());
-            for &(t, _, _) in &vm.tasks {
-                match listed.get_mut(t.index()) {
-                    Some(seen) if !*seen && placements[t.index()].vm.index() == v => {
-                        *seen = true;
-                        order.push(t);
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        first.push(order.len());
-        (order.len() == listed.len()).then_some(Chains { order, first })
-    }
-
-    /// Replay a consistent plan in one pass in dependency order (see the
-    /// module docs), writing each started task into `observed`, and
-    /// return the number of events the queue would process.
+    /// Replay a plan whose lists pass [`Schedule::check_vm_lists`] in
+    /// one pass in dependency order (see the module docs), writing each
+    /// started task into `observed`, and return the number of events
+    /// the queue would process.
     fn replay_in_order(
         &self,
-        chains: &Chains,
         links: &[(Region, InstanceType)],
         durations: &[f64],
         observed: &mut [ObservedTask],
     ) -> usize {
         let wf = self.wf;
-        let Chains { order, first } = chains;
+        let vms = &self.schedule.vms;
         let vm_count = links.len();
         // What every in-edge of a task reads and writes, in one record.
         let mut pending: Vec<Pending> = wf
@@ -358,18 +323,22 @@ impl<'a> Simulator<'a> {
                 at
             })
             .collect();
-        // Per VM, the position in `order` of its next task.
-        let mut next: Vec<usize> = first[..vm_count].to_vec();
+        // Per VM, the list position of its next task.
+        let mut next = vec![0usize; vm_count];
         let mut processed = vm_count;
         // VMs whose next task has all its inputs. A VM is listed when its
         // head's last input arrives, and its head stays until the VM is
         // popped, so it is never listed twice.
         let mut worklist: Vec<usize> = (0..vm_count)
-            .filter(|&v| next[v] < first[v + 1] && pending[order[next[v]].index()].missing == 0)
+            .filter(|&v| {
+                vms[v]
+                    .tasks
+                    .first()
+                    .is_some_and(|t| pending[t.index()].missing == 0)
+            })
             .collect();
         while let Some(v) = worklist.pop() {
-            while next[v] < first[v + 1] {
-                let task = order[next[v]];
+            while let Some(&task) = vms[v].tasks.get(next[v]) {
                 let i = task.index();
                 let Pending { ready, missing, vm } = pending[i];
                 if missing > 0 {
@@ -391,11 +360,7 @@ impl<'a> Simulator<'a> {
                     succ.ready = latest(succ.ready, at);
                     succ.missing -= 1;
                     // This VM's own next task is taken by the loop.
-                    if succ.missing == 0
-                        && w != v
-                        && next[w] < first[w + 1]
-                        && order[next[w]] == e.to
-                    {
+                    if succ.missing == 0 && w != v && vms[w].tasks.get(next[w]) == Some(&e.to) {
                         worklist.push(w);
                     }
                 }
@@ -552,7 +517,7 @@ impl<'a> Simulator<'a> {
             let mut intervals: Vec<(f64, f64)> = vm
                 .tasks
                 .iter()
-                .filter_map(|&(t, _, _)| {
+                .filter_map(|&t| {
                     let o = &tasks[t.index()];
                     (o.start.is_finite() && o.finish.is_finite()).then_some((o.start, o.finish))
                 })
@@ -710,8 +675,8 @@ mod tests {
         let sched = Strategy::BASELINE.schedule(&wf, &p);
         let report = simulate(&wf, &p, &sched);
         let busy = report.vm_busy_seconds(sched.vm_count());
-        for vm in &sched.vms {
-            assert!((busy[vm.id.index()] - vm.meter.busy).abs() < 1e-6);
+        for (b, vm) in busy.iter().zip(&sched.vms) {
+            assert!((b - vm.meter.busy).abs() < 1e-6);
         }
     }
 
@@ -766,25 +731,6 @@ mod tests {
         assert_eq!(report.vm_busy_seconds(1), vec![0.0]);
         assert_eq!(report.vm_utilization(1), vec![0.0]);
         assert_eq!(report.aggregate_utilization(1), 0.0);
-    }
-
-    /// A VM whose id is not its position replays like the plan it was
-    /// relabelled from: placements, links and both replays index VMs by
-    /// position. The validator still rejects the plan.
-    #[test]
-    fn misnumbered_vm_replays_by_position() {
-        let wf = cws_workloads::montage_24();
-        let p = Platform::ec2_paper();
-        let plan = Strategy::BASELINE.schedule(&wf, &p);
-        assert_eq!(plan.vms.len(), 24);
-        let mut relabelled = plan.clone();
-        relabelled.vms[0].id = VmId(29);
-        assert_eq!(simulate(&wf, &p, &relabelled), simulate(&wf, &p, &plan));
-        crate::verify(&wf, &p, &relabelled, 1e-6).unwrap();
-        assert_eq!(
-            relabelled.validate(&wf, &p),
-            Err(cws_core::ScheduleError::InconsistentVmTasks(VmId(29)))
-        );
     }
 
     #[test]

@@ -71,34 +71,35 @@ pub fn failure_impact_from(
     report: &SimReport,
     failures: &[VmFailure],
 ) -> FailureImpact {
-    let fail_time = |vm: VmId| -> f64 {
-        failures
-            .iter()
-            .filter(|f| f.vm == vm)
-            .map(|f| f.at)
-            .fold(f64::INFINITY, f64::min)
-    };
-
-    let mut completed = vec![false; wf.len()];
-    // Walk per-VM queues in plan order inside a global topological walk:
-    // process tasks by observed start time (a valid execution order).
-    let mut order: Vec<TaskId> = wf.ids().collect();
-    order.sort_by(|a, b| {
-        report.tasks[a.index()]
-            .start
-            .total_cmp(&report.tasks[b.index()].start)
-            .then(a.0.cmp(&b.0))
-    });
-    // Track whether each VM's queue is blocked by an earlier loss.
-    let mut vm_blocked = vec![false; schedule.vms.len()];
-    for t in order {
-        let obs = report.tasks[t.index()];
-        let preds_ok = wf.predecessors(t).iter().all(|e| completed[e.from.index()]);
-        let vm_ok = !vm_blocked[obs.vm.index()] && obs.finish <= fail_time(obs.vm);
-        if preds_ok && vm_ok {
-            completed[t.index()] = true;
-        } else {
-            vm_blocked[obs.vm.index()] = true;
+    let mut fail_at = vec![f64::INFINITY; schedule.vms.len()];
+    for f in failures {
+        if let Some(at) = fail_at.get_mut(f.vm.index()) {
+            *at = at.min(f.at);
+        }
+    }
+    // A task fails directly when it did not finish by its VM's earliest
+    // failure (a NaN finish, a task the replay never ran, fails). The
+    // lost set is the closure of those over DAG successors and each
+    // task's next entry in its VM's list: the static plan's queue
+    // blocks, there is no rescheduling.
+    let mut completed: Vec<bool> = report
+        .tasks
+        .iter()
+        .map(|o| o.finish <= fail_at.get(o.vm.index()).map_or(f64::INFINITY, |&at| at))
+        .collect();
+    let mut next_in_list = vec![None; wf.len()];
+    for w in schedule.vms.iter().flat_map(|vm| vm.tasks.windows(2)) {
+        if let Some(next) = next_in_list.get_mut(w[0].index()) {
+            *next = Some(w[1]);
+        }
+    }
+    let mut stack: Vec<TaskId> = wf.ids().filter(|t| !completed[t.index()]).collect();
+    while let Some(t) = stack.pop() {
+        let after = wf.successors(t).iter().map(|e| e.to);
+        for u in after.chain(next_in_list[t.index()]) {
+            if completed.get_mut(u.index()).is_some_and(std::mem::take) {
+                stack.push(u);
+            }
         }
     }
 

@@ -9,12 +9,13 @@
 //! the replay's boot, task, transfer and billing events.
 //!
 //! A replay takes one of two paths ([`engine`] has the details). With a
-//! trace sink installed, or for an inconsistent plan, an event queue
-//! replays the chronology, emitting the trace if a sink is installed.
-//! Otherwise, when every task sits in exactly one VM's `tasks` list,
-//! the one its placement names, one pass in dependency order starts
-//! each task at the latest of its VM's boot, the VM's previous finish
-//! and its inputs' arrivals. In the queue a task starts in the handler
+//! trace sink installed, or for a plan whose VM lists fail
+//! [`Schedule::check_vm_lists`](cws_core::Schedule::check_vm_lists), an
+//! event queue replays the chronology, emitting the trace if a sink is
+//! installed. Otherwise, with every task listed exactly once, on the VM
+//! its placement names, one pass in dependency order walks the lists
+//! and starts each task at the latest of its VM's boot, the VM's
+//! previous finish and its inputs' arrivals. In the queue a task starts in the handler
 //! of whichever of those events pops last, so both paths report the
 //! same times, deadlocks and event count, bit for bit.
 //!

@@ -24,7 +24,7 @@
 
 use crate::engine::simulate;
 use crate::failures::{failure_impact_from, recover_from, FailureImpact, Recovery, VmFailure};
-use cws_core::Schedule;
+use cws_core::{Schedule, VmId};
 use cws_dag::Workflow;
 use cws_obs as obs;
 use cws_platform::{billing::btus_for_span, InstanceType, Platform, SpotMarket};
@@ -36,7 +36,7 @@ const VM_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The realized outcome of running a static plan on spot instances.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpotReplay {
-    /// First interruption per evicted VM, in VM-id order.
+    /// First interruption per evicted VM, in VM order.
     pub interruptions: Vec<VmFailure>,
     /// Which tasks completed before their VM was reclaimed.
     pub impact: FailureImpact,
@@ -70,8 +70,8 @@ impl SpotReplay {
 /// their checkpoints on on-demand VMs of `recovery_itype`.
 ///
 /// Deterministic: per-VM interruptions are seeded by
-/// `seed ⊕ (vm_id × φ64)`, so neither thread count nor VM iteration
-/// order can change the outcome.
+/// `seed ⊕ (v × φ64)` for the VM at index `v`, so neither thread count
+/// nor VM iteration order can change the outcome.
 #[must_use]
 pub fn replay_spot(
     wf: &Workflow,
@@ -84,15 +84,14 @@ pub fn replay_spot(
     // 1. Sample each VM's first interruption over its rented window.
     //    The meter opens at decision time and the plan is boot-aware,
     //    so the window already contains the boot wait.
-    let interruptions: Vec<VmFailure> = schedule
-        .vms
-        .iter()
-        .filter_map(|vm| {
-            let vm_seed = seed ^ (u64::from(vm.id.0)).wrapping_mul(VM_SEED_MIX);
+    let interruptions: Vec<VmFailure> = (0u32..)
+        .zip(&schedule.vms)
+        .filter_map(|(v, vm)| {
+            let vm_seed = seed ^ u64::from(v).wrapping_mul(VM_SEED_MIX);
             market
                 .sample_interruption(vm.meter.span(), vm_seed)
                 .map(|offset| VmFailure {
-                    vm: vm.id,
+                    vm: VmId(v),
                     at: vm.meter.start + offset,
                 })
         })
@@ -117,9 +116,10 @@ pub fn replay_spot(
     let spot_cost_usd: f64 = schedule
         .vms
         .iter()
-        .map(|vm| {
+        .zip(&completed_busy)
+        .map(|(vm, &busy)| {
             let od = platform.price_in(vm.region, vm.itype);
-            btus_for_span(completed_busy[vm.id.index()]) as f64 * market.price(od)
+            btus_for_span(busy) as f64 * market.price(od)
         })
         .sum();
 

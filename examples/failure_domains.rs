@@ -10,6 +10,7 @@
 //! cargo run --example failure_domains
 //! ```
 
+use cloud_workflow_sched::core::VmId;
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::sim::{failure_impact, recover, VmFailure};
 
@@ -37,12 +38,11 @@ fn main() {
         let s = Strategy::parse(label)
             .expect("known label")
             .schedule(&wf, &platform);
-        let busiest = s
-            .vms
-            .iter()
-            .max_by(|a, b| a.meter.busy.total_cmp(&b.meter.busy))
-            .expect("at least one VM")
-            .id;
+        let busiest = (0u32..)
+            .zip(&s.vms)
+            .max_by(|(_, a), (_, b)| a.meter.busy.total_cmp(&b.meter.busy))
+            .map(|(v, _)| VmId(v))
+            .expect("at least one VM");
         let crash_at = s.makespan() / 2.0;
         let impact = failure_impact(
             &wf,

@@ -10,6 +10,7 @@
 //! cargo run --example spot_vs_ondemand
 //! ```
 
+use cloud_workflow_sched::core::VmId;
 use cloud_workflow_sched::platform::SpotMarket;
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::sim::{failure_impact, VmFailure};
@@ -55,7 +56,7 @@ fn main() {
 
     // One sampled interruption, traced through the failure machinery.
     if let Some(at) = market.sample_interruption(plan.makespan(), 4) {
-        let victim = plan.vms[0].id;
+        let victim = VmId(0);
         let impact = failure_impact(&wf, &platform, &plan, &[VmFailure { vm: victim, at }]);
         println!(
             "sampled interruption of {victim} at {:.0}s: {:.0}% of tasks survive",

@@ -67,21 +67,34 @@ fn extension_schedulers_replay_exactly() {
 #[test]
 fn insertion_heft_replays_exactly() {
     // Gap-inserted tasks execute chronologically per VM; the eager DES
-    // must reproduce exactly the planned times (see state.rs docs).
+    // must reproduce exactly the planned times (see state.rs docs), also
+    // with every third task at zero runtime, where inserted tasks tie in
+    // start with the tasks around them.
     let platform = Platform::ec2_paper();
     for wf in paper_workflows() {
         let wf = Scenario::Pareto { seed: 12 }.apply(&wf);
-        for machines in [1, 2, 4, 8] {
-            let s = cloud_workflow_sched::core::alloc::heft_insertion(
-                &wf,
-                &platform,
-                InstanceType::Small,
-                machines,
-            );
-            s.validate(&wf, &platform)
-                .unwrap_or_else(|e| panic!("{} x{machines}: {e}", wf.name()));
-            verify(&wf, &platform, &s, 1e-6)
-                .unwrap_or_else(|e| panic!("{} x{machines}: {e}", wf.name()));
+        let times: Vec<f64> = wf
+            .tasks()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| if i % 3 == 1 { 0.0 } else { t.base_time })
+            .collect();
+        for (wf, runtimes) in [
+            (wf.clone(), "Pareto"),
+            (wf.with_base_times(&times), "zeroed"),
+        ] {
+            for machines in [1, 2, 4, 8] {
+                let s = cloud_workflow_sched::core::alloc::heft_insertion(
+                    &wf,
+                    &platform,
+                    InstanceType::Small,
+                    machines,
+                );
+                let label = format!("{} {runtimes} x{machines}", wf.name());
+                s.validate(&wf, &platform)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                verify(&wf, &platform, &s, 1e-6).unwrap_or_else(|e| panic!("{label}: {e}"));
+            }
         }
     }
 }

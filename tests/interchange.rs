@@ -4,12 +4,15 @@
 //! spec-vs-parser field-list agreement that keeps `docs/interchange.md`
 //! from drifting.
 
+use cws_core::Strategy;
 use cws_dag::interchange::{
     validate, DEP_FIELDS, MAX_TOTAL_RUNTIME_S, TASK_FIELDS, WORKFLOW_FIELDS,
 };
 use cws_dag::Workflow;
 use cws_experiments::trace_sweep::trace_sweep;
 use cws_experiments::ExperimentConfig;
+use cws_platform::{InstanceType, Platform, SpotMarket};
+use cws_sim::{failure_impact, replay_spot, verify};
 use cws_workloads::{
     cybershake, epigenomics, layered_dag, ligo, named_workflow, paper_workflows, wfcommons,
     CyberShakeShape, EpigenomicsShape, LayeredShape, LigoShape, Scenario,
@@ -315,4 +318,30 @@ fn a_document_at_the_horizon_sweeps_cleanly() {
     // Every schedule is checked and replayed; a divergence panics.
     let sweep = trace_sweep(&ExperimentConfig::default(), &wf, 1);
     assert_eq!(sweep.results.len(), 19);
+}
+
+#[test]
+fn a_zero_runtime_task_validates_replays_and_completes_on_every_pairing() {
+    // `s` <- `z` (0 s) <- `e`, declared in that order: wherever `z` and
+    // `s` share a VM they start at the same instant, and `s` has the
+    // smaller id. Every plan must validate and replay, and with no
+    // failure, or spot at hazard 0, every task completes.
+    let wf = Workflow::from_json(&read(&data_dir().join("zero-runtime.json"))).expect("valid");
+    assert_eq!(wf.task(cws_dag::TaskId(1)).base_time, 0.0);
+    let p = Platform::ec2_paper();
+    let calm = SpotMarket::new(0.3, 0.0);
+    let pairings = Strategy::paper_set();
+    assert_eq!(pairings.len(), 19);
+    for strategy in pairings {
+        let plan = strategy.schedule(&wf, &p);
+        let label = &plan.strategy;
+        plan.validate(&wf, &p)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        verify(&wf, &p, &plan, 1e-6).unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        let impact = failure_impact(&wf, &p, &plan, &[]);
+        assert_eq!(impact.completion_rate(), 1.0, "{label}");
+        assert!(impact.lost.is_empty(), "{label}");
+        let spot = replay_spot(&wf, &p, &plan, &calm, InstanceType::Small, 7);
+        assert_eq!(spot.completion_rate(), 1.0, "{label}");
+    }
 }

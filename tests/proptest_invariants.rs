@@ -103,11 +103,21 @@ fn first_fit_full_scan(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Some tasks drawn to zero runtime: a zero-runtime task and the
+    /// next task on its VM start at the same instant.
     #[test]
     fn any_strategy_on_any_workflow_is_valid_and_replays(
         wf in arb_workflow(),
         strategy in arb_strategy(),
+        zeroed in 0u64..u64::MAX,
     ) {
+        let times: Vec<f64> = wf
+            .tasks()
+            .iter()
+            .enumerate()
+            .map(|(i, t)| if zeroed >> (i % 64) & 1 == 1 { 0.0 } else { t.base_time })
+            .collect();
+        let wf = wf.with_base_times(&times);
         let platform = Platform::ec2_paper();
         let s = strategy.schedule(&wf, &platform);
         prop_assert!(s.validate(&wf, &platform).is_ok(),

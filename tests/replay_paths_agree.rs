@@ -1,25 +1,24 @@
 //! The simulator's two replay paths, held together. With a trace sink
 //! installed, `Simulator::run_perturbed` replays through the event
-//! queue, the only path that emits trace events. With none, a
-//! consistent plan replays in one pass in dependency order. Both must
-//! report the same `events_processed` and the same bits of every
-//! observed start, finish and VM and of the makespan.
+//! queue, the only path that emits trace events. With none, a plan
+//! whose VM lists pass `Schedule::check_vm_lists` replays in one pass
+//! in dependency order. Both must report the same `events_processed`
+//! and the same bits of every observed start, finish and VM and of the
+//! makespan.
 //!
 //! Plans are drawn on layered and pegasus-shaped DAGs with Pareto
 //! runtimes and Pareto data sizes, for every paper pairing, at boot 0
-//! or 120 s, with plain or perturbed durations. Each plan is also
-//! replayed tampered three times: with VM lists reversed, which
-//! deadlocks whenever a reversed list holds a dependency; with one task
-//! moved to another VM's list without updating its placement, which
-//! makes the plan inconsistent, so both runs take the queue; and with
-//! one VM relabelled with an id past the fleet, which both replays
-//! ignore, since they index VMs by position. The trace sink is
-//! process-global, so this check lives in a test binary of its own,
-//! with a single test.
+//! or 120 s, with plain durations, perturbed ones, or perturbed ones
+//! with some tasks set to zero, so equal starts on a VM occur. Each
+//! plan is also replayed tampered twice: with VM lists reversed, which
+//! deadlocks whenever a reversed list holds a dependency; and with one
+//! task moved to another VM's list without updating its placement,
+//! which fails the list check, so both runs take the queue. The trace
+//! sink is process-global, so this check lives in a test binary of its
+//! own, with a single test.
 
 use std::sync::Arc;
 
-use cloud_workflow_sched::core::VmId;
 use cloud_workflow_sched::prelude::*;
 use cloud_workflow_sched::sim::{SimReport, Simulator};
 use cloud_workflow_sched::workloads::{
@@ -94,18 +93,19 @@ proptest! {
     fn queue_and_pass_replay_bit_identically(
         wf in arb_workflow(),
         boot in (0usize..2).prop_map(|i| [0.0, 120.0][i]),
-        perturbed in (0usize..2).prop_map(|i| i == 1),
+        perturbed in 0usize..3,
+        zeroed in 0u64..u64::MAX,
         reversed in 0u64..u64::MAX,
         moved in (0usize..1000, 0usize..1000, 0usize..1000),
-        relabelled in 0usize..1000,
     ) {
         obs::set_metrics_enabled(false);
         let platform = Platform::ec2_paper().with_boot_time(boot);
         let factor = |t: TaskId| {
-            if perturbed {
-                0.6 + 0.1 * (t.index() % 9) as f64
-            } else {
-                1.0
+            let scale = 0.6 + 0.1 * (t.index() % 9) as f64;
+            match perturbed {
+                0 => 1.0,
+                1 => scale,
+                _ => (zeroed >> (t.index() % 64) & 1) as f64 * scale,
             }
         };
         for strategy in Strategy::paper_set() {
@@ -131,16 +131,11 @@ proptest! {
                 let to = (from + 1 + to % (vm_count - 1)) % vm_count;
                 let mut tampered = plan.clone();
                 let list = &mut tampered.vms[from].tasks;
-                let entry = list.remove(list.iter().position(|e| e.0 == task).unwrap());
+                let entry = list.remove(list.iter().position(|&e| e == task).unwrap());
                 let list = &mut tampered.vms[to].tasks;
                 list.insert(at % (list.len() + 1), entry);
                 assert_paths_agree(&wf, &platform, &tampered, &factor);
             }
-
-            // Give one VM an id past the fleet, placements unchanged.
-            let mut tampered = plan.clone();
-            tampered.vms[relabelled % vm_count].id = VmId((vm_count + relabelled) as u32);
-            assert_paths_agree(&wf, &platform, &tampered, &factor);
         }
     }
 }

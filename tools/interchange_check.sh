@@ -2,7 +2,7 @@
 # Interchange-format gate (ROADMAP: real-trace workload frontier; run
 # by the `interchange` CI job, or locally as tools/interchange_check.sh).
 #
-# Six legs:
+# Seven legs:
 #
 #   1. Corpus validation — every vendored interchange document under
 #      tests/data/ must pass `cws-exp validate` (exit 0); a malformed
@@ -33,6 +33,13 @@
 #      their low 24 bits must pass `cws-exp validate` within 60 s. An id
 #      index that picked a slot from those bits would probe one cluster
 #      for every id and need minutes; the ordered index does not care.
+#
+#   7. A zero-runtime task — `cws-exp sweep --workflow` on
+#      tests/data/zero-runtime.json (`s` <- `z` (0 s) <- `e`, declared
+#      in that order) must exit 0 at --threads 1 and 8 with identical
+#      bytes. Wherever `z` and `s` share a VM they start at the same
+#      instant, with `s` the smaller id: a validator that broke equal
+#      starts by task id instead of list order rejected those plans.
 #
 # Environment overrides:
 #   TRACE  — corpus trace for the sweep leg (default: montage-166.json)
@@ -244,8 +251,29 @@ else
 fi
 rm -f "$collide"
 
+# 7. A zero-runtime task sweeps cleanly, the same at threads 1 and 8.
+zero="tests/data/zero-runtime.json"
+z1="$OUTDIR/zero-t1"
+z8="$OUTDIR/zero-t8"
+set +e
+exp sweep --workflow "$zero" --threads 1 --format csv --out "$z1" >/dev/null 2>"$OUTDIR/zero-t1.err"
+rc1=$?
+exp sweep --workflow "$zero" --threads 8 --format csv --out "$z8" >/dev/null 2>"$OUTDIR/zero-t8.err"
+rc8=$?
+set -e
+if [ "$rc1" -ne 0 ] || [ "$rc8" -ne 0 ]; then
+  echo "ZERO-RUNTIME: sweep --workflow $zero exited $rc1 (threads 1) and $rc8 (threads 8), want 0" >&2
+  head -5 "$OUTDIR/zero-t1.err" >&2 || true
+  fail=1
+elif ! diff -r "$z1" "$z8" >/dev/null; then
+  echo "ZERO-RUNTIME: sweep --workflow $zero differs between threads 1 and 8" >&2
+  fail=1
+else
+  echo "ok: sweep --workflow $zero (exit 0, threads 1 == threads 8)"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "interchange check FAILED — see lines above" >&2
   exit 1
 fi
-echo "interchange check clean: corpus + importer + real-trace sweep + hostile trace-report + wide fan-out + colliding ids"
+echo "interchange check clean: corpus + importer + real-trace sweep + hostile trace-report + wide fan-out + colliding ids + zero runtime"
